@@ -2,9 +2,12 @@
 
 The pipeline: describe a periodic voltage as a ``SpectralSignal`` (or
 extract one from samples with ``dft_extract``), map it onto a grade-1
-multivector with ``to_phasor``, solve or measure the current, multiply the
-two phasors into the geometric apparent power, and split the current into
-active/non-active and parallel/quadrature/generated parts.
+geometric phasor (a dense coefficient vector) with ``to_phasor``, solve or
+measure the current, multiply the two phasors into the geometric apparent
+power (a scalar plus a bivector block), and split the current into
+active/non-active and parallel/quadrature/generated parts.  The sparse
+``Multivector`` kernel is the general algebra; ``.mv`` on a phasor or a
+power gives its view there.
 """
 
 from .algebra import (

@@ -10,12 +10,20 @@ zero tests cheap.
 
 All operations are pure: they return new ``Multivector`` instances and
 never mutate their inputs.
+
+This is the general public algebra.  The power pipeline does not run on
+it: a phasor is a dense grade-1 coefficient vector and a power a scalar
+plus a bivector block (see ``phasor`` and ``power``), whose ``.mv``
+properties build the sparse view here on demand.  ``prune`` applies the
+same ``PRUNE_EPS`` cut to those dense arrays.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable, Mapping, Union
+
+import numpy as np
 
 from .errors import DimensionMismatch, NotInvertible, PowerAnalysisError
 
@@ -28,7 +36,12 @@ EQ_TOL = 1e-9
 
 Scalar = Union[int, float]
 
-_SIGN_CACHE: dict[tuple[int, int], int] = {}
+
+def prune(coeffs: np.ndarray) -> np.ndarray:
+    """Dense counterpart of the construction cut: a copy of ``coeffs`` with
+    every entry below ``PRUNE_EPS`` in magnitude (and every NaN) set to an
+    exact +0.0, as ``Multivector`` would drop it."""
+    return np.where(np.abs(coeffs) >= PRUNE_EPS, coeffs, 0.0)
 
 
 def blade(*indices: int) -> int:
@@ -72,18 +85,12 @@ def _reorder_sign(a: int, b: int) -> int:
     equal factors then cancel in adjacent pairs at no extra sign because the
     metric is +1 on every basis vector.
     """
-    key = (a, b)
-    cached = _SIGN_CACHE.get(key)
-    if cached is not None:
-        return cached
     x = a >> 1
     swaps = 0
     while x:
         swaps += (x & b).bit_count()
         x >>= 1
-    sign = -1 if swaps & 1 else 1
-    _SIGN_CACHE[key] = sign
-    return sign
+    return -1 if swaps & 1 else 1
 
 
 def _blade_label(mask: int) -> str:

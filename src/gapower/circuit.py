@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Multivector, blade
+import numpy as np
+
+from .algebra import Multivector, blade, prune
 from .errors import CircuitError
 from .phasor import GeometricPhasor
 
@@ -135,25 +137,36 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittan
 def solve_current(u: GeometricPhasor, net: SeriesRLC) -> GeometricPhasor:
     """Steady-state current drawn by ``net`` under voltage ``u``,
     solved per occupied slot as i_k = Y_k u_k."""
-    dim = u.layout.dimension
-    total = Multivector(dim)
+    layout = u.layout
+    g = np.zeros(len(layout.orders()))
+    b = np.zeros_like(g)
+    dc = 0.0
     for y in admittances_for(net, u):
         if y.order == 0.0:
-            part = Multivector(dim, {1: y.conductance * u.dc})
+            dc = y.conductance * u.dc
         else:
-            part = y.multivector(dim) * u.component(y.order).mv
-        total = total + part
-    return GeometricPhasor(total, u.layout, u.fundamental_hz)
+            k = layout.slot_pair(y.order)[0] // 2
+            g[k], b[k] = y.conductance, y.susceptance
+    # (G + B plane)(a s_odd + c s_even) = (G a + B c) s_odd + (G c - B a) s_even;
+    # the element G + B plane carries the construction cut like any multivector
+    g, b = prune(g), prune(b)
+    odd, even = u.pairs.T
+    coeffs = np.empty(layout.dimension)
+    coeffs[0] = dc
+    coeffs[1::2] = g * odd + b * even
+    coeffs[2::2] = g * even - b * odd
+    return u._like(coeffs)
 
 
-def _per_plane_rotate(p: GeometricPhasor, factor) -> Multivector:
-    """Left-multiply each occupied plane's slice by factor(order)*plane."""
-    dim = p.layout.dimension
-    out = Multivector(dim)
-    for order in p.occupied_orders():
-        plane = Multivector(dim, {p.layout.plane_mask(order): factor(order)})
-        out = out + plane * p.component(order).mv
-    return out
+def _per_plane_rotate(p: GeometricPhasor, factor: np.ndarray) -> GeometricPhasor:
+    """Left-multiply each order's slice by factor[order] * plane, i.e.
+    f (a s_odd + c s_even) -> f c s_odd - f a s_even; DC is dropped."""
+    f = prune(factor)
+    odd, even = p.pairs.T
+    coeffs = np.zeros_like(p.coeffs)
+    coeffs[1::2] = f * even
+    coeffs[2::2] = -(f * odd)
+    return p._like(coeffs)
 
 
 def derivative_phasor(p: GeometricPhasor) -> GeometricPhasor:
@@ -162,9 +175,7 @@ def derivative_phasor(p: GeometricPhasor) -> GeometricPhasor:
     Differentiation maps the order-k slice to k*w * plane * slice and
     kills any DC term.
     """
-    w = p.omega
-    mv = _per_plane_rotate(p, lambda order: order * w)
-    return GeometricPhasor(mv, p.layout, p.fundamental_hz)
+    return _per_plane_rotate(p, np.array(p.layout.orders()) * p.omega)
 
 
 def integral_phasor(p: GeometricPhasor) -> GeometricPhasor:
@@ -172,6 +183,4 @@ def integral_phasor(p: GeometricPhasor) -> GeometricPhasor:
     (its antiderivative is not periodic)."""
     if p.dc != 0.0:
         raise CircuitError("cannot integrate a phasor with a DC component")
-    w = p.omega
-    mv = _per_plane_rotate(p, lambda order: -1.0 / (order * w))
-    return GeometricPhasor(mv, p.layout, p.fundamental_hz)
+    return _per_plane_rotate(p, -1.0 / (np.array(p.layout.orders()) * p.omega))

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ from .phasor import (
     reconstruct,
     to_phasor,
 )
-from .power import geometric_power, power_report
+from .power import GeometricPower, geometric_power, power_report
 from .waveform import active_power, dft_extract, load_csv, rms, thd
 
 FORMATS = ("table", "json", "csv")
@@ -150,15 +151,16 @@ def _circuit_from_dict(data) -> SeriesRLC:
 
 # -- report fragments --------------------------------------------------
 
-def _mv_doc(mv) -> dict:
-    from .algebra import blade_indices
-
+def _mv_doc(m: GeometricPower) -> dict:
+    """Scalar and non-zero bivector terms in ascending blade-mask order,
+    which for ``s_a s_b`` (``a < b``) is row-major over the transposed
+    block."""
+    hi, lo = np.nonzero(m.bivector.T)
     terms = [
-        {"blade_indices": list(blade_indices(mask)), "value": coeff}
-        for mask, coeff in sorted(mv.terms.items())
-        if mask != 0
+        {"blade_indices": [a, b], "value": v}
+        for a, b, v in zip(lo.tolist(), hi.tolist(), m.bivector[lo, hi].tolist())
     ]
-    return {"scalar": mv.scalar_part, "terms": terms}
+    return {"scalar": m.active, "terms": terms}
 
 
 def _order_key(order: float):
@@ -175,8 +177,8 @@ def _currents_doc(
         rows.append(
             {"index": row[0], **{c: v for c, v in zip(CSV_COLUMNS, row[1:])}}
         )
-    m_s = geometric_power(u, cc.i_s).mv
-    m_q = geometric_power(u, cc.i_q).mv
+    m_s = geometric_power(u, cc.i_s)
+    m_q = geometric_power(u, cc.i_q)
     return {
         "norms": cc.norms(),
         "rows": rows,
@@ -264,12 +266,16 @@ def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
     )
 
 
-def _emit(doc: dict, cc: CurrentComponents, tables: str, fmt: str) -> str:
+def _emit(
+    doc: dict, cc: CurrentComponents, tables: Callable[[], str], fmt: str
+) -> str:
+    """Render ``fmt``; ``tables`` builds the table text and is called only
+    when that is the format asked for."""
     if fmt == "json":
         return json.dumps(_round_doc(doc), indent=2) + "\n"
     if fmt == "csv":
         return _decomposition_csv(cc)
-    return tables
+    return tables()
 
 
 # -- subcommands -------------------------------------------------------
@@ -290,14 +296,17 @@ def cmd_solve(args) -> str:
         "power": report.to_dict(),
         "currents": _currents_doc(cc, ys, u),
     }
-    tables = "\n".join(
-        [
-            _spectrum_table(source, from_phasor(i)),
-            _power_tables(report),
-            _decomposition_table(cc),
-            _compensation_table(ys),
-        ]
-    )
+
+    def tables() -> str:
+        return "\n".join(
+            [
+                _spectrum_table(source, from_phasor(i)),
+                _power_tables(report),
+                _decomposition_table(cc),
+                _compensation_table(ys),
+            ]
+        )
+
     return _emit(doc, cc, tables, args.format)
 
 
@@ -345,20 +354,23 @@ def cmd_analyze(args) -> str:
     if config.timeseries:
         _write_text(_timeseries_csv(u_w, i_w, cc), config.timeseries)
     wf = doc["waveform"]
-    tables = "\n".join(
-        [
-            _table(
-                "Waveform",
-                ["rms_u", "rms_i", "thd_u", "thd_i", "active_power_w"],
-                [[wf["rms_u"], wf["rms_i"], wf["thd_u"], wf["thd_i"],
-                  wf["active_power_w"]]],
-            ),
-            _spectrum_table(u_sig, i_sig),
-            _power_tables(report),
-            _decomposition_table(cc),
-            _compensation_table(ys),
-        ]
-    )
+
+    def tables() -> str:
+        return "\n".join(
+            [
+                _table(
+                    "Waveform",
+                    ["rms_u", "rms_i", "thd_u", "thd_i", "active_power_w"],
+                    [[wf["rms_u"], wf["rms_i"], wf["thd_u"], wf["thd_i"],
+                      wf["active_power_w"]]],
+                ),
+                _spectrum_table(u_sig, i_sig),
+                _power_tables(report),
+                _decomposition_table(cc),
+                _compensation_table(ys),
+            ]
+        )
+
     return _emit(doc, cc, tables, config.fmt)
 
 
@@ -382,7 +394,10 @@ def cmd_decompose(args) -> str:
         "current_spectrum": i_sig.to_dict(),
         "currents": _currents_doc(cc, ys, u),
     }
-    tables = "\n".join([_decomposition_table(cc), _compensation_table(ys)])
+
+    def tables() -> str:
+        return "\n".join([_decomposition_table(cc), _compensation_table(ys)])
+
     return _emit(doc, cc, tables, args.format)
 
 

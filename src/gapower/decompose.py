@@ -15,7 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Multivector, inner_vectors
+import numpy as np
+
+from .algebra import prune
 from .circuit import HarmonicAdmittance
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
@@ -50,10 +52,8 @@ class CurrentComponents:
         """One row per basis index with the CSV_COLUMNS coefficients,
         closed by a row of norms."""
         comps = (self.i_p, self.i_a, self.i_s, self.i_q, self.i_N, self.total)
-        rows: list[list] = []
-        for index in range(self.total.layout.dimension):
-            mask = 1 << index
-            rows.append([index] + [c.mv.coefficient(mask) for c in comps])
+        columns = np.column_stack([c.coeffs for c in comps]).tolist()
+        rows: list[list] = [[index] + row for index, row in enumerate(columns)]
         rows.append(["norm"] + [c.norm() for c in comps])
         return rows
 
@@ -67,11 +67,10 @@ def fryze_split(
     power; it is collinear with the voltage, so i_N is orthogonal to it.
     """
     u._check_compatible(i)
-    n2 = sum(c * c for c in u.mv.terms.values())
+    n2 = u.dot(u)
     if n2 == 0.0:
         raise PowerAnalysisError("cannot split against a zero voltage")
-    p = inner_vectors(u.mv, i.mv)
-    i_a = (p / n2) * u
+    i_a = (u.dot(i) / n2) * u
     return i_a, i - i_a
 
 
@@ -80,34 +79,36 @@ def parallel_quadrature(
 ) -> tuple[GeometricPhasor, GeometricPhasor]:
     """Admittance-driven split over the voltage's own slots:
     i_p = sum G_k u_k and i_q = sum B_k plane_k u_k."""
-    dim = u.layout.dimension
+    layout = u.layout
     by_order = {float(adm.order): adm for adm in y}
-    ip = Multivector(dim)
-    iq = Multivector(dim)
+    g = np.zeros(layout.dimension)  # conductance per slot
+    b = np.zeros(len(layout.orders()))  # susceptance per order
     if u.dc != 0.0:
         adm = by_order.get(0.0)
         if adm is None:
             raise PowerAnalysisError("missing admittance for the DC slot")
         if adm.susceptance != 0.0:
             raise PowerAnalysisError("DC admittance cannot have susceptance")
-        ip = ip + Multivector(dim, {1: adm.conductance * u.dc})
+        g[0] = adm.conductance
     for order in u.occupied_orders():
         adm = by_order.get(float(order))
         if adm is None:
             raise PowerAnalysisError(f"missing admittance for order {order}")
-        plane_mask = u.layout.plane_mask(order)
-        if adm.plane not in (0, plane_mask):
+        lo, hi = layout.slot_pair(order)
+        if adm.plane not in (0, layout.plane_mask(order)):
             raise PowerAnalysisError(
                 f"admittance for order {order} references a foreign plane"
             )
-        uk = u.component(order).mv
-        ip = ip + adm.conductance * uk
-        iq = iq + Multivector(dim, {plane_mask: adm.susceptance}) * uk
-    f = u.fundamental_hz
-    return (
-        GeometricPhasor(ip, u.layout, f),
-        GeometricPhasor(iq, u.layout, f),
-    )
+        g[[lo, hi]] = adm.conductance
+        b[lo // 2] = adm.susceptance
+    # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even; the
+    # element B_k plane_k carries the construction cut like any multivector
+    b = prune(b)
+    odd, even = u.pairs.T
+    iq = np.zeros(layout.dimension)
+    iq[1::2] = b * even
+    iq[2::2] = -(b * odd)
+    return u._like(g * u.coeffs), u._like(iq)
 
 
 def scattered(i_p: GeometricPhasor, i_a: GeometricPhasor) -> GeometricPhasor:
@@ -123,19 +124,11 @@ def generated_current(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPhasor
     coefficients is non-zero; the DC slot counts when u.dc is non-zero.
     """
     u._check_compatible(i)
-    dim = u.layout.dimension
-    terms: dict[int, float] = {}
-    if u.dc == 0.0 and i.dc != 0.0:
-        terms[1] = i.dc
-    u_orders = set(u.occupied_orders())
-    for order in i.occupied_orders():
-        if order in u_orders:
-            continue
-        lo, hi = i.layout.slot_pair(order)
-        ai, bi = i.pair(order)
-        terms[1 << lo] = ai
-        terms[1 << hi] = bi
-    return GeometricPhasor(Multivector(dim, terms), u.layout, u.fundamental_hz)
+    free = ~u.occupied()[:, None]
+    coeffs = np.concatenate(
+        ([i.dc if u.dc == 0.0 else 0.0], np.where(free, i.pairs, 0.0).ravel())
+    )
+    return u._like(coeffs)
 
 
 def compensation_susceptances(
@@ -159,13 +152,16 @@ def estimate_admittances(
     out = []
     if u.dc != 0.0:
         out.append(HarmonicAdmittance(0.0, i.dc / u.dc, 0.0, 0))
-    for order in u.occupied_orders():
-        au, bu = u.pair(order)
-        ai, bi = i.pair(order)
-        n2 = au * au + bu * bu
-        g = (au * ai + bu * bi) / n2
-        b = -(au * bi - bu * ai) / n2
-        out.append(HarmonicAdmittance(float(order), g, b, u.layout.plane_mask(order)))
+    layout = u.layout
+    orders = layout.orders()
+    occupied = np.flatnonzero(u.occupied())
+    (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
+    n2 = au * au + bu * bu
+    g = ((au * ai + bu * bi) / n2).tolist()
+    b = (-(au * bi - bu * ai) / n2).tolist()
+    for k, gk, bk in zip(occupied.tolist(), g, b):
+        order = orders[k]
+        out.append(HarmonicAdmittance(order, gk, bk, layout.plane_mask(order)))
     return out
 
 

@@ -9,6 +9,11 @@ the pair after the last harmonic slot.  ``to_phasor`` maps a component of
 rms X and phase p to ``X*sin(p)`` on the odd slot and ``X*cos(p)`` on the
 even slot, so in-phase parts land on even indices; ``from_phasor`` inverts
 that with ``rms = hypot(odd, even)``, ``phase = atan2(odd, even)``.
+
+A ``GeometricPhasor`` is a dense coefficient vector over that layout, not
+a sparse ``Multivector``: per-order work runs on its ``(n_orders, 2)``
+slot-pair view, and ``.mv`` gives the sparse kernel view when the general
+algebra is wanted.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade
+from .algebra import Multivector, blade, prune
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
@@ -274,12 +279,21 @@ class BasisLayout:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricPhasor:
-    """A grade-1 multivector tied to the layout and fundamental that give
-    its coefficients physical meaning."""
+    """A grade-1 element tied to the layout and fundamental that give its
+    coefficients physical meaning.
 
-    mv: Multivector
+    ``coeffs`` is a read-only float64 vector of length
+    ``layout.dimension``: entry ``k`` is the coefficient of basis vector
+    ``s_k``.  Entries below ``PRUNE_EPS`` in magnitude are stored as exact
+    zeros, as the sparse kernel would drop them.  ``pairs`` views the
+    per-order slots as an ``(n_orders, 2)`` array of (odd, even) columns
+    in ``layout.orders()`` order; ``mv`` builds the sparse
+    ``Multivector`` view on demand.
+    """
+
+    coeffs: np.ndarray
     layout: BasisLayout
     fundamental_hz: float
 
@@ -288,13 +302,44 @@ class GeometricPhasor:
             raise PowerAnalysisError(
                 f"fundamental frequency must be > 0 Hz, got {self.fundamental_hz}"
             )
-        if self.mv.dim != self.layout.dimension:
+        coeffs = prune(np.asarray(self.coeffs, dtype=np.float64))
+        if coeffs.shape != (self.layout.dimension,):
             raise LayoutError(
-                f"multivector dimension {self.mv.dim} does not match "
+                f"coefficient shape {coeffs.shape} does not match "
                 f"layout dimension {self.layout.dimension}"
             )
-        if not self.mv.is_vector():
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+
+    @classmethod
+    def from_mv(
+        cls, mv: Multivector, layout: BasisLayout, fundamental_hz: float
+    ) -> "GeometricPhasor":
+        """Phasor of a grade-1 ``Multivector`` of the layout's dimension."""
+        if mv.dim != layout.dimension:
+            raise LayoutError(
+                f"multivector dimension {mv.dim} does not match "
+                f"layout dimension {layout.dimension}"
+            )
+        if not mv.is_vector():
             raise PowerAnalysisError("geometric phasor must be a grade-1 multivector")
+        coeffs = np.zeros(mv.dim)
+        for mask, c in mv.terms.items():
+            coeffs[mask.bit_length() - 1] = c
+        return cls(coeffs, layout, fundamental_hz)
+
+    @property
+    def mv(self) -> Multivector:
+        """Sparse kernel view of the phasor."""
+        return Multivector(
+            len(self.coeffs),
+            {1 << k: c for k, c in enumerate(self.coeffs.tolist()) if c},
+        )
+
+    @property
+    def pairs(self) -> np.ndarray:
+        """(odd, even) slot coefficients, one row per ``layout.orders()``."""
+        return self.coeffs[1:].reshape(-1, 2)
 
     @property
     def omega(self) -> float:
@@ -302,29 +347,38 @@ class GeometricPhasor:
 
     @property
     def dc(self) -> float:
-        return self.mv.coefficient(1)
+        return float(self.coeffs[0])
 
     def pair(self, order: float) -> tuple[float, float]:
         """Coefficients on the (odd, even) slots of an order."""
         lo, hi = self.layout.slot_pair(order)
-        return self.mv.coefficient(1 << lo), self.mv.coefficient(1 << hi)
+        return float(self.coeffs[lo]), float(self.coeffs[hi])
+
+    def occupied(self) -> np.ndarray:
+        """Boolean mask over ``layout.orders()``: a non-zero coefficient on
+        either slot."""
+        return self.pairs.any(axis=1)
 
     def occupied_orders(self) -> tuple[float, ...]:
         """Orders with a non-zero coefficient on either slot (DC excluded)."""
-        return tuple(o for o in self.layout.orders() if self.pair(o) != (0.0, 0.0))
+        orders = self.layout.orders()
+        return tuple(orders[k] for k in np.flatnonzero(self.occupied()))
 
     def component(self, order: float) -> "GeometricPhasor":
         """Projection onto one order's plane."""
         lo, hi = self.layout.slot_pair(order)
-        keep = {1 << lo, 1 << hi}
-        mv = Multivector(
-            self.mv.dim, {m: c for m, c in self.mv.terms.items() if m in keep}
-        )
-        return GeometricPhasor(mv, self.layout, self.fundamental_hz)
+        coeffs = np.zeros_like(self.coeffs)
+        coeffs[[lo, hi]] = self.coeffs[[lo, hi]]
+        return self._like(coeffs)
+
+    def dot(self, other: "GeometricPhasor") -> float:
+        """Scalar product, summed one slot at a time in ascending order
+        (a pairwise sum could move the last bit of the result)."""
+        return float(np.cumsum(self.coeffs * other.coeffs)[-1])
 
     def norm(self) -> float:
         """Collective rms value of the signal the phasor represents."""
-        return self.mv.norm()
+        return math.sqrt(self.dot(self))
 
     def _check_compatible(self, other: "GeometricPhasor") -> None:
         if self.layout != other.layout:
@@ -333,24 +387,27 @@ class GeometricPhasor:
                             rel_tol=1e-9, abs_tol=0.0):
             raise LayoutError("phasors use different fundamental frequencies")
 
+    def _like(self, coeffs: np.ndarray) -> "GeometricPhasor":
+        return GeometricPhasor(coeffs, self.layout, self.fundamental_hz)
+
     def __add__(self, other: "GeometricPhasor") -> "GeometricPhasor":
         if not isinstance(other, GeometricPhasor):
             return NotImplemented
         self._check_compatible(other)
-        return GeometricPhasor(self.mv + other.mv, self.layout, self.fundamental_hz)
+        return self._like(self.coeffs + other.coeffs)
 
     def __sub__(self, other: "GeometricPhasor") -> "GeometricPhasor":
         if not isinstance(other, GeometricPhasor):
             return NotImplemented
         self._check_compatible(other)
-        return GeometricPhasor(self.mv - other.mv, self.layout, self.fundamental_hz)
+        return self._like(self.coeffs - other.coeffs)
 
     def __neg__(self) -> "GeometricPhasor":
-        return GeometricPhasor(-self.mv, self.layout, self.fundamental_hz)
+        return self._like(-self.coeffs)
 
     def __mul__(self, other) -> "GeometricPhasor":
         if isinstance(other, (int, float)):
-            return GeometricPhasor(self.mv * other, self.layout, self.fundamental_hz)
+            return self._like(self.coeffs * float(other))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -363,23 +420,20 @@ def to_phasor(signal: SpectralSignal, layout: BasisLayout) -> GeometricPhasor:
     and X*cos(p) to the even slot of its order; the DC level lands on s0.
     Every component must have a slot in the layout.
     """
-    terms: dict[int, float] = {}
-    if signal.dc:
-        terms[1] = signal.dc
+    coeffs = np.zeros(layout.dimension)
+    coeffs[0] = signal.dc
     for comp in signal.components():
         lo, hi = layout.slot_pair(comp.order)
-        terms[1 << lo] = comp.rms * math.sin(comp.phase_rad)
-        terms[1 << hi] = comp.rms * math.cos(comp.phase_rad)
-    mv = Multivector(layout.dimension, terms)
-    return GeometricPhasor(mv, layout, signal.fundamental_hz)
+        coeffs[lo] = comp.rms * math.sin(comp.phase_rad)
+        coeffs[hi] = comp.rms * math.cos(comp.phase_rad)
+    return GeometricPhasor(coeffs, layout, signal.fundamental_hz)
 
 
 def from_phasor(p: GeometricPhasor) -> SpectralSignal:
     """Recover the spectral signal a geometric phasor represents."""
     harmonics = []
     interharmonics = []
-    for order in p.layout.orders():
-        odd, even = p.pair(order)
+    for order, (odd, even) in zip(p.layout.orders(), p.pairs.tolist()):
         rms = math.hypot(odd, even)
         if rms == 0.0:
             continue

@@ -4,14 +4,22 @@ The product of voltage and current phasors splits into a scalar part (the
 active power) and a bivector part.  In-plane bivector coefficients are the
 per-harmonic reactive powers; bivectors straddling two frequencies are
 cross-frequency terms with no classical counterpart, reported verbatim.
+
+Both phasors are grade 1, so ``M = u i = u.i + u^i`` and nothing else:
+``GeometricPower`` stores the scalar ``u.i`` and the strict upper triangle
+of ``u (x) i - i (x) u`` as a dense ``(dim, dim)`` block, computed without
+the sparse blade kernel (``.mv`` builds that view on demand).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .algebra import Multivector, blade_indices, geometric_product, grade_of
-from .errors import PowerAnalysisError
+import numpy as np
+
+from .algebra import Multivector, blade_indices, prune
+from .errors import LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor
 
 # Shape of the JSON report emitted for a voltage/current pair.
@@ -58,23 +66,71 @@ POWER_REPORT_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeometricPower:
-    """Product of a voltage and a current phasor (scalar + bivector)."""
+    """Product of a voltage and a current phasor (scalar + bivector).
 
-    mv: Multivector
+    ``bivector`` is a read-only, strictly upper-triangular ``(dim, dim)``
+    float64 block: entry ``[a, b]`` (``a < b``) is the coefficient of the
+    plane ``s_a s_b``.  The scalar and the block entries below
+    ``PRUNE_EPS`` in magnitude are stored as exact zeros.
+    """
+
+    scalar: float
+    bivector: np.ndarray
     layout: BasisLayout
 
     def __post_init__(self):
-        if not self.mv.grades() <= {0, 2}:
+        dim = self.layout.dimension
+        block = prune(np.asarray(self.bivector, dtype=np.float64))
+        if block.shape != (dim, dim):
+            raise LayoutError(
+                f"bivector block shape {block.shape} does not match "
+                f"layout dimension {dim}"
+            )
+        if np.tril(block).any():
+            raise PowerAnalysisError(
+                "bivector block must be strictly upper triangular"
+            )
+        block.flags.writeable = False
+        object.__setattr__(self, "bivector", block)
+        object.__setattr__(self, "scalar", float(prune(np.float64(self.scalar))))
+
+    @classmethod
+    def from_mv(cls, mv: Multivector, layout: BasisLayout) -> "GeometricPower":
+        """Power of a scalar-plus-bivector ``Multivector`` of the layout's
+        dimension."""
+        if not mv.grades() <= {0, 2}:
             raise PowerAnalysisError(
                 "geometric power must hold scalar and bivector grades only"
             )
+        if mv.dim != layout.dimension:
+            raise LayoutError(
+                f"multivector dimension {mv.dim} does not match "
+                f"layout dimension {layout.dimension}"
+            )
+        block = np.zeros((mv.dim, mv.dim))
+        for mask, c in mv.terms.items():
+            if mask:
+                block[blade_indices(mask)] = c
+        return cls(mv.scalar_part, block, layout)
+
+    @property
+    def mv(self) -> Multivector:
+        """Sparse kernel view of the power."""
+        lo, hi = np.nonzero(self.bivector)
+        terms = {
+            (1 << a) | (1 << b): c
+            for a, b, c in zip(lo.tolist(), hi.tolist(),
+                               self.bivector[lo, hi].tolist())
+        }
+        terms[0] = self.scalar
+        return Multivector(self.layout.dimension, terms)
 
     @property
     def active(self) -> float:
         """Total active power, the scalar part."""
-        return self.mv.scalar_part
+        return self.scalar
 
     @property
     def nonactive(self) -> Multivector:
@@ -94,12 +150,16 @@ class HarmonicPQ:
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
-    return GeometricPower(geometric_product(u.mv, i.mv), u.layout)
+    a, b = u.coeffs, i.coeffs
+    return GeometricPower(
+        u.dot(i), np.triu(np.outer(a, b) - np.outer(b, a), 1), u.layout
+    )
 
 
 def apparent(mpower: GeometricPower) -> float:
     """Apparent power: the multivector norm, equal to ||u|| * ||i||."""
-    return mpower.mv.norm()
+    block = mpower.bivector
+    return math.sqrt(mpower.scalar * mpower.scalar + float(np.vdot(block, block)))
 
 
 def power_factor(mpower: GeometricPower) -> float:
@@ -119,13 +179,15 @@ def harmonic_pq(u: GeometricPhasor, i: GeometricPhasor) -> list[HarmonicPQ]:
     for a lagging (inductive) current.
     """
     u._check_compatible(i)
-    orders = sorted(set(u.occupied_orders()) | set(i.occupied_orders()))
-    out = []
-    for order in orders:
-        au, bu = u.pair(order)
-        ai, bi = i.pair(order)
-        out.append(HarmonicPQ(order, au * ai + bu * bi, au * bi - bu * ai))
-    return out
+    (au, bu), (ai, bi) = u.pairs.T, i.pairs.T
+    p = (au * ai + bu * bi).tolist()
+    q = (au * bi - bu * ai).tolist()
+    orders = u.layout.orders()
+    occupied = np.flatnonzero(u.occupied() | i.occupied()).tolist()
+    return [
+        HarmonicPQ(orders[k], p[k], q[k])
+        for k in sorted(occupied, key=orders.__getitem__)
+    ]
 
 
 @dataclass(frozen=True)
@@ -160,15 +222,18 @@ class PowerReport:
 def cross_frequency_terms(
     mpower: GeometricPower,
 ) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Bivector terms that do not lie in any single order's plane."""
-    layout = mpower.layout
-    plane_masks = {layout.plane_mask(o) for o in layout.orders()}
-    out = [
-        (blade_indices(mask), coeff)
-        for mask, coeff in mpower.mv.terms.items()
-        if grade_of(mask) == 2 and mask not in plane_masks
-    ]
-    return tuple(sorted(out))
+    """Bivector terms that do not lie in any single order's plane, as
+    ``((a, b), coeff)`` with ``a < b``, sorted by ``(a, b)``.
+
+    The order planes are exactly the slot pairs ``(2m - 1, 2m)``.
+    """
+    block = mpower.bivector
+    lo, hi = np.nonzero(block)  # row-major, hence already sorted
+    cross = (lo % 2 == 0) | (hi != lo + 1)
+    lo, hi = lo[cross], hi[cross]
+    return tuple(
+        zip(zip(lo.tolist(), hi.tolist()), block[lo, hi].tolist())
+    )
 
 
 def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:

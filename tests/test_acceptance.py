@@ -277,8 +277,8 @@ def test_criterion_4_property_suite_random_instances():
         if u_mv.norm() < 1e-3:
             continue
         i_mv = rand_vector()
-        u = GeometricPhasor(u_mv, layout, 50.0)
-        i = GeometricPhasor(i_mv, layout, 50.0)
+        u = GeometricPhasor.from_mv(u_mv, layout, 50.0)
+        i = GeometricPhasor.from_mv(i_mv, layout, 50.0)
 
         m = u_mv * i_mv
         if not close(m.norm(), u_mv.norm() * i_mv.norm()):

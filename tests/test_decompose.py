@@ -36,7 +36,7 @@ from gapower.power import geometric_power
 
 def vec_phasor(terms: dict, n: int, f0: float = 50.0) -> GeometricPhasor:
     layout = BasisLayout(n=n)
-    return GeometricPhasor(Multivector(layout.dimension, terms), layout, f0)
+    return GeometricPhasor.from_mv(Multivector(layout.dimension, terms), layout, f0)
 
 
 # -- fryze_split --------------------------------------------------------------
@@ -63,7 +63,7 @@ def test_fryze_resistive_has_no_residual(two_harmonic_phasor):
 
 
 def test_fryze_zero_voltage_rejected(two_harmonic_phasor):
-    zero = GeometricPhasor(
+    zero = GeometricPhasor.from_mv(
         Multivector(7), two_harmonic_phasor.layout, two_harmonic_phasor.fundamental_hz
     )
     with pytest.raises(PowerAnalysisError):
@@ -255,8 +255,8 @@ def measured_pairs(draw):
     if u_mv.norm() < 1e-6:
         u_mv = Multivector(dim, {1 << 1: 1.0})
     return (
-        GeometricPhasor(u_mv, layout, 50.0),
-        GeometricPhasor(one(), layout, 50.0),
+        GeometricPhasor.from_mv(u_mv, layout, 50.0),
+        GeometricPhasor.from_mv(one(), layout, 50.0),
     )
 
 

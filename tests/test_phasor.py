@@ -174,9 +174,9 @@ def test_to_phasor_missing_slot_errors(two_harmonic_source):
 def test_phasor_requires_grade_one():
     layout = BasisLayout(n=1)
     with pytest.raises(PowerAnalysisError):
-        GeometricPhasor(Multivector(3, {blade(1, 2): 1.0}), layout, 50.0)
+        GeometricPhasor.from_mv(Multivector(3, {blade(1, 2): 1.0}), layout, 50.0)
     with pytest.raises(LayoutError):
-        GeometricPhasor(Multivector(5, {blade(1): 1.0}), layout, 50.0)
+        GeometricPhasor.from_mv(Multivector(5, {blade(1): 1.0}), layout, 50.0)
 
 
 def test_phasor_arithmetic_and_pairs(two_harmonic_phasor):
@@ -191,7 +191,7 @@ def test_phasor_arithmetic_and_pairs(two_harmonic_phasor):
 
 
 def test_phasor_mixed_layout_rejected(two_harmonic_phasor):
-    other = GeometricPhasor(
+    other = GeometricPhasor.from_mv(
         Multivector(3, {blade(1): 1.0}), BasisLayout(n=1), OMEGA1_F0_HZ
     )
     with pytest.raises(LayoutError):
@@ -210,7 +210,7 @@ def test_from_phasor_inverse_fixture(two_harmonic_phasor):
 
 def test_from_phasor_zero_is_empty():
     layout = BasisLayout(n=2)
-    p = GeometricPhasor(Multivector(5), layout, 50.0)
+    p = GeometricPhasor.from_mv(Multivector(5), layout, 50.0)
     s = from_phasor(p)
     assert s.harmonics == () and s.interharmonics == () and s.dc == 0.0
 

@@ -39,7 +39,7 @@ from oracles import pq_complex
 
 def phasor_of(terms: dict, dim: int, f0: float = 50.0) -> GeometricPhasor:
     layout = BasisLayout(n=(dim - 1) // 2)
-    return GeometricPhasor(Multivector(dim, terms), layout, f0)
+    return GeometricPhasor.from_mv(Multivector(dim, terms), layout, f0)
 
 
 # -- fixtures ------------------------------------------------------------
@@ -80,7 +80,7 @@ def test_geometric_power_variant_fixture(two_harmonic_phasor, rlc_unequal_conduc
 def test_geometric_power_unity_case():
     s = basis(3)
     layout = BasisLayout(n=1)
-    u = GeometricPhasor(s[1], layout, 50.0)
+    u = GeometricPhasor.from_mv(s[1], layout, 50.0)
     m = geometric_power(u, u)
     assert m.mv == 1.0
     assert power_factor(m) == pytest.approx(1.0)
@@ -88,7 +88,7 @@ def test_geometric_power_unity_case():
 
 def test_geometric_power_layout_mismatch():
     u = phasor_of({blade(1): 1.0}, 3)
-    i = GeometricPhasor(Multivector(5, {blade(1): 1.0}), BasisLayout(n=2), 50.0)
+    i = GeometricPhasor.from_mv(Multivector(5, {blade(1): 1.0}), BasisLayout(n=2), 50.0)
     with pytest.raises(LayoutError):
         geometric_power(u, i)
 
@@ -96,7 +96,7 @@ def test_geometric_power_layout_mismatch():
 def test_geometric_power_type_guards_grades():
     layout = BasisLayout(n=1)
     with pytest.raises(PowerAnalysisError):
-        GeometricPower(Multivector(3, {blade(1): 1.0}), layout)
+        GeometricPower.from_mv(Multivector(3, {blade(1): 1.0}), layout)
 
 
 def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
@@ -114,7 +114,7 @@ def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
 
 
 def test_apparent_zero_current(two_harmonic_phasor):
-    zero = GeometricPhasor(
+    zero = GeometricPhasor.from_mv(
         Multivector(7), two_harmonic_phasor.layout, two_harmonic_phasor.fundamental_hz
     )
     assert apparent(geometric_power(two_harmonic_phasor, zero)) == 0.0
@@ -221,7 +221,7 @@ def phasor_pairs(draw):
         masks = draw(
             st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)
         )
-        return GeometricPhasor(
+        return GeometricPhasor.from_mv(
             Multivector(dim, {1 << i: draw(coeff) for i in masks}), layout, 50.0
         )
 
