@@ -21,12 +21,8 @@ from .algebra import (
     grade_of,
     inner_vectors,
     inverse_spinor,
-    inverse_vector,
-    norm,
     outer,
     reverse,
-    rotor,
-    rotor_apply,
 )
 from .circuit import (
     HarmonicAdmittance,
@@ -34,9 +30,7 @@ from .circuit import (
     SeriesRLC,
     admittance_at,
     admittances_for,
-    derivative_phasor,
     impedance_at,
-    integral_phasor,
     solve_current,
 )
 from .decompose import (
@@ -90,70 +84,3 @@ from .waveform import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "EQ_TOL",
-    "PRUNE_EPS",
-    "Multivector",
-    "basis",
-    "blade",
-    "blade_indices",
-    "geometric_product",
-    "grade_of",
-    "inner_vectors",
-    "inverse_spinor",
-    "inverse_vector",
-    "norm",
-    "outer",
-    "reverse",
-    "rotor",
-    "rotor_apply",
-    "HarmonicAdmittance",
-    "HarmonicImpedance",
-    "SeriesRLC",
-    "admittance_at",
-    "admittances_for",
-    "derivative_phasor",
-    "impedance_at",
-    "integral_phasor",
-    "solve_current",
-    "CurrentComponents",
-    "compensation_susceptances",
-    "decompose_currents",
-    "estimate_admittances",
-    "fryze_split",
-    "generated_current",
-    "parallel_quadrature",
-    "scattered",
-    "CircuitError",
-    "DimensionMismatch",
-    "LayoutError",
-    "NotInvertible",
-    "PowerAnalysisError",
-    "SchemaError",
-    "WaveformError",
-    "BasisLayout",
-    "GeometricPhasor",
-    "HarmonicComponent",
-    "SpectralSignal",
-    "from_phasor",
-    "reconstruct",
-    "to_phasor",
-    "POWER_REPORT_SCHEMA",
-    "GeometricPower",
-    "HarmonicPQ",
-    "PowerReport",
-    "apparent",
-    "cross_frequency_terms",
-    "geometric_power",
-    "harmonic_pq",
-    "power_factor",
-    "power_report",
-    "SampledWaveform",
-    "active_power",
-    "dft_extract",
-    "load_csv",
-    "rms",
-    "sample_signal",
-    "thd",
-]

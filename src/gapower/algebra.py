@@ -357,20 +357,6 @@ def reverse(m: Multivector) -> Multivector:
     return Multivector(m.dim, out)
 
 
-def norm(m: Multivector) -> float:
-    return m.norm()
-
-
-def inverse_vector(a: Multivector) -> Multivector:
-    """Inverse of a non-zero vector: a / |a|^2."""
-    if not a.is_vector():
-        raise NotInvertible("inverse_vector requires a grade-1 operand")
-    n2 = sum(c * c for c in a._terms.values())
-    if n2 == 0.0:
-        raise NotInvertible("zero vector has no inverse")
-    return a * (1.0 / n2)
-
-
 def inverse_spinor(z: Multivector) -> Multivector:
     """Inverse of a scalar-plus-bivector element living in a single plane.
 
@@ -387,29 +373,6 @@ def inverse_spinor(z: Multivector) -> Multivector:
     if n2 == 0.0:
         raise NotInvertible("zero element has no inverse")
     return reverse(z) * (1.0 / n2)
-
-
-def rotor(plane: Multivector, angle: float) -> Multivector:
-    """Rotor exp(angle * B) = cos(angle) + sin(angle) B for a unit plane B."""
-    masks = list(plane._terms)
-    if len(masks) != 1 or grade_of(masks[0]) != 2:
-        raise PowerAnalysisError("rotor plane must be a single bivector blade")
-    b = plane._terms[masks[0]]
-    if abs(b * b - 1.0) > EQ_TOL:
-        raise PowerAnalysisError("rotor plane must have unit coefficient")
-    return Multivector(
-        plane.dim, {0: math.cos(angle), masks[0]: math.sin(angle) * b}
-    )
-
-
-def rotor_apply(plane: Multivector, angle: float, v: Multivector) -> Multivector:
-    """Rotate ``v`` in ``plane`` by ``angle`` via left multiplication.
-
-    Within a single plane the one-sided action R v is the plane rotation;
-    components of ``v`` outside the plane are mixed into higher grades by a
-    general rotor, so this helper is intended for in-plane vectors.
-    """
-    return geometric_product(rotor(plane, angle), v)
 
 
 def basis(dim: int) -> tuple[Multivector, ...]:

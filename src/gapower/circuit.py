@@ -157,30 +157,3 @@ def solve_current(u: GeometricPhasor, net: SeriesRLC) -> GeometricPhasor:
     coeffs[2::2] = g * even - b * odd
     return u._like(coeffs)
 
-
-def _per_plane_rotate(p: GeometricPhasor, factor: np.ndarray) -> GeometricPhasor:
-    """Left-multiply each order's slice by factor[order] * plane, i.e.
-    f (a s_odd + c s_even) -> f c s_odd - f a s_even; DC is dropped."""
-    f = prune(factor)
-    odd, even = p.pairs.T
-    coeffs = np.zeros_like(p.coeffs)
-    coeffs[1::2] = f * even
-    coeffs[2::2] = -(f * odd)
-    return p._like(coeffs)
-
-
-def derivative_phasor(p: GeometricPhasor) -> GeometricPhasor:
-    """Phasor of d/dt of the represented signal.
-
-    Differentiation maps the order-k slice to k*w * plane * slice and
-    kills any DC term.
-    """
-    return _per_plane_rotate(p, np.array(p.layout.orders()) * p.omega)
-
-
-def integral_phasor(p: GeometricPhasor) -> GeometricPhasor:
-    """Phasor of the antiderivative, -plane/(k*w) per slice; rejects DC
-    (its antiderivative is not periodic)."""
-    if p.dc != 0.0:
-        raise CircuitError("cannot integrate a phasor with a DC component")
-    return _per_plane_rotate(p, -1.0 / (np.array(p.layout.orders()) * p.omega))

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,41 +27,18 @@ from .decompose import (
     decompose_currents,
     estimate_admittances,
 )
-from .errors import PowerAnalysisError, SchemaError, WaveformError
+from .errors import LayoutError, PowerAnalysisError, SchemaError, WaveformError
 from .phasor import (
     BasisLayout,
-    GeometricPhasor,
     SpectralSignal,
     from_phasor,
     reconstruct,
     to_phasor,
 )
-from .power import GeometricPower, geometric_power, power_report
+from .power import power_report
 from .waveform import active_power, dft_extract, load_csv, rms, thd
 
 FORMATS = ("table", "json", "csv")
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Everything `analyze` needs besides the input file."""
-
-    fundamental_hz: float
-    max_order: int
-    interharmonic_orders: tuple[float, ...] = ()
-    fmt: str = "table"
-    out: str | None = None
-    timeseries: str | None = None
-
-    def __post_init__(self):
-        if not (math.isfinite(self.fundamental_hz) and self.fundamental_hz > 0):
-            raise SchemaError(
-                f"fundamental must be > 0 Hz, got {self.fundamental_hz}"
-            )
-        if self.max_order < 1:
-            raise SchemaError(f"max order must be >= 1, got {self.max_order}")
-        if self.fmt not in FORMATS:
-            raise SchemaError(f"format must be one of {FORMATS}, got {self.fmt!r}")
 
 
 # -- number formatting ------------------------------------------------
@@ -151,25 +127,11 @@ def _circuit_from_dict(data) -> SeriesRLC:
 
 # -- report fragments --------------------------------------------------
 
-def _mv_doc(m: GeometricPower) -> dict:
-    """Scalar and non-zero bivector terms in ascending blade-mask order,
-    which for ``s_a s_b`` (``a < b``) is row-major over the transposed
-    block."""
-    hi, lo = np.nonzero(m.bivector.T)
-    terms = [
-        {"blade_indices": [a, b], "value": v}
-        for a, b, v in zip(lo.tolist(), hi.tolist(), m.bivector[lo, hi].tolist())
-    ]
-    return {"scalar": m.active, "terms": terms}
-
-
 def _order_key(order: float):
     return int(order) if float(order).is_integer() else order
 
 
-def _currents_doc(
-    cc: CurrentComponents, ys, u: GeometricPhasor
-) -> dict:
+def _currents_doc(cc: CurrentComponents, ys) -> dict:
     rows = []
     for row in cc.table_rows():
         if row[0] == "norm":
@@ -177,8 +139,6 @@ def _currents_doc(
         rows.append(
             {"index": row[0], **{c: v for c, v in zip(CSV_COLUMNS, row[1:])}}
         )
-    m_s = geometric_power(u, cc.i_s)
-    m_q = geometric_power(u, cc.i_q)
     return {
         "norms": cc.norms(),
         "rows": rows,
@@ -186,11 +146,6 @@ def _currents_doc(
             {"order": _order_key(order), "siemens": b}
             for order, b in compensation_susceptances(ys)
         ],
-        "component_powers": {
-            "note": "no physical meaning; reported for completeness",
-            "m_s": _mv_doc(m_s),
-            "m_q": _mv_doc(m_q),
-        },
     }
 
 
@@ -294,7 +249,7 @@ def cmd_solve(args) -> str:
         "source": source.to_dict(),
         "current_spectrum": from_phasor(i).to_dict(),
         "power": report.to_dict(),
-        "currents": _currents_doc(cc, ys, u),
+        "currents": _currents_doc(cc, ys),
     }
 
     def tables() -> str:
@@ -311,21 +266,9 @@ def cmd_solve(args) -> str:
 
 
 def cmd_analyze(args) -> str:
-    config = AnalysisConfig(
-        fundamental_hz=args.fundamental,
-        max_order=args.orders,
-        interharmonic_orders=args.interharmonics,
-        fmt=args.format,
-        out=args.out,
-        timeseries=args.timeseries,
-    )
     u_w, i_w = load_csv(args.input)
-    u_sig = dft_extract(
-        u_w, config.fundamental_hz, config.max_order, config.interharmonic_orders
-    )
-    i_sig = dft_extract(
-        i_w, config.fundamental_hz, config.max_order, config.interharmonic_orders
-    )
+    u_sig = dft_extract(u_w, args.fundamental, args.orders, args.interharmonics)
+    i_sig = dft_extract(i_w, args.fundamental, args.orders, args.interharmonics)
     layout = BasisLayout.for_signals(u_sig, i_sig)
     u = to_phasor(u_sig, layout)
     i = to_phasor(i_sig, layout)
@@ -349,10 +292,10 @@ def cmd_analyze(args) -> str:
         "voltage_spectrum": u_sig.to_dict(),
         "current_spectrum": i_sig.to_dict(),
         "power": report.to_dict(),
-        "currents": _currents_doc(cc, ys, u),
+        "currents": _currents_doc(cc, ys),
     }
-    if config.timeseries:
-        _write_text(_timeseries_csv(u_w, i_w, cc), config.timeseries)
+    if args.timeseries:
+        _write_text(_timeseries_csv(u_w, i_w, cc), args.timeseries)
     wf = doc["waveform"]
 
     def tables() -> str:
@@ -371,7 +314,7 @@ def cmd_analyze(args) -> str:
             ]
         )
 
-    return _emit(doc, cc, tables, config.fmt)
+    return _emit(doc, cc, tables, args.format)
 
 
 def cmd_decompose(args) -> str:
@@ -392,7 +335,7 @@ def cmd_decompose(args) -> str:
     doc = {
         "voltage_spectrum": u_sig.to_dict(),
         "current_spectrum": i_sig.to_dict(),
-        "currents": _currents_doc(cc, ys, u),
+        "currents": _currents_doc(cc, ys),
     }
 
     def tables() -> str:
@@ -426,9 +369,13 @@ def _write_text(text: str, out: str | None) -> None:
 
 def _orders_list(raw: str) -> tuple[float, ...]:
     try:
-        return tuple(float(x) for x in raw.split(",") if x.strip())
+        orders = tuple(float(x) for x in raw.split(",") if x.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {raw!r}")
+    try:
+        return BasisLayout(0, orders).interharmonic_orders
+    except LayoutError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -271,13 +271,6 @@ class BasisLayout:
         lo, hi = self.slot_pair(order)
         return blade(lo, hi)
 
-    def order_of_plane(self, mask: int) -> float | None:
-        """Order whose slot pair forms the given bivector mask, if any."""
-        for order in self.orders():
-            if self.plane_mask(order) == mask:
-                return order
-        return None
-
 
 @dataclass(frozen=True, eq=False)
 class GeometricPhasor:

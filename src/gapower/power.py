@@ -132,11 +132,6 @@ class GeometricPower:
         """Total active power, the scalar part."""
         return self.scalar
 
-    @property
-    def nonactive(self) -> Multivector:
-        """The bivector remainder."""
-        return self.mv.grade(2)
-
 
 @dataclass(frozen=True)
 class HarmonicPQ:

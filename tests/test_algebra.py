@@ -20,10 +20,8 @@ from gapower.algebra import (
     grade_of,
     inner_vectors,
     inverse_spinor,
-    inverse_vector,
     outer,
     reverse,
-    rotor_apply,
 )
 from gapower.errors import DimensionMismatch, NotInvertible, PowerAnalysisError
 
@@ -209,23 +207,6 @@ def test_norm_is_sqrt_scalar_of_reverse_product():
 
 # -- inverses --------------------------------------------------------------------
 
-def test_inverse_vector_examples():
-    s = basis(7)
-    assert inverse_vector(2 * s[1]) == 0.5 * s[1]
-    assert inverse_vector(s[1] + s[2]) == 0.5 * s[1] + 0.5 * s[2]
-    u = 100 * s[2] + 100 * s[6]
-    assert inverse_vector(u) == (s[2] + s[6]) / 200
-    assert inverse_vector(u) * u == 1.0
-
-
-def test_inverse_vector_errors():
-    s = basis(3)
-    with pytest.raises(NotInvertible):
-        inverse_vector(Multivector(3))
-    with pytest.raises(NotInvertible):
-        inverse_vector(1 + s[1])
-
-
 def test_inverse_spinor_examples():
     s = basis(7)
     assert inverse_spinor(1 - s[1] * s[2]) == 0.5 + 0.5 * (s[1] * s[2])
@@ -251,30 +232,6 @@ def test_inverse_spinor_multiplies_to_one(g, b):
         return
     assert (inverse_spinor(z) * z).isclose(1.0, tol=1e-9)
     assert (z * inverse_spinor(z)).isclose(1.0, tol=1e-9)
-
-
-# -- rotors ------------------------------------------------------------------------
-
-def test_rotor_examples():
-    s = basis(3)
-    assert rotor_apply(s[1] * s[2], 0.0, s[1]) == s[1]
-    assert rotor_apply(s[1] * s[2], math.pi / 2, s[1]) == -s[2]
-    v = 2 * s[1] - 3 * s[2]
-    assert rotor_apply(s[1] * s[2], 0.7, rotor_apply(s[1] * s[2], -0.7, v)).isclose(v)
-
-
-def test_rotor_preserves_norm_in_plane():
-    s = basis(3)
-    v = 3 * s[1] + 4 * s[2]
-    assert rotor_apply(s[1] * s[2], 1.1, v).norm() == pytest.approx(5.0)
-
-
-def test_rotor_rejects_bad_planes():
-    s = basis(3)
-    with pytest.raises(PowerAnalysisError):
-        rotor_apply(s[1], 1.0, s[1])
-    with pytest.raises(PowerAnalysisError):
-        rotor_apply(2 * (s[1] * s[2]), 1.0, s[1])
 
 
 # -- storage rules -------------------------------------------------------------------

@@ -238,6 +238,13 @@ def test_analyze_interharmonics_flag(tmp_path):
     assert inter[0]["rms"] == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "2", "3.5,2.5", "2.5,2.5", "-0.5"])
+def test_analyze_bad_interharmonics(bench_csv, capsys, raw):
+    assert main(["analyze", "--input", bench_csv, "--fundamental", "50",
+                 "--orders", "9", f"--interharmonics={raw}"]) == 2
+    assert "--interharmonics" in capsys.readouterr().err
+
+
 def test_analyze_empty_input(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -250,11 +257,15 @@ def test_analyze_non_coherent_fundamental(bench_csv):
                  "--orders", "9"]) == 2
 
 
-def test_analyze_bad_config(bench_csv):
-    assert main(["analyze", "--input", bench_csv, "--fundamental", "-50",
-                 "--orders", "9"]) == 2
-    assert main(["analyze", "--input", bench_csv, "--fundamental", "50",
-                 "--orders", "0"]) == 2
+def test_analyze_bad_config(bench_csv, capsys):
+    for fundamental, orders, message in (
+        ("-50", "9", "fundamental must be > 0 Hz, got -50.0"),
+        ("nan", "9", "fundamental must be > 0 Hz, got nan"),
+        ("50", "0", "max order must be >= 1, got 0"),
+    ):
+        assert main(["analyze", "--input", bench_csv, "--fundamental", fundamental,
+                     "--orders", orders]) == 2
+        assert message in capsys.readouterr().err
 
 
 # -- decompose -----------------------------------------------------------

@@ -11,8 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapower.algebra import Multivector, blade
-from gapower.cli import _mv_doc
+from gapower.algebra import Multivector
 from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import BasisLayout, GeometricPhasor
 from gapower.power import (
@@ -90,21 +89,6 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
     for (a, b), va in terms:
         assert type(a) is int and type(va) is float
         assert va == m.bivector[a, b]
-
-
-@given(phasor_pairs())
-def test_mv_doc_lists_terms_in_ascending_blade_mask(pair):
-    u, i = pair
-    m = geometric_power(u, i)
-    doc = _mv_doc(m)
-    masks = [blade(*t["blade_indices"]) for t in doc["terms"]]
-    assert masks == sorted(masks) and len(set(masks)) == len(masks)
-    assert masks == sorted(m.mv.terms.keys() - {0})
-    for t in doc["terms"]:
-        a, b = t["blade_indices"]
-        assert a < b and type(t["value"]) is float
-        assert t["value"] == m.bivector[a, b]
-    assert doc["scalar"] == m.scalar
 
 
 def test_norm_identity_at_dim_201():

@@ -105,8 +105,6 @@ def test_layout_slot_assignment():
     assert layout.slot_pair(3.5) == (7, 8)
     assert layout.slot_pair(4.5) == (9, 10)
     assert layout.plane_mask(1) == blade(1, 2)
-    assert layout.order_of_plane(blade(9, 10)) == 4.5
-    assert layout.order_of_plane(blade(1, 3)) is None
 
 
 def test_layout_missing_slot_errors():
