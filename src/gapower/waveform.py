@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,26 +61,42 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     """Read an aligned voltage/current recording.
 
     The format is a ``# fs_hz=<rate>`` header line followed by ``u,i``
-    rows.  ``source`` may be a path or an open text stream.  Parse errors
-    carry the offending line number.
+    rows; blank lines and ``#`` comment lines are skipped.  ``source`` may
+    be a path or an open text stream.  Parse errors carry the offending
+    line number.
+
+    After the header, a seekable source is parsed in one streaming
+    ``np.loadtxt`` pass, which takes plain ``u,i`` rows with surrounding
+    spaces or tabs, CRLF endings and empty lines.  A comment or
+    whitespace-only line after the header, a bad row or a header-only
+    input makes that pass give up; the rows are then re-read one by one,
+    which gives the same values or the line-numbered error.  A stream
+    that cannot seek is always read row by row.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8") as fh:
-            return _parse_rows(fh)
-    return _parse_rows(source)
+            return _read_recording(fh)
+    return _read_recording(source)
 
 
-def _parse_rows(lines) -> tuple[SampledWaveform, SampledWaveform]:
-    numbered = enumerate(lines, start=1)
-    header = None
-    for lineno, raw in numbered:
+def _read_recording(fh) -> tuple[SampledWaveform, SampledWaveform]:
+    rate, lineno = _read_header(fh)
+    columns = _load_columns(fh) if fh.seekable() else None
+    u, i = columns if columns is not None else _parse_rows(fh, lineno + 1)
+    return (
+        SampledWaveform(u, rate, "voltage"),
+        SampledWaveform(i, rate, "current"),
+    )
+
+
+def _read_header(fh) -> tuple[float, int]:
+    """Sample rate and line number of the first non-blank line."""
+    for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
         text = raw.strip()
         if text:
-            header = (lineno, text)
             break
-    if header is None:
+    else:
         raise WaveformError("empty input: expected a '# fs_hz=<rate>' header")
-    lineno, text = header
     match = _HEADER_RE.fullmatch(text)
     if match is None:
         raise WaveformError(
@@ -93,10 +110,32 @@ def _parse_rows(lines) -> tuple[SampledWaveform, SampledWaveform]:
         ) from None
     if not (math.isfinite(rate) and rate > 0):
         raise WaveformError(f"line {lineno}: sample rate must be > 0 Hz")
+    return rate, lineno
 
+
+def _load_columns(fh) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``u`` and ``i`` columns of the rest of ``fh`` in one pass, or
+    ``None`` with ``fh`` rewound when only the row loop can tell."""
+    start = fh.tell()
+    with warnings.catch_warnings():
+        # a header-only input is reported by the row loop
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(
+                fh, delimiter=",", dtype=float, comments=None, ndmin=2
+            )
+        except ValueError:
+            data = None
+    if data is None or data.shape[0] == 0 or data.shape[1] != 2:
+        fh.seek(start)
+        return None
+    return data[:, 0], data[:, 1]
+
+
+def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:
     u_vals: list[float] = []
     i_vals: list[float] = []
-    for lineno, raw in numbered:
+    for lineno, raw in enumerate(lines, start=first_lineno):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue
@@ -118,10 +157,7 @@ def _parse_rows(lines) -> tuple[SampledWaveform, SampledWaveform]:
             ) from None
     if not u_vals:
         raise WaveformError("no data rows found after the header")
-    return (
-        SampledWaveform(np.array(u_vals), rate, "voltage"),
-        SampledWaveform(np.array(i_vals), rate, "current"),
-    )
+    return u_vals, i_vals
 
 
 def rms(w: SampledWaveform) -> float:

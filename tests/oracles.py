@@ -3,7 +3,8 @@
 Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
-complex phasor arithmetic.
+complex phasor arithmetic, and the recording CSV by plain string
+splitting.
 """
 
 from __future__ import annotations
@@ -87,3 +88,23 @@ def pq_complex(
     current."""
     s = phasor_complex(u_rms, u_phase) * phasor_complex(i_rms, i_phase).conjugate()
     return s.real, s.imag
+
+
+# -- recording CSV --------------------------------------------------------
+
+
+def parse_rows_brute(text: str) -> tuple[float, list[float], list[float]]:
+    """(rate, u, i) of a recording: the first non-blank line is the
+    ``# fs_hz=<rate>`` header, later blank and ``#`` lines are skipped and
+    every other line is ``u,i``."""
+    lines = [line.strip() for line in text.splitlines()]
+    lines = [line for line in lines if line]
+    rate = float(lines[0].split("=", 1)[1])
+    u, i = [], []
+    for line in lines[1:]:
+        if line.startswith("#"):
+            continue
+        a, b = line.split(",")
+        u.append(float(a.strip()))
+        i.append(float(b.strip()))
+    return rate, u, i

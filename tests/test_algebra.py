@@ -20,7 +20,6 @@ from gapower.algebra import (
     grade_of,
     inner_vectors,
     inverse_spinor,
-    outer,
     reverse,
 )
 from gapower.errors import DimensionMismatch, NotInvertible, PowerAnalysisError

@@ -6,7 +6,6 @@ import json
 import math
 
 import jsonschema
-import numpy as np
 import pytest
 
 from conftest import (

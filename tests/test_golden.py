@@ -175,6 +175,17 @@ def test_noisy_case_is_dense(inputs):
     assert len(doc["power"]["cross_terms"]) > 1000
 
 
+def test_row_loop_fallback_prints_the_same_table(inputs, tmp_path):
+    """CRLF endings and a comment line in the middle of the bench
+    recording make ``load_csv`` give up its one-pass parse and re-read
+    the rows one by one; the report does not change by a byte."""
+    lines = (inputs / "bench.csv").read_text().splitlines()
+    lines.insert(len(lines) // 2, "# a comment mid-file")
+    (tmp_path / "bench.csv").write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    got = run_case(tmp_path, CASES["analyze_bench.table"], "analyze_bench.table")
+    assert got == (GOLDEN / "analyze_bench.table").read_bytes()
+
+
 def _record() -> None:
     import tempfile
 

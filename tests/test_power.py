@@ -16,11 +16,8 @@ from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
-    SpectralSignal,
     from_phasor,
     reconstruct,
-    to_phasor,
 )
 from gapower.power import (
     POWER_REPORT_SCHEMA,
@@ -32,7 +29,7 @@ from gapower.power import (
     power_factor,
     power_report,
 )
-from gapower.circuit import SeriesRLC, solve_current
+from gapower.circuit import solve_current
 
 from oracles import pq_complex
 

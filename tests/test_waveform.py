@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from gapower.waveform import (
     sample_signal,
     thd,
 )
-from oracles import pq_complex
+from oracles import parse_rows_brute, pq_complex
 
 
 def bench_waveforms() -> tuple[SampledWaveform, SampledWaveform]:
@@ -80,6 +81,28 @@ def test_waveform_rejects(samples, rate, label):
 
 # -- load_csv ----------------------------------------------------------------
 
+class _Unseekable(io.StringIO):
+    """A text stream that cannot seek, like a pipe."""
+
+    def seekable(self):
+        return False
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+
+def csv_sources(text: str, directory) -> dict:
+    """``text`` as an in-memory stream, as a file (both parsed in one
+    pass, with the row loop as fallback) and as a stream that cannot seek
+    (row loop only)."""
+    path = directory / "rec.csv"
+    path.write_bytes(text.encode())  # line endings exactly as given
+    return {"stream": io.StringIO(text), "file": path, "unseekable": _Unseekable(text)}
+
+
 def test_load_csv_happy_path(tmp_path):
     path = tmp_path / "rec.csv"
     path.write_text(
@@ -87,19 +110,25 @@ def test_load_csv_happy_path(tmp_path):
         "0.5, 0.1\n"
         "\n"
         "# a comment mid-file\n"
+        " \t \n"
         "-0.5, -0.1\n"
+        "1_0,2\n"
     )
     u, i = load_csv(path)
     assert u.label == "voltage" and i.label == "current"
     assert u.sample_rate_hz == 1000.0 == i.sample_rate_hz
-    assert np.allclose(u.samples, [0.5, -0.5])
-    assert np.allclose(i.samples, [0.1, -0.1])
+    assert np.allclose(u.samples, [0.5, -0.5, 10.0])
+    assert np.allclose(i.samples, [0.1, -0.1, 2.0])
 
 
 def test_load_csv_stream_and_header_variants():
     u, _ = load_csv(io.StringIO("#fs_hz=2.5e3\n1,2\n3,4\n"))
     assert u.sample_rate_hz == 2500.0
     assert u.n == 2
+
+
+def good_rows(n: int) -> str:
+    return "".join(f"{k * 0.25},{-k}\n" for k in range(n))
 
 
 @pytest.mark.parametrize(
@@ -115,12 +144,65 @@ def test_load_csv_stream_and_header_variants():
         ("# fs_hz = 100\n1,2,3\n", "expected 2"),
         ("# fs_hz = 100\n\n1,x\n", "line 3"),
         ("# fs_hz = 100\n# only comments\n", "no data rows"),
+        pytest.param("# fs_hz = 100\n", "no data rows", id="header-only"),
+        pytest.param("# fs_hz = 100\n\n\n", "no data rows", id="header-blank-lines"),
+        pytest.param(
+            "# fs_hz = 100\n" + good_rows(1999) + "1,x\n",
+            "line 2001: non-numeric",
+            id="bad-row-after-1999-rows",
+        ),
+        pytest.param(
+            "# fs_hz = 100\n" + good_rows(1000) + "1,2,3\n",
+            "line 1002: expected 2",
+            id="3-columns-after-1000-rows",
+        ),
+        pytest.param("# fs_hz = 100\n1,2\nnan,3\n", "samples must be finite", id="nan"),
     ],
 )
-def test_load_csv_errors(text, fragment):
-    with pytest.raises(WaveformError) as err:
-        load_csv(io.StringIO(text))
-    assert fragment in str(err.value)
+def test_load_csv_errors(tmp_path, text, fragment):
+    for kind, source in csv_sources(text, tmp_path).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing but the error reaches the user
+            with pytest.raises(WaveformError) as err:
+                load_csv(source)
+        assert fragment in str(err.value), kind
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+pad = st.text(alphabet=" \t", max_size=2)
+csv_row = st.builds(
+    lambda a, b, fmt, p: f"{p[0]}{fmt(a)}{p[1]},{p[2]}{fmt(b)}{p[3]}",
+    finite,
+    finite,
+    st.sampled_from([repr, "{:.12g}".format]),
+    st.tuples(pad, pad, pad, pad),
+)
+skipped_line = st.sampled_from(["", " ", "\t \t", "# comment", "  # 1,2"])
+
+
+@st.composite
+def recordings(draw) -> str:
+    lines = draw(st.lists(csv_row, min_size=1, max_size=30))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(skipped_line))
+    header = f"# fs_hz = {draw(st.floats(1e-3, 1e6))!r}"
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join([header] + lines) + eol
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@given(recordings())
+def test_load_csv_matches_brute_parser(csv_dir, text):
+    rate, u_want, i_want = parse_rows_brute(text)
+    for kind, source in csv_sources(text, csv_dir).items():
+        u, i = load_csv(source)
+        assert u.sample_rate_hz == rate == i.sample_rate_hz, kind
+        assert np.array_equal(u.samples, u_want), kind
+        assert np.array_equal(i.samples, i_want), kind
 
 
 # -- rms ----------------------------------------------------------------------
