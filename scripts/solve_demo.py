@@ -43,8 +43,8 @@ def run(c_farad: float) -> None:
     m = geometric_power(u, i)
 
     print(f"C = {c_farad:.6g} F")
-    print(f"  current        i = {i.mv!r}")
-    print(f"  power          M = {m.mv!r}")
+    print(f"  current        i = {i}")
+    print(f"  power          M = {m}")
     print(f"  apparent     |M| = {apparent(m):.6g} VA")
     print(f"  power factor     = {power_factor(m):.6g}")
     for pq in harmonic_pq(u, i):

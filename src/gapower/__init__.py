@@ -5,25 +5,12 @@ extract one from samples with ``dft_extract``), map it onto a grade-1
 geometric phasor (a dense coefficient vector) with ``to_phasor``, solve or
 measure the current, multiply the two phasors into the geometric apparent
 power (a scalar plus a bivector block), and split the current into
-active/non-active and parallel/quadrature/generated parts.  The sparse
-``Multivector`` kernel is the general algebra; ``.mv`` on a phasor or a
-power gives its view there.
+active/non-active and parallel/quadrature/generated parts.  A coefficient
+counts as zero only relative to the norm of its signal (``algebra``), so
+no result depends on the units.  ``str()`` of a phasor or a power prints
+its terms in blade notation, e.g. ``10000 - 5000 s12 + 5000 s56``.
 """
 
-from .algebra import (
-    EQ_TOL,
-    PRUNE_EPS,
-    Multivector,
-    basis,
-    blade,
-    blade_indices,
-    geometric_product,
-    grade_of,
-    inner_vectors,
-    inverse_spinor,
-    outer,
-    reverse,
-)
 from .circuit import (
     HarmonicAdmittance,
     HarmonicImpedance,
@@ -45,9 +32,7 @@ from .decompose import (
 )
 from .errors import (
     CircuitError,
-    DimensionMismatch,
     LayoutError,
-    NotInvertible,
     PowerAnalysisError,
     SchemaError,
     WaveformError,

@@ -2,9 +2,11 @@
 
 At order k the series branch has reactance ``X_k = k*L*w - 1/(k*C*w)``
 (inductive positive, capacitive negative) and the impedance is the
-scalar-plus-bivector element ``R + X_k * s_{2k-1} s_{2k}``.  Ohm's law is
-a left multiplication: ``i_k = Y_k u_k`` with the admittance the spinor
-inverse of the impedance.
+scalar-plus-bivector element ``R + X_k * s_odd s_even`` on the order's
+plane.  Ohm's law is a left multiplication: ``i_k = Y_k u_k`` with the
+admittance ``G_k + B_k * s_odd s_even`` the spinor inverse of the
+impedance.  Both are stored as per-order pairs, (R, X) and (G, B); the
+plane is always the order's own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade, prune
 from .errors import CircuitError
 from .phasor import GeometricPhasor
 
@@ -44,53 +45,28 @@ class SeriesRLC:
 
 @dataclass(frozen=True)
 class HarmonicImpedance:
-    """Impedance of one order: the element R + X * plane."""
+    """Impedance of one order: the element R + X * (the order's plane)."""
 
     order: float
     resistance: float
     reactance: float
-    plane: int  # bivector blade mask carrying this order
-
-    def multivector(self, dim: int) -> Multivector:
-        return Multivector(dim, {0: self.resistance, self.plane: self.reactance})
 
 
 @dataclass(frozen=True)
 class HarmonicAdmittance:
-    """Admittance of one order: the element G + B * plane.
+    """Admittance of one order: the element G + B * (the order's plane).
 
-    DC is represented with ``order=0`` and the scalar blade as plane; its
-    susceptance is always zero.
+    DC is represented with ``order=0``; its susceptance is always zero.
     """
 
     order: float
     conductance: float
     susceptance: float
-    plane: int
-
-    def multivector(self, dim: int) -> Multivector:
-        return Multivector(dim, {0: self.conductance, self.plane: self.susceptance})
 
 
-def _default_plane(order: float) -> int:
-    k = float(order)
-    if not (k.is_integer() and k >= 1):
-        raise CircuitError(
-            f"order {order} needs an explicit plane from a basis layout"
-        )
-    k = int(k)
-    return blade(2 * k - 1, 2 * k)
-
-
-def impedance_at(
-    net: SeriesRLC, k: float, omega: float, plane: int | None = None
-) -> HarmonicImpedance:
-    """Series-branch impedance at harmonic order ``k`` and fundamental
-    angular frequency ``omega``.
-
-    ``plane`` defaults to the canonical integer-harmonic blade
-    s_{2k-1} s_{2k}; pass one explicitly for interharmonic slots.
-    """
+def impedance_at(net: SeriesRLC, k: float, omega: float) -> HarmonicImpedance:
+    """Series-branch impedance at order ``k`` (a harmonic or an
+    interharmonic) and fundamental angular frequency ``omega``."""
     kw = k * omega
     if kw <= 0:
         if net.c is not None:
@@ -99,9 +75,7 @@ def impedance_at(
     x = net.l * kw
     if net.c is not None:
         x -= 1.0 / (net.c * kw)
-    if plane is None:
-        plane = _default_plane(k)
-    return HarmonicImpedance(float(k), net.r, x, plane)
+    return HarmonicImpedance(float(k), net.r, x)
 
 
 def admittance_at(z: HarmonicImpedance) -> HarmonicAdmittance:
@@ -110,9 +84,7 @@ def admittance_at(z: HarmonicImpedance) -> HarmonicAdmittance:
     n2 = z.resistance**2 + z.reactance**2
     if n2 == 0.0:
         raise CircuitError(f"zero impedance at order {z.order} is not invertible")
-    return HarmonicAdmittance(
-        z.order, z.resistance / n2, -z.reactance / n2, z.plane
-    )
+    return HarmonicAdmittance(z.order, z.resistance / n2, -z.reactance / n2)
 
 
 def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittance]:
@@ -122,15 +94,14 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittan
     DC component, which requires a resistive path.
     """
     out = []
-    if u.dc != 0.0:
+    if u.has_dc():
         if net.c is not None:
             raise CircuitError("series capacitor blocks DC excitation")
         if net.r == 0.0:
             raise CircuitError("DC excitation with zero resistance is unbounded")
-        out.append(HarmonicAdmittance(0.0, 1.0 / net.r, 0.0, 0))
+        out.append(HarmonicAdmittance(0.0, 1.0 / net.r, 0.0))
     for order in u.occupied_orders():
-        z = impedance_at(net, order, u.omega, plane=u.layout.plane_mask(order))
-        out.append(admittance_at(z))
+        out.append(admittance_at(impedance_at(net, order, u.omega)))
     return out
 
 
@@ -147,9 +118,7 @@ def solve_current(u: GeometricPhasor, net: SeriesRLC) -> GeometricPhasor:
         else:
             k = layout.slot_pair(y.order)[0] // 2
             g[k], b[k] = y.conductance, y.susceptance
-    # (G + B plane)(a s_odd + c s_even) = (G a + B c) s_odd + (G c - B a) s_even;
-    # the element G + B plane carries the construction cut like any multivector
-    g, b = prune(g), prune(b)
+    # (G + B plane)(a s_odd + c s_even) = (G a + B c) s_odd + (G c - B a) s_even
     odd, even = u.pairs.T
     coeffs = np.empty(layout.dimension)
     coeffs[0] = dc

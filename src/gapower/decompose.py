@@ -9,6 +9,12 @@ Two orthogonal splits of the same current:
   (estimated from the signals themselves for measured data).
 
 The scattered current ``i_s = i_p - i_a`` links the two splits.
+
+Values are stored exactly.  The relative zero rule of ``algebra`` applies
+twice: an order or DC slot takes part only where the voltage has it
+(``GeometricPhasor.occupied``), and ``i_N`` entries that are zero against
+``||i||`` are stored as 0, so a current proportional to the voltage has
+no non-active part.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import prune
+from .algebra import negligible
 from .circuit import HarmonicAdmittance
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
@@ -65,13 +71,16 @@ def fryze_split(
 
     i_a is the smallest current that still delivers the pair's active
     power; it is collinear with the voltage, so i_N is orthogonal to it.
+    Entries of i_N that are zero against ||i|| (roundoff of the
+    subtraction) are stored as 0.
     """
     u._check_compatible(i)
     n2 = u.dot(u)
     if n2 == 0.0:
         raise PowerAnalysisError("cannot split against a zero voltage")
     i_a = (u.dot(i) / n2) * u
-    return i_a, i - i_a
+    i_n = i.coeffs - i_a.coeffs
+    return i_a, i._like(np.where(negligible(i_n, i.norm()), 0.0, i_n))
 
 
 def parallel_quadrature(
@@ -83,7 +92,7 @@ def parallel_quadrature(
     by_order = {float(adm.order): adm for adm in y}
     g = np.zeros(layout.dimension)  # conductance per slot
     b = np.zeros(len(layout.orders()))  # susceptance per order
-    if u.dc != 0.0:
+    if u.has_dc():
         adm = by_order.get(0.0)
         if adm is None:
             raise PowerAnalysisError("missing admittance for the DC slot")
@@ -95,15 +104,9 @@ def parallel_quadrature(
         if adm is None:
             raise PowerAnalysisError(f"missing admittance for order {order}")
         lo, hi = layout.slot_pair(order)
-        if adm.plane not in (0, layout.plane_mask(order)):
-            raise PowerAnalysisError(
-                f"admittance for order {order} references a foreign plane"
-            )
         g[[lo, hi]] = adm.conductance
         b[lo // 2] = adm.susceptance
-    # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even; the
-    # element B_k plane_k carries the construction cut like any multivector
-    b = prune(b)
+    # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even
     odd, even = u.pairs.T
     iq = np.zeros(layout.dimension)
     iq[1::2] = b * even
@@ -120,13 +123,13 @@ def scattered(i_p: GeometricPhasor, i_a: GeometricPhasor) -> GeometricPhasor:
 def generated_current(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPhasor:
     """Part of the current at frequencies the voltage does not contain.
 
-    A plane counts as present in the voltage if either of its two slot
-    coefficients is non-zero; the DC slot counts when u.dc is non-zero.
+    A plane counts as present in the voltage if either of its two slots
+    is (``GeometricPhasor.occupied``), and the DC slot likewise.
     """
     u._check_compatible(i)
     free = ~u.occupied()[:, None]
     coeffs = np.concatenate(
-        ([i.dc if u.dc == 0.0 else 0.0], np.where(free, i.pairs, 0.0).ravel())
+        ([0.0 if u.has_dc() else i.dc], np.where(free, i.pairs, 0.0).ravel())
     )
     return u._like(coeffs)
 
@@ -150,18 +153,16 @@ def estimate_admittances(
     """
     u._check_compatible(i)
     out = []
-    if u.dc != 0.0:
-        out.append(HarmonicAdmittance(0.0, i.dc / u.dc, 0.0, 0))
-    layout = u.layout
-    orders = layout.orders()
+    if u.has_dc():
+        out.append(HarmonicAdmittance(0.0, i.dc / u.dc, 0.0))
+    orders = u.layout.orders()
     occupied = np.flatnonzero(u.occupied())
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
     n2 = au * au + bu * bu
     g = ((au * ai + bu * bi) / n2).tolist()
     b = (-(au * bi - bu * ai) / n2).tolist()
     for k, gk, bk in zip(occupied.tolist(), g, b):
-        order = orders[k]
-        out.append(HarmonicAdmittance(order, gk, bk, layout.plane_mask(order)))
+        out.append(HarmonicAdmittance(orders[k], gk, bk))
     return out
 
 

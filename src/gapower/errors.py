@@ -5,14 +5,6 @@ class PowerAnalysisError(ValueError):
     """Base class for domain errors raised by this package."""
 
 
-class DimensionMismatch(PowerAnalysisError):
-    """Operands live in algebras of different dimension."""
-
-
-class NotInvertible(PowerAnalysisError):
-    """Inverse requested for an element with no inverse of the supported form."""
-
-
 class LayoutError(PowerAnalysisError):
     """A harmonic order has no slot in the basis layout, or layouts disagree."""
 

@@ -10,10 +10,12 @@ rms X and phase p to ``X*sin(p)`` on the odd slot and ``X*cos(p)`` on the
 even slot, so in-phase parts land on even indices; ``from_phasor`` inverts
 that with ``rms = hypot(odd, even)``, ``phase = atan2(odd, even)``.
 
-A ``GeometricPhasor`` is a dense coefficient vector over that layout, not
-a sparse ``Multivector``: per-order work runs on its ``(n_orders, 2)``
-slot-pair view, and ``.mv`` gives the sparse kernel view when the general
-algebra is wanted.
+A ``GeometricPhasor`` is a dense coefficient vector over that layout;
+per-order work runs on its ``(n_orders, 2)`` slot-pair view.  It stores
+exact values.  Whether an order or the DC slot is present follows the
+relative zero rule of ``algebra``, against the phasor's own norm, and
+``to_phasor`` applies the same rule to each slot against the component's
+rms, so the phases 0, +-pi/2 and pi give exact zeros.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade, prune
+from .algebra import format_terms, negligible
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
@@ -248,11 +250,6 @@ class BasisLayout:
         """All orders with a slot pair, harmonics first."""
         return tuple(float(k) for k in range(1, self.n + 1)) + self.interharmonic_orders
 
-    def has_order(self, order: float) -> bool:
-        if _is_integer_order(order):
-            return 1 <= int(order) <= self.n
-        return float(order) in self.interharmonic_orders
-
     def slot_pair(self, order: float) -> tuple[int, int]:
         """(odd, even) basis indices carrying the given order."""
         if _is_integer_order(order):
@@ -267,23 +264,17 @@ class BasisLayout:
         base = 2 * self.n
         return base + 2 * m - 1, base + 2 * m
 
-    def plane_mask(self, order: float) -> int:
-        lo, hi = self.slot_pair(order)
-        return blade(lo, hi)
-
 
 @dataclass(frozen=True, eq=False)
 class GeometricPhasor:
     """A grade-1 element tied to the layout and fundamental that give its
     coefficients physical meaning.
 
-    ``coeffs`` is a read-only float64 vector of length
+    ``coeffs`` is a read-only float64 copy of the given vector, of length
     ``layout.dimension``: entry ``k`` is the coefficient of basis vector
-    ``s_k``.  Entries below ``PRUNE_EPS`` in magnitude are stored as exact
-    zeros, as the sparse kernel would drop them.  ``pairs`` views the
-    per-order slots as an ``(n_orders, 2)`` array of (odd, even) columns
-    in ``layout.orders()`` order; ``mv`` builds the sparse
-    ``Multivector`` view on demand.
+    ``s_k``.  ``pairs`` views the per-order slots as an ``(n_orders, 2)``
+    array of (odd, even) columns in ``layout.orders()`` order.  ``str()``
+    prints the sum, e.g. ``50 s1 + 50 s2 - 50 s5 + 50 s6``.
     """
 
     coeffs: np.ndarray
@@ -295,7 +286,7 @@ class GeometricPhasor:
             raise PowerAnalysisError(
                 f"fundamental frequency must be > 0 Hz, got {self.fundamental_hz}"
             )
-        coeffs = prune(np.asarray(self.coeffs, dtype=np.float64))
+        coeffs = np.array(self.coeffs, dtype=np.float64)
         if coeffs.shape != (self.layout.dimension,):
             raise LayoutError(
                 f"coefficient shape {coeffs.shape} does not match "
@@ -303,31 +294,6 @@ class GeometricPhasor:
             )
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-
-    @classmethod
-    def from_mv(
-        cls, mv: Multivector, layout: BasisLayout, fundamental_hz: float
-    ) -> "GeometricPhasor":
-        """Phasor of a grade-1 ``Multivector`` of the layout's dimension."""
-        if mv.dim != layout.dimension:
-            raise LayoutError(
-                f"multivector dimension {mv.dim} does not match "
-                f"layout dimension {layout.dimension}"
-            )
-        if not mv.is_vector():
-            raise PowerAnalysisError("geometric phasor must be a grade-1 multivector")
-        coeffs = np.zeros(mv.dim)
-        for mask, c in mv.terms.items():
-            coeffs[mask.bit_length() - 1] = c
-        return cls(coeffs, layout, fundamental_hz)
-
-    @property
-    def mv(self) -> Multivector:
-        """Sparse kernel view of the phasor."""
-        return Multivector(
-            len(self.coeffs),
-            {1 << k: c for k, c in enumerate(self.coeffs.tolist()) if c},
-        )
 
     @property
     def pairs(self) -> np.ndarray:
@@ -347,13 +313,21 @@ class GeometricPhasor:
         lo, hi = self.layout.slot_pair(order)
         return float(self.coeffs[lo]), float(self.coeffs[hi])
 
+    def _present(self) -> np.ndarray:
+        """Boolean mask over ``coeffs``: entries that are not zero by the
+        rule of ``algebra``, relative to this phasor's norm."""
+        return ~negligible(self.coeffs, self.norm())
+
+    def has_dc(self) -> bool:
+        """Whether the DC slot is present."""
+        return bool(self._present()[0])
+
     def occupied(self) -> np.ndarray:
-        """Boolean mask over ``layout.orders()``: a non-zero coefficient on
-        either slot."""
-        return self.pairs.any(axis=1)
+        """Boolean mask over ``layout.orders()``: either slot present."""
+        return self._present()[1:].reshape(-1, 2).any(axis=1)
 
     def occupied_orders(self) -> tuple[float, ...]:
-        """Orders with a non-zero coefficient on either slot (DC excluded)."""
+        """Orders with either slot present (DC excluded)."""
         orders = self.layout.orders()
         return tuple(orders[k] for k in np.flatnonzero(self.occupied()))
 
@@ -405,20 +379,26 @@ class GeometricPhasor:
 
     __rmul__ = __mul__
 
+    def __str__(self) -> str:
+        return format_terms(((k,), c) for k, c in enumerate(self.coeffs.tolist()))
+
 
 def to_phasor(signal: SpectralSignal, layout: BasisLayout) -> GeometricPhasor:
     """Map a spectral signal onto its geometric phasor.
 
     A component of rms X and phase p contributes X*sin(p) to the odd slot
-    and X*cos(p) to the even slot of its order; the DC level lands on s0.
-    Every component must have a slot in the layout.
+    and X*cos(p) to the even slot of its order; a slot value that is zero
+    against X by the rule of ``algebra`` (cos(pi/2)*X, say) is stored as
+    an exact 0.  The DC level lands on s0.  Every component must have a
+    slot in the layout.
     """
     coeffs = np.zeros(layout.dimension)
     coeffs[0] = signal.dc
     for comp in signal.components():
         lo, hi = layout.slot_pair(comp.order)
-        coeffs[lo] = comp.rms * math.sin(comp.phase_rad)
-        coeffs[hi] = comp.rms * math.cos(comp.phase_rad)
+        for slot, x in ((lo, comp.rms * math.sin(comp.phase_rad)),
+                        (hi, comp.rms * math.cos(comp.phase_rad))):
+            coeffs[slot] = 0.0 if negligible(x, comp.rms) else x
     return GeometricPhasor(coeffs, layout, signal.fundamental_hz)
 
 

@@ -7,8 +7,8 @@ cross-frequency terms with no classical counterpart, reported verbatim.
 
 Both phasors are grade 1, so ``M = u i = u.i + u^i`` and nothing else:
 ``GeometricPower`` stores the scalar ``u.i`` and the strict upper triangle
-of ``u (x) i - i (x) u`` as a dense ``(dim, dim)`` block, computed without
-the sparse blade kernel (``.mv`` builds that view on demand).
+of ``u (x) i - i (x) u`` as a dense ``(dim, dim)`` block, exact as
+computed.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Multivector, blade_indices, prune
+from .algebra import format_terms
 from .errors import LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor
 
@@ -71,9 +71,10 @@ class GeometricPower:
     """Product of a voltage and a current phasor (scalar + bivector).
 
     ``bivector`` is a read-only, strictly upper-triangular ``(dim, dim)``
-    float64 block: entry ``[a, b]`` (``a < b``) is the coefficient of the
-    plane ``s_a s_b``.  The scalar and the block entries below
-    ``PRUNE_EPS`` in magnitude are stored as exact zeros.
+    float64 copy of the given block: entry ``[a, b]`` (``a < b``) is the
+    coefficient of the plane ``s_a s_b``.  ``str()`` prints the sum, e.g.
+    ``10000 - 5000 s12 - 5000 s25 - 5000 s16 + 5000 s56``: the scalar
+    first, then the planes in ascending blade mask, i.e. by ``(b, a)``.
     """
 
     scalar: float
@@ -82,7 +83,7 @@ class GeometricPower:
 
     def __post_init__(self):
         dim = self.layout.dimension
-        block = prune(np.asarray(self.bivector, dtype=np.float64))
+        block = np.array(self.bivector, dtype=np.float64)
         if block.shape != (dim, dim):
             raise LayoutError(
                 f"bivector block shape {block.shape} does not match "
@@ -94,38 +95,12 @@ class GeometricPower:
             )
         block.flags.writeable = False
         object.__setattr__(self, "bivector", block)
-        object.__setattr__(self, "scalar", float(prune(np.float64(self.scalar))))
+        object.__setattr__(self, "scalar", float(self.scalar))
 
-    @classmethod
-    def from_mv(cls, mv: Multivector, layout: BasisLayout) -> "GeometricPower":
-        """Power of a scalar-plus-bivector ``Multivector`` of the layout's
-        dimension."""
-        if not mv.grades() <= {0, 2}:
-            raise PowerAnalysisError(
-                "geometric power must hold scalar and bivector grades only"
-            )
-        if mv.dim != layout.dimension:
-            raise LayoutError(
-                f"multivector dimension {mv.dim} does not match "
-                f"layout dimension {layout.dimension}"
-            )
-        block = np.zeros((mv.dim, mv.dim))
-        for mask, c in mv.terms.items():
-            if mask:
-                block[blade_indices(mask)] = c
-        return cls(mv.scalar_part, block, layout)
-
-    @property
-    def mv(self) -> Multivector:
-        """Sparse kernel view of the power."""
-        lo, hi = np.nonzero(self.bivector)
-        terms = {
-            (1 << a) | (1 << b): c
-            for a, b, c in zip(lo.tolist(), hi.tolist(),
-                               self.bivector[lo, hi].tolist())
-        }
-        terms[0] = self.scalar
-        return Multivector(self.layout.dimension, terms)
+    def __str__(self) -> str:
+        hi, lo = np.nonzero(self.bivector.T)  # sorted by (b, a)
+        planes = zip(zip(lo.tolist(), hi.tolist()), self.bivector[lo, hi].tolist())
+        return format_terms([((), self.scalar), *planes])
 
     @property
     def active(self) -> float:

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .algebra import negligible
 from .errors import WaveformError
 from .phasor import HarmonicComponent, SpectralSignal, reconstruct
 
@@ -186,7 +187,8 @@ def dft_extract(
         Fractional orders to extract as well; each must fall exactly on a
         DFT bin, i.e. order * periods must be an integer.
 
-    Components below 1e-12 of the window's total rms are dropped.
+    Components (and a DC level) that are zero against the window's total
+    rms by the rule of ``algebra`` are dropped.
     """
     if not (math.isfinite(fundamental_hz) and fundamental_hz > 0):
         raise WaveformError(f"fundamental must be > 0 Hz, got {fundamental_hz}")
@@ -206,7 +208,7 @@ def dft_extract(
         )
 
     spectrum = np.fft.rfft(np.asarray(w.samples))
-    floor = 1e-12 * rms(w)
+    total = rms(w)
     scale = math.sqrt(2.0) / size
 
     def extract(order: float) -> HarmonicComponent | None:
@@ -223,7 +225,7 @@ def dft_extract(
             )
         z = spectrum[b]
         amp = abs(z) * scale
-        if amp < floor or amp == 0.0:
+        if negligible(amp, total):
             return None
         # sqrt(2)*X*sin(k w t + p) puts sqrt(2)*X*(S/2)*(sin p - j cos p)
         # into its bin, hence the rotated atan2.
@@ -232,7 +234,7 @@ def dft_extract(
     harmonics = [c for c in (extract(float(k)) for k in range(1, n + 1)) if c]
     inter = [c for c in (extract(float(o)) for o in interharmonic_orders) if c]
     dc = float(spectrum[0].real) / size
-    if abs(dc) < floor:
+    if negligible(dc, total):
         dc = 0.0
     return SpectralSignal(
         fundamental_hz=fundamental_hz,

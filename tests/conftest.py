@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from gapower import (
     BasisLayout,
+    GeometricPhasor,
+    GeometricPower,
     HarmonicComponent,
     SeriesRLC,
     SpectralSignal,
@@ -43,6 +46,35 @@ BENCH_CURRENT_ROWS = (
     (7, 0.49, 1.70),
     (9, 0.16, -1.44),
 )
+
+
+def dense(dim: int, terms: dict[int, float]) -> np.ndarray:
+    """Coefficient vector of length ``dim`` with ``terms`` (basis index ->
+    coefficient) filled in and zeros elsewhere."""
+    coeffs = np.zeros(dim)
+    for k, c in terms.items():
+        coeffs[k] = c
+    return coeffs
+
+
+def vector(layout: BasisLayout, terms: dict[int, float],
+           f0: float = 50.0) -> GeometricPhasor:
+    """Phasor on ``layout`` with the given basis-index coefficients."""
+    return GeometricPhasor(dense(layout.dimension, terms), layout, f0)
+
+
+def index_terms(p: GeometricPhasor) -> dict:
+    """The oracles' term map of a phasor: ``{(k,): coefficient}``."""
+    return {(k,): c for k, c in enumerate(p.coeffs.tolist()) if c}
+
+
+def power_terms(m: GeometricPower) -> dict:
+    """The oracles' term map of a power: ``{(): scalar, (a, b): coefficient}``."""
+    lo, hi = np.nonzero(m.bivector)
+    terms = {(a, b): m.bivector[a, b] for a, b in zip(lo.tolist(), hi.tolist())}
+    if m.scalar:
+        terms[()] = m.scalar
+    return terms
 
 
 def rows_to_signal(rows, fundamental_hz: float) -> SpectralSignal:

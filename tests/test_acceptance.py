@@ -24,9 +24,10 @@ from conftest import (
     BENCH_SAMPLES,
     BENCH_VOLTAGE_ROWS,
     OMEGA1_F0_HZ,
+    index_terms,
+    power_terms,
     rows_to_signal,
 )
-from gapower.algebra import Multivector, blade
 from gapower.circuit import SeriesRLC, admittances_for, solve_current
 from gapower.decompose import decompose_currents, fryze_split
 from gapower.phasor import (
@@ -39,6 +40,8 @@ from gapower.phasor import (
 from gapower.power import apparent, geometric_power, harmonic_pq
 from gapower.waveform import dft_extract, sample_signal
 
+from oracles import mv_product_brute, reverse_brute
+
 SEED = 20260815
 
 
@@ -46,9 +49,9 @@ def close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-def mv_close(x: Multivector, y: Multivector, tol: float = 1e-9) -> bool:
-    masks = set(x.terms) | set(y.terms)
-    return all(close(x.coefficient(m), y.coefficient(m), tol) for m in masks)
+def terms_close(x: dict, y: dict, tol: float = 1e-9) -> bool:
+    """Index-tuple term maps equal term by term."""
+    return all(close(x.get(k, 0.0), y.get(k, 0.0), tol) for k in x.keys() | y.keys())
 
 
 def report(criterion: str, failures: list[str], detail: str = "") -> None:
@@ -81,21 +84,16 @@ def test_criterion_1_exact_two_harmonic_solve():
     s = apparent(m)
 
     failures: list[str] = []
-    want_i = Multivector(
-        7, {blade(1): 50.0, blade(2): 50.0, blade(5): -50.0, blade(6): 50.0}
-    )
-    want_m = Multivector.from_blades(
-        7,
-        {
-            (): 10000.0,
-            (1, 2): -5000.0,
-            (5, 6): 5000.0,
-            (1, 6): -5000.0,
-            (2, 5): -5000.0,
-        },
-    )
-    check(failures, mv_close(i.mv, want_i, 1e-6), f"current {i.mv!r}")
-    check(failures, mv_close(m.mv, want_m, 1e-6), f"power {m.mv!r}")
+    want_i = {(1,): 50.0, (2,): 50.0, (5,): -50.0, (6,): 50.0}
+    want_m = {
+        (): 10000.0,
+        (1, 2): -5000.0,
+        (5, 6): 5000.0,
+        (1, 6): -5000.0,
+        (2, 5): -5000.0,
+    }
+    check(failures, terms_close(index_terms(i), want_i, 1e-6), f"current {i}")
+    check(failures, terms_close(power_terms(m), want_m, 1e-6), f"power {m}")
     check(failures, close(s, 10000.0 * math.sqrt(2.0), 1e-6), f"apparent {s}")
     check(failures, f"{s:.6g}" == "14142.1", f"apparent renders as {s:.6g}")
 
@@ -126,18 +124,15 @@ def test_criterion_2_unequal_conductance_variant():
     m = geometric_power(u, i)
 
     failures: list[str] = []
-    want_m = Multivector.from_blades(
-        7,
-        {
-            (): 10000.0,
-            (1, 2): -3000.0,
-            (5, 6): 3000.0,
-            (1, 6): -3000.0,
-            (2, 5): -3000.0,
-            (2, 6): 8000.0,
-        },
-    )
-    check(failures, mv_close(m.mv, want_m, 1e-6), f"power {m.mv!r}")
+    want_m = {
+        (): 10000.0,
+        (1, 2): -3000.0,
+        (5, 6): 3000.0,
+        (1, 6): -3000.0,
+        (2, 5): -3000.0,
+        (2, 6): 8000.0,
+    }
+    check(failures, terms_close(power_terms(m), want_m, 1e-6), f"power {m}")
     check(
         failures,
         close(apparent(m), 10000.0 * math.sqrt(2.0), 1e-6),
@@ -259,29 +254,30 @@ def test_criterion_4_property_suite_random_instances():
         layout = BasisLayout(n=n)
         dim = layout.dimension  # 3..11, within the <= 12 bound
 
-        def rand_vector() -> Multivector:
+        def rand_vector() -> GeometricPhasor:
             k = int(rng.integers(1, min(dim, 6) + 1))
             slots = rng.choice(dim, size=k, replace=False)
-            return Multivector(
-                dim, {1 << int(s): float(rng.uniform(-10, 10)) for s in slots}
-            )
+            coeffs = np.zeros(dim)
+            coeffs[slots] = rng.uniform(-10, 10, size=k)
+            return GeometricPhasor(coeffs, layout, 50.0)
 
-        def rand_mv() -> Multivector:
+        def rand_mv() -> dict:
+            # k distinct blades, each an ascending index tuple of its mask
             k = int(rng.integers(1, 5))
             masks = rng.choice(2**dim, size=k, replace=False)
-            return Multivector(
-                dim, {int(mk): float(rng.uniform(-2, 2)) for mk in masks}
-            )
+            return {
+                tuple(b for b in range(dim) if int(mk) >> b & 1):
+                    float(rng.uniform(-2, 2))
+                for mk in masks
+            }
 
-        u_mv = rand_vector()
-        if u_mv.norm() < 1e-3:
+        u = rand_vector()
+        if u.norm() < 1e-3:
             continue
-        i_mv = rand_vector()
-        u = GeometricPhasor.from_mv(u_mv, layout, 50.0)
-        i = GeometricPhasor.from_mv(i_mv, layout, 50.0)
+        i = rand_vector()
 
-        m = u_mv * i_mv
-        if not close(m.norm(), u_mv.norm() * i_mv.norm()):
+        s = apparent(geometric_power(u, i))
+        if not close(s, u.norm() * i.norm()):
             failures.append(f"trial {trial}: |M| != |u||i|")
         i_a, i_n = fryze_split(u, i)
         if not close(i.norm() ** 2, i_a.norm() ** 2 + i_n.norm() ** 2):
@@ -293,9 +289,11 @@ def test_criterion_4_property_suite_random_instances():
             failures.append(f"trial {trial}: parallel/quadrature split broken")
 
         a, b, c = rand_mv(), rand_mv(), rand_mv()
-        if not mv_close(a * (b * c), (a * b) * c):
+        mul = mv_product_brute
+        ab = mul(a, b)
+        if not terms_close(mul(a, mul(b, c)), mul(ab, c)):
             failures.append(f"trial {trial}: associativity")
-        if not mv_close(~(a * b), (~b) * (~a)):
+        if not terms_close(reverse_brute(ab), mul(reverse_brute(b), reverse_brute(a))):
             failures.append(f"trial {trial}: reverse anti-automorphism")
         checked += 1
         if failures:

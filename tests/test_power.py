@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gapower.algebra import Multivector, basis, blade
 from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
@@ -31,12 +30,21 @@ from gapower.power import (
 )
 from gapower.circuit import solve_current
 
+from conftest import dense, vector
 from oracles import pq_complex
 
 
 def phasor_of(terms: dict, dim: int, f0: float = 50.0) -> GeometricPhasor:
-    layout = BasisLayout(n=(dim - 1) // 2)
-    return GeometricPhasor.from_mv(Multivector(dim, terms), layout, f0)
+    return vector(BasisLayout(n=(dim - 1) // 2), terms, f0)
+
+
+def assert_power(m: GeometricPower, scalar: float, planes: dict) -> None:
+    """``m`` is ``scalar`` plus the ``(a, b) -> coefficient`` planes."""
+    block = np.zeros_like(m.bivector)
+    for ab, c in planes.items():
+        block[ab] = c
+    assert m.scalar == pytest.approx(scalar, abs=1e-9)
+    np.testing.assert_allclose(m.bivector, block, rtol=0.0, atol=1e-9)
 
 
 # -- fixtures ------------------------------------------------------------
@@ -44,16 +52,9 @@ def phasor_of(terms: dict, dim: int, f0: float = 50.0) -> GeometricPhasor:
 def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
     i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
     m = geometric_power(two_harmonic_phasor, i)
-    assert m.mv == Multivector(
-        7,
-        {
-            0: 10000.0,
-            blade(1, 2): -5000.0,
-            blade(5, 6): 5000.0,
-            blade(1, 6): -5000.0,
-            blade(2, 5): -5000.0,
-        },
-    )
+    assert_power(m, 10000.0, {
+        (1, 2): -5000.0, (5, 6): 5000.0, (1, 6): -5000.0, (2, 5): -5000.0,
+    })
     assert m.active == pytest.approx(10000.0)
     assert np.any(m.bivector) and not np.any(np.tril(m.bivector))
 
@@ -61,39 +62,34 @@ def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
 def test_geometric_power_variant_fixture(two_harmonic_phasor, rlc_unequal_conductance):
     i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
     m = geometric_power(two_harmonic_phasor, i)
-    assert m.mv == Multivector(
-        7,
-        {
-            0: 10000.0,
-            blade(1, 2): -3000.0,
-            blade(5, 6): 3000.0,
-            blade(1, 6): -3000.0,
-            blade(2, 5): -3000.0,
-            blade(2, 6): 8000.0,
-        },
-    )
+    assert_power(m, 10000.0, {
+        (1, 2): -3000.0, (5, 6): 3000.0, (1, 6): -3000.0, (2, 5): -3000.0,
+        (2, 6): 8000.0,
+    })
 
 
 def test_geometric_power_unity_case():
-    s = basis(3)
-    layout = BasisLayout(n=1)
-    u = GeometricPhasor.from_mv(s[1], layout, 50.0)
+    u = phasor_of({1: 1.0}, 3)
     m = geometric_power(u, u)
-    assert m.mv == 1.0
+    assert_power(m, 1.0, {})
     assert power_factor(m) == pytest.approx(1.0)
 
 
 def test_geometric_power_layout_mismatch():
-    u = phasor_of({blade(1): 1.0}, 3)
-    i = GeometricPhasor.from_mv(Multivector(5, {blade(1): 1.0}), BasisLayout(n=2), 50.0)
+    u = phasor_of({1: 1.0}, 3)
+    i = phasor_of({1: 1.0}, 5)
     with pytest.raises(LayoutError):
         geometric_power(u, i)
 
 
 def test_geometric_power_type_guards_grades():
+    # a power holds grades 0 and 2 only: a grade-1 coefficient vector is
+    # not a bivector block, and neither is a block with a lower triangle
     layout = BasisLayout(n=1)
+    with pytest.raises(LayoutError):
+        GeometricPower(0.0, dense(3, {1: 1.0}), layout)
     with pytest.raises(PowerAnalysisError):
-        GeometricPower.from_mv(Multivector(3, {blade(1): 1.0}), layout)
+        GeometricPower(0.0, np.eye(3), layout)
 
 
 def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
@@ -111,8 +107,8 @@ def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
 
 
 def test_apparent_zero_current(two_harmonic_phasor):
-    zero = GeometricPhasor.from_mv(
-        Multivector(7), two_harmonic_phasor.layout, two_harmonic_phasor.fundamental_hz
+    zero = GeometricPhasor(
+        np.zeros(7), two_harmonic_phasor.layout, two_harmonic_phasor.fundamental_hz
     )
     assert apparent(geometric_power(two_harmonic_phasor, zero)) == 0.0
     with pytest.raises(PowerAnalysisError):
@@ -126,8 +122,8 @@ def test_power_factor_fixture(two_harmonic_phasor, rlc_equal_conductance):
 
 
 def test_power_factor_quadrature_is_zero():
-    u = phasor_of({blade(2): 1.0}, 3)
-    i = phasor_of({blade(1): 1.0}, 3)
+    u = phasor_of({2: 1.0}, 3)
+    i = phasor_of({1: 1.0}, 3)
     assert power_factor(geometric_power(u, i)) == pytest.approx(0.0)
 
 
@@ -143,15 +139,15 @@ def test_harmonic_pq_fixture(two_harmonic_phasor, rlc_equal_conductance):
 
 
 def test_harmonic_pq_parallel_current_has_zero_q():
-    u = phasor_of({blade(1): 3.0, blade(2): 4.0}, 3)
+    u = phasor_of({1: 3.0, 2: 4.0}, 3)
     pq = harmonic_pq(u, u)
     assert pq[0].q == 0.0
     assert pq[0].p == pytest.approx(25.0)
 
 
 def test_harmonic_pq_covers_current_only_orders():
-    u = phasor_of({blade(2): 10.0}, 5)
-    i = phasor_of({blade(2): 1.0, blade(4): 2.0}, 5)
+    u = phasor_of({2: 10.0}, 5)
+    i = phasor_of({2: 1.0, 4: 2.0}, 5)
     pq = {x.order: x for x in harmonic_pq(u, i)}
     assert set(pq) == {1.0, 2.0}
     assert pq[2.0].p == 0.0 and pq[2.0].q == 0.0
@@ -195,7 +191,7 @@ def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductanc
 
 
 def test_power_report_zero_pair_has_null_pf():
-    u = phasor_of({blade(1): 1.0}, 3)
+    u = phasor_of({1: 1.0}, 3)
     zero = phasor_of({}, 3)
     doc = power_report(zero, zero).to_dict()
     assert doc["pf"] is None
@@ -215,12 +211,10 @@ def phasor_pairs(draw):
     dim = layout.dimension
 
     def one():
-        masks = draw(
+        slots = draw(
             st.lists(st.integers(0, dim - 1), unique=True, max_size=dim)
         )
-        return GeometricPhasor.from_mv(
-            Multivector(dim, {1 << i: draw(coeff) for i in masks}), layout, 50.0
-        )
+        return vector(layout, {k: draw(coeff) for k in slots})
 
     return one(), one()
 

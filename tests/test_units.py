@@ -1,0 +1,168 @@
+"""Results do not depend on units: the zero rule is relative to the signal.
+
+Scaling the voltage by alpha and the current by beta scales the power by
+alpha*beta and leaves every ratio, and the set of occupied orders, alone.
+A component is never dropped for being small in absolute terms, and the
+phases 0, +-pi/2 and pi put exact values on the slots.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gapower.cli import main
+from gapower.decompose import decompose_currents
+from gapower.phasor import (
+    BasisLayout,
+    HarmonicComponent,
+    SpectralSignal,
+    from_phasor,
+    to_phasor,
+)
+from gapower.power import geometric_power, harmonic_pq, power_factor
+
+from conftest import vector
+from oracles import pq_complex
+
+# A value of 1e-3 .. 1e3 of either sign, or an exact zero (an empty slot).
+slot_values = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0**e,
+              st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)),
+)
+exponents = st.floats(-9.0, 9.0)  # alpha = 10**e, log-uniform in [1e-9, 1e9]
+
+
+@st.composite
+def pairs(draw):
+    """Non-zero voltage and current on one layout, with half-empty planes,
+    voltage-free orders and maybe DC."""
+    layout = BasisLayout(n=draw(st.integers(1, 5)))
+    dim = layout.dimension
+
+    def one():
+        terms = {k: draw(slot_values) for k in range(dim)}
+        terms[draw(st.integers(1, dim - 1))] = draw(st.floats(0.5, 2.0))
+        return vector(layout, terms)
+
+    return one(), one()
+
+
+def ratios(u, i) -> dict[str, float]:
+    cc = decompose_currents(u, i)
+    n = i.norm()
+    out = {name: value / n for name, value in cc.norms().items()}
+    out["i_G"] = cc.i_G.norm() / n
+    return out
+
+
+@given(pairs(), exponents, exponents)
+def test_scaling_u_and_i_scales_m_and_keeps_ratios(pair, ea, eb):
+    u, i = pair
+    alpha, beta = 10.0**ea, 10.0**eb
+    su, si = alpha * u, beta * i
+    m, ms = geometric_power(u, i), geometric_power(su, si)
+    size = su.norm() * si.norm()  # |M| of the scaled pair
+    assert abs(ms.scalar - alpha * beta * m.scalar) <= 1e-12 * size
+    assert np.max(np.abs(ms.bivector - alpha * beta * m.bivector)) <= 1e-12 * size
+    assert power_factor(ms) == pytest.approx(power_factor(m), abs=1e-12)
+
+    assert su.occupied_orders() == u.occupied_orders()
+    assert si.occupied_orders() == i.occupied_orders()
+    assert su.has_dc() == u.has_dc()
+    want = ratios(u, i)
+    for name, got in ratios(su, si).items():
+        assert got == pytest.approx(want[name], rel=1e-9, abs=1e-12), name
+
+    per = harmonic_pq(su, si)
+    assert [x.order for x in per] == [x.order for x in harmonic_pq(u, i)]
+    for x in per:
+        (ua, ub), (ia, ib) = su.pair(x.order), si.pair(x.order)
+        p_ref, q_ref = pq_complex(
+            math.hypot(ua, ub), math.atan2(ua, ub), math.hypot(ia, ib), math.atan2(ia, ib)
+        )
+        assert abs(x.p - p_ref) <= 1e-12 * size
+        assert abs(x.q - q_ref) <= 1e-12 * size
+
+
+def test_tiny_component_occupies_its_order():
+    # 1e-13 A is a current like any other; in pA it would be 0.1
+    s = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 1e-13, 0.3),))
+    p = to_phasor(s, BasisLayout(n=1))
+    assert p.occupied_orders() == (1.0,)
+    back = from_phasor(p).harmonics[0]
+    assert back.rms == pytest.approx(1e-13, rel=1e-12)
+    assert back.phase_rad == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("phase, want", [
+    (math.pi, (0.0, -230e3)),
+    (0.0, (0.0, 230e3)),
+    (math.pi / 2, (230e3, 0.0)),
+    (-math.pi / 2, (-230e3, 0.0)),
+])
+def test_phase_pi_gives_exact_slots(phase, want):
+    # sin(pi)*230e3 is 2.8e-11 in floating point, a spurious slot value
+    s = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 230e3, phase),))
+    assert to_phasor(s, BasisLayout(n=1)).pair(1) == want
+
+
+# ``solve`` of a source whose orders sit at phase +-pi/2, as printed before
+# the zero rule became relative (every cos(pi/2) slot an exact 0).
+QUARTER_PHASE_TABLE = """\
+Spectra
+  order  u_rms  u_phase  i_rms     i_phase
+  1      230    1.5708   33.0334   0.445457
+  3      12     -1.5708  0.628707  -2.98376
+
+Power summary
+  p_w      apparent_va  pf
+  3274.81  7609.4       0.430363
+
+Per-harmonic P/Q
+  order  p_w      q_var
+  1      3273.62  6856.26
+  3      1.18582  7.45071
+
+Cross-frequency terms
+  blade  va
+  s1 s5  148.069
+  s1 s6  -142.805
+  s2 s5  357.718
+
+Current decomposition (A)
+  index  i_p         i_a        i_s        i_q        i_N        i
+  0      0           0          0          0          0          0
+  1      14.2331     14.1996    0.0334974  0          0.0334974  14.2331
+  2      0           0          0          29.8098    29.8098    29.8098
+  3      0           0          0          0          0          0
+  4      0           0          0          0          0          0
+  5      -0.0988181  -0.740851  0.642033   0          0.642033   -0.0988181
+  6      0           0          0          -0.620892  -0.620892  -0.620892
+  norm   14.2335     14.219     0.642906   29.8163    29.8232    33.0394
+
+Compensation susceptances (S)
+  order  siemens
+  1      0.129608
+  3      0.051741
+"""
+
+
+def test_solve_at_quarter_phase_prints_exact_zeros(tmp_path):
+    source = {"fundamental_hz": 50.0, "harmonics": [
+        {"order": 1, "rms": 230.0, "phase_rad": math.pi / 2},
+        {"order": 3, "rms": 12.0, "phase_rad": -math.pi / 2},
+    ]}
+    (tmp_path / "src.json").write_text(json.dumps(source))
+    (tmp_path / "c.json").write_text(json.dumps({"r_ohm": 3.0, "l_henry": 0.02}))
+    out = tmp_path / "out.table"
+    rc = main(["solve", "--circuit", str(tmp_path / "c.json"),
+               "--source", str(tmp_path / "src.json"), "--out", str(out)])
+    assert rc == 0
+    assert out.read_text() == QUARTER_PHASE_TABLE
