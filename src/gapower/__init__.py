@@ -48,6 +48,7 @@ from .phasor import (
 )
 from .power import (
     POWER_REPORT_SCHEMA,
+    CrossTerms,
     GeometricPower,
     HarmonicPQ,
     PowerReport,

@@ -5,6 +5,10 @@ times the norm of the signal it belongs to.  The rule is relative, so
 whether a component exists never depends on the units: the same signal
 in A or in pA occupies the same orders.
 
+Sums of squares are taken on values scaled by a power of two
+(``pow2_exponent``), which is exact, so they neither overflow nor underflow
+at extreme scales and give the same bits as unscaled sums elsewhere.
+
 Blades print in the notation of the paper: ``s3`` is a basis vector,
 ``s12`` the plane of s1 and s2, and ``s(1,10)`` a blade with an index
 above 9.
@@ -13,6 +17,8 @@ above 9.
 from __future__ import annotations
 
 from typing import Iterable
+
+import numpy as np
 
 # A coefficient at most this fraction of its signal's norm is zero.
 ZERO_REL = 1e-12
@@ -23,6 +29,12 @@ def negligible(x, scale: float):
     arrays), i.e. where ``x`` counts as zero within a signal of norm
     ``scale``."""
     return abs(x) <= ZERO_REL * scale
+
+
+def pow2_exponent(x) -> int:
+    """Exponent ``e`` of the largest ``|x|``, so that ``x / 2**e`` is
+    exact and below 1 in magnitude (0 for zero or non-finite ``x``)."""
+    return int(np.frexp(np.max(np.abs(x)))[1])
 
 
 def _blade_label(indices: tuple[int, ...]) -> str:

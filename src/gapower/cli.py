@@ -3,8 +3,15 @@
 Three subcommands cover the pipeline: ``solve`` (circuit JSON + source
 spectrum JSON), ``analyze`` (sampled CSV recording) and ``decompose``
 (voltage + current spectrum JSON).  Output goes to stdout or ``--out`` as
-a table, JSON document or the decomposition CSV; every number is printed
-with 6 significant digits so identical inputs give identical bytes.
+a table, JSON document or the decomposition CSV; only what the chosen
+format prints is computed.
+
+Every number is printed with 6 significant digits, so identical inputs
+give identical bytes.  Numbers are rendered from arrays: one ``%``
+template formats a whole float array, and each regular block (a table, the
+CSV rows, a JSON array of records such as the cross-frequency terms) goes
+through one template built from its header or keys.  ``json.dumps`` only
+writes keys, strings and the few irregular values.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
@@ -15,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,52 +42,118 @@ from .phasor import (
     reconstruct,
     to_phasor,
 )
-from .power import power_report
+from .power import PowerReport, power_report
 from .waveform import active_power, dft_extract, load_csv, rms, thd
 
 FORMATS = ("table", "json", "csv")
 
 
 # -- number formatting ------------------------------------------------
+# One rule for every number, applied to whole arrays: ``%.6g`` of the
+# value plus 0.0, which turns -0.0 (the only source of "-0") into 0.0.
+# JSON prints the repr of the float that text parses back to, so
+# 1.23457e+08 prints as 123457000.0, and non-finite values keep json's
+# spellings.
 
-def _fmt6(x: float) -> str:
-    s = f"{float(x):.6g}"
-    return "0" if s == "-0" else s
+_ROWS_PER_CALL = 1 << 16  # rows per ``%`` call: bounds the temporary lists
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _round_doc(obj):
-    """Recursively clamp floats to 6 significant digits for JSON output."""
-    if isinstance(obj, float):
-        v = float(_fmt6(obj))
-        return 0.0 if v == 0 else v
+def _g6_rows(a, row: str) -> str:
+    """``row % r`` for every row ``r`` of the 2-D float array ``a``,
+    concatenated; ``row`` holds one ``%.6g`` per column."""
+    a = np.asarray(a, dtype=np.float64) + 0.0
+    blocks = np.split(a, range(_ROWS_PER_CALL, len(a), _ROWS_PER_CALL))
+    return "".join(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+
+
+def _g6(values) -> list[str]:
+    """6-significant-digit text of every element of a float array."""
+    return _g6_rows(np.reshape(values, (-1, 1)), "%.6g\n").split("\n")[:-1]
+
+
+def _json6(values) -> list[str]:
+    """JSON number text of every element of a float array."""
+    text = list(map(repr, map(float, _g6(values))))
+    if np.isfinite(values).all():
+        return text
+    return [_JSON_NONFINITE.get(t, t) for t in text]
+
+
+def _orders(orders, six) -> list[str]:
+    """Integer orders print as integers, the others through ``six``."""
+    return [
+        str(int(o)) if float(o).is_integer() else t
+        for o, t in zip(orders, six(orders))
+    ]
+
+
+def _cells(columns: list[list[str]]) -> tuple[str, ...]:
+    """The entries of equal-length columns in row-major order."""
+    k = len(columns)
+    cells = [""] * (k * len(columns[0]))
+    for j, col in enumerate(columns):
+        cells[j::k] = col
+    return tuple(cells)
+
+
+def _table(title: str, header: list[str], columns: list[list[str]]) -> str:
+    """An aligned text table of the given text columns."""
+    columns = [[h, *col] for h, col in zip(header, columns)]
+    widths = [max(map(len, col)) for col in columns]
+    row = "  " + "  ".join("%%-%ds" % w for w in widths)
+    text = "\n".join([row] * len(columns[0])) % _cells(columns)
+    return "\n".join([title, *map(str.rstrip, text.split("\n"))]) + "\n"
+
+
+def _csv(header: list[str], columns: list[list[str]]) -> str:
+    """CSV text of the given text columns under a header line."""
+    row = ",".join(["%s"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + row * len(columns[0]) % _cells(columns)
+
+
+# A value slot of a JSON record template.
+_SLOT = "\0"
+_SLOT_TEXT = json.dumps(_SLOT)
+
+
+@dataclass(frozen=True)
+class _Records:
+    """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
+    values of ``proto`` take, in order, the entries of ``columns``: one
+    list of JSON text per slot, one entry per record."""
+
+    proto: dict
+    columns: tuple[list[str], ...]
+
+
+def _bracket(ends: str, items: list[str], pad: str) -> str:
+    """JSON items one per line inside ``ends`` (``"{}"`` or ``"[]"``),
+    indented one level below ``pad``."""
+    if not items:
+        return ends
+    inner = pad + "  "
+    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+
+
+def _json(obj, pad: str = "") -> str:
+    """``obj`` laid out as ``json.dumps(obj, indent=2)`` lays it out, with
+    every float at 6 significant digits; a ``_Records`` block renders
+    through one template."""
+    inner = pad + "  "
+    if isinstance(obj, _Records):
+        record = _json(obj.proto, inner).replace("%", "%%")
+        record = record.replace(_SLOT_TEXT, "%s")
+        records = [record] * len(obj.columns[0])
+        return _bracket("[]", records, pad) % _cells(obj.columns)
     if isinstance(obj, dict):
-        return {k: _round_doc(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_doc(v) for v in obj]
-    return obj
-
-
-def _cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    return _fmt6(value)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _table(title: str, header: list[str], rows: list[list]) -> str:
-    cells = [header] + [[_cell(v) for v in row] for row in rows]
-    widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-    out = [title]
-    for r in cells:
-        out.append("  " + "  ".join(v.ljust(w) for v, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
+        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return _bracket("{}", items, pad)
+    if isinstance(obj, list):
+        return _bracket("[]", [_json(v, inner) for v in obj], pad)
+    if isinstance(obj, float):
+        return _json6([obj])[0]
+    return json.dumps(obj)
 
 
 # -- input documents ---------------------------------------------------
@@ -127,110 +200,147 @@ def _circuit_from_dict(data) -> SeriesRLC:
 
 # -- report fragments --------------------------------------------------
 
-def _order_key(order: float):
-    return int(order) if float(order).is_integer() else order
-
-
-def _currents_doc(cc: CurrentComponents, ys) -> dict:
-    rows = []
-    for row in cc.table_rows():
-        if row[0] == "norm":
-            continue
-        rows.append(
-            {"index": row[0], **{c: v for c, v in zip(CSV_COLUMNS, row[1:])}}
+def _spectrum_json(sig: SpectralSignal) -> dict:
+    def lines(comps) -> _Records:
+        return _Records(
+            {"order": _SLOT, "rms": _SLOT, "phase_rad": _SLOT},
+            (
+                _orders([c.order for c in comps], _json6),
+                _json6([c.rms for c in comps]),
+                _json6([c.phase_rad for c in comps]),
+            ),
         )
+
     return {
-        "norms": cc.norms(),
-        "rows": rows,
-        "compensation_susceptances": [
-            {"order": _order_key(order), "siemens": b}
-            for order, b in compensation_susceptances(ys)
-        ],
+        "fundamental_hz": sig.fundamental_hz,
+        "dc": sig.dc,
+        "harmonics": lines(sig.harmonics),
+        "interharmonics": lines(sig.interharmonics),
     }
 
 
+def _power_json(report: PowerReport) -> dict:
+    pq = report.per_harmonic
+    terms = report.cross_terms
+    return {
+        "p_w": report.p_w,
+        "apparent_va": report.apparent_va,
+        "pf": report.pf,
+        "per_harmonic": _Records(
+            {"order": _SLOT, "p_w": _SLOT, "q_var": _SLOT},
+            (
+                _json6([x.order for x in pq]),
+                _json6([x.p for x in pq]),
+                _json6([x.q for x in pq]),
+            ),
+        ),
+        "cross_terms": _Records(
+            {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
+            (
+                *(list(map(str, col)) for col in terms.blade_indices.T.tolist()),
+                _json6(terms.va),
+            ),
+        ),
+    }
+
+
+def _currents_json(cc: CurrentComponents, ys) -> dict:
+    table = cc.table_rows()
+    comp = compensation_susceptances(ys)
+    return {
+        "norms": dict(zip(CSV_COLUMNS, table[-1].tolist())),
+        "rows": _Records(
+            {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
+            (
+                [str(k) for k in range(len(table) - 1)],
+                *map(_json6, table[:-1].T),
+            ),
+        ),
+        "compensation_susceptances": _Records(
+            {"order": _SLOT, "siemens": _SLOT},
+            (_orders([o for o, _ in comp], _json6), _json6([b for _, b in comp])),
+        ),
+    }
+
+
+def _decomposition_columns(cc: CurrentComponents) -> list[list[str]]:
+    """The basis index, then each of CSV_COLUMNS; the last row holds the
+    norms."""
+    table = cc.table_rows()
+    index = [str(k) for k in range(len(table) - 1)] + ["norm"]
+    return [index, *map(_g6, table.T)]
+
+
 def _decomposition_csv(cc: CurrentComponents) -> str:
-    return _csv_text(["index", *CSV_COLUMNS], cc.table_rows())
+    return _csv(["index", *CSV_COLUMNS], _decomposition_columns(cc))
 
 
 def _decomposition_table(cc: CurrentComponents) -> str:
     return _table(
-        "Current decomposition (A)", ["index", *CSV_COLUMNS], cc.table_rows()
+        "Current decomposition (A)",
+        ["index", *CSV_COLUMNS],
+        _decomposition_columns(cc),
     )
 
 
-def _power_tables(report) -> str:
-    doc = report.to_dict()
+def _power_tables(report: PowerReport) -> str:
+    pq = report.per_harmonic
+    pf = "n/a" if report.pf is None else _g6([report.pf])[0]
     parts = [
         _table(
             "Power summary",
             ["p_w", "apparent_va", "pf"],
-            [[doc["p_w"], doc["apparent_va"],
-              "n/a" if doc["pf"] is None else doc["pf"]]],
+            [[cell] for cell in _g6([report.p_w, report.apparent_va])] + [[pf]],
         ),
         _table(
             "Per-harmonic P/Q",
             ["order", "p_w", "q_var"],
-            [[_order_key(h["order"]), h["p_w"], h["q_var"]]
-             for h in doc["per_harmonic"]],
+            [
+                _orders([x.order for x in pq], _g6),
+                _g6([x.p for x in pq]),
+                _g6([x.q for x in pq]),
+            ],
         ),
     ]
-    if doc["cross_terms"]:
+    terms = report.cross_terms
+    if len(terms):
+        pairs = tuple(terms.blade_indices.ravel().tolist())
+        blades = ("s%d s%d\n" * len(terms) % pairs).split("\n")[:-1]
         parts.append(
-            _table(
-                "Cross-frequency terms",
-                ["blade", "va"],
-                [["s%d s%d" % tuple(t["blade_indices"]), t["va"]]
-                 for t in doc["cross_terms"]],
-            )
+            _table("Cross-frequency terms", ["blade", "va"], [blades, _g6(terms.va)])
         )
     return "\n".join(parts)
 
 
 def _compensation_table(ys) -> str:
+    comp = compensation_susceptances(ys)
     return _table(
         "Compensation susceptances (S)",
         ["order", "siemens"],
-        [[_order_key(o), b] for o, b in compensation_susceptances(ys)],
+        [_orders([o for o, _ in comp], _g6), _g6([b for _, b in comp])],
     )
 
 
 def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
-    orders = sorted(
-        {c.order for c in u_sig.components()} | {c.order for c in i_sig.components()}
-    )
     by_order_u = {c.order: c for c in u_sig.components()}
     by_order_i = {c.order: c for c in i_sig.components()}
-    rows = []
+    orders = sorted(by_order_u.keys() | by_order_i.keys())
+
+    def side(by_order) -> list[list[str]]:
+        """rms and phase columns; a missing order has rms 0 and no phase."""
+        rms = _g6([by_order[o].rms if o in by_order else 0.0 for o in orders])
+        phase = _g6([by_order[o].phase_rad if o in by_order else 0.0
+                     for o in orders])
+        return [rms, [p if o in by_order else "" for o, p in zip(orders, phase)]]
+
+    columns = [_orders(orders, _g6), *side(by_order_u), *side(by_order_i)]
     if u_sig.dc or i_sig.dc:
-        rows.append(["dc", u_sig.dc, "", i_sig.dc, ""])
-    for o in orders:
-        cu = by_order_u.get(o)
-        ci = by_order_i.get(o)
-        rows.append(
-            [
-                _order_key(o),
-                cu.rms if cu else 0.0,
-                cu.phase_rad if cu else "",
-                ci.rms if ci else 0.0,
-                ci.phase_rad if ci else "",
-            ]
-        )
+        u_dc, i_dc = _g6([u_sig.dc, i_sig.dc])
+        for col, cell in zip(columns, ["dc", u_dc, "", i_dc, ""]):
+            col.insert(0, cell)
     return _table(
-        "Spectra", ["order", "u_rms", "u_phase", "i_rms", "i_phase"], rows
+        "Spectra", ["order", "u_rms", "u_phase", "i_rms", "i_phase"], columns
     )
-
-
-def _emit(
-    doc: dict, cc: CurrentComponents, tables: Callable[[], str], fmt: str
-) -> str:
-    """Render ``fmt``; ``tables`` builds the table text and is called only
-    when that is the format asked for."""
-    if fmt == "json":
-        return json.dumps(_round_doc(doc), indent=2) + "\n"
-    if fmt == "csv":
-        return _decomposition_csv(cc)
-    return tables()
 
 
 # -- subcommands -------------------------------------------------------
@@ -242,27 +352,29 @@ def cmd_solve(args) -> str:
     u = to_phasor(source, layout)
     i = solve_current(u, net)
     ys = admittances_for(net, u)
-    report = power_report(u, i)
     cc = decompose_currents(u, i, ys)
-    doc = {
-        "circuit": {"r_ohm": net.r, "l_henry": net.l, "c_farad": net.c},
-        "source": source.to_dict(),
-        "current_spectrum": from_phasor(i).to_dict(),
-        "power": report.to_dict(),
-        "currents": _currents_doc(cc, ys),
-    }
-
-    def tables() -> str:
-        return "\n".join(
-            [
-                _spectrum_table(source, from_phasor(i)),
-                _power_tables(report),
-                _decomposition_table(cc),
-                _compensation_table(ys),
-            ]
-        )
-
-    return _emit(doc, cc, tables, args.format)
+    if args.format == "csv":
+        return _decomposition_csv(cc)
+    report = power_report(u, i)
+    i_sig = from_phasor(i)
+    if args.format == "json":
+        return _json(
+            {
+                "circuit": {"r_ohm": net.r, "l_henry": net.l, "c_farad": net.c},
+                "source": _spectrum_json(source),
+                "current_spectrum": _spectrum_json(i_sig),
+                "power": _power_json(report),
+                "currents": _currents_json(cc, ys),
+            }
+        ) + "\n"
+    return "\n".join(
+        [
+            _spectrum_table(source, i_sig),
+            _power_tables(report),
+            _decomposition_table(cc),
+            _compensation_table(ys),
+        ]
+    )
 
 
 def cmd_analyze(args) -> str:
@@ -272,49 +384,50 @@ def cmd_analyze(args) -> str:
     layout = BasisLayout.for_signals(u_sig, i_sig)
     u = to_phasor(u_sig, layout)
     i = to_phasor(i_sig, layout)
-    report = power_report(u, i)
     ys = estimate_admittances(u, i)
     cc = decompose_currents(u, i, ys)
-    doc = {
-        "input": {
-            "path": args.input,
-            "samples": u_w.n,
-            "sample_rate_hz": u_w.sample_rate_hz,
-            "duration_s": u_w.duration_s,
-        },
-        "waveform": {
-            "rms_u": rms(u_w),
-            "rms_i": rms(i_w),
-            "thd_u": thd(u_sig),
-            "thd_i": thd(i_sig),
-            "active_power_w": active_power(u_w, i_w),
-        },
-        "voltage_spectrum": u_sig.to_dict(),
-        "current_spectrum": i_sig.to_dict(),
-        "power": report.to_dict(),
-        "currents": _currents_doc(cc, ys),
-    }
+    thd_u, thd_i = thd(u_sig), thd(i_sig)  # exit 2 without a fundamental
     if args.timeseries:
         _write_text(_timeseries_csv(u_w, i_w, cc), args.timeseries)
-    wf = doc["waveform"]
-
-    def tables() -> str:
-        return "\n".join(
-            [
-                _table(
-                    "Waveform",
-                    ["rms_u", "rms_i", "thd_u", "thd_i", "active_power_w"],
-                    [[wf["rms_u"], wf["rms_i"], wf["thd_u"], wf["thd_i"],
-                      wf["active_power_w"]]],
-                ),
-                _spectrum_table(u_sig, i_sig),
-                _power_tables(report),
-                _decomposition_table(cc),
-                _compensation_table(ys),
-            ]
-        )
-
-    return _emit(doc, cc, tables, args.format)
+    if args.format == "csv":
+        return _decomposition_csv(cc)
+    report = power_report(u, i)
+    waveform = {
+        "rms_u": rms(u_w),
+        "rms_i": rms(i_w),
+        "thd_u": thd_u,
+        "thd_i": thd_i,
+        "active_power_w": active_power(u_w, i_w),
+    }
+    if args.format == "json":
+        return _json(
+            {
+                "input": {
+                    "path": args.input,
+                    "samples": u_w.n,
+                    "sample_rate_hz": u_w.sample_rate_hz,
+                    "duration_s": u_w.duration_s,
+                },
+                "waveform": waveform,
+                "voltage_spectrum": _spectrum_json(u_sig),
+                "current_spectrum": _spectrum_json(i_sig),
+                "power": _power_json(report),
+                "currents": _currents_json(cc, ys),
+            }
+        ) + "\n"
+    return "\n".join(
+        [
+            _table(
+                "Waveform",
+                list(waveform),
+                [[cell] for cell in _g6(list(waveform.values()))],
+            ),
+            _spectrum_table(u_sig, i_sig),
+            _power_tables(report),
+            _decomposition_table(cc),
+            _compensation_table(ys),
+        ]
+    )
 
 
 def cmd_decompose(args) -> str:
@@ -332,29 +445,28 @@ def cmd_decompose(args) -> str:
     i = to_phasor(i_sig, layout)
     ys = estimate_admittances(u, i)
     cc = decompose_currents(u, i, ys)
-    doc = {
-        "voltage_spectrum": u_sig.to_dict(),
-        "current_spectrum": i_sig.to_dict(),
-        "currents": _currents_doc(cc, ys),
-    }
-
-    def tables() -> str:
-        return "\n".join([_decomposition_table(cc), _compensation_table(ys)])
-
-    return _emit(doc, cc, tables, args.format)
+    if args.format == "csv":
+        return _decomposition_csv(cc)
+    if args.format == "json":
+        return _json(
+            {
+                "voltage_spectrum": _spectrum_json(u_sig),
+                "current_spectrum": _spectrum_json(i_sig),
+                "currents": _currents_json(cc, ys),
+            }
+        ) + "\n"
+    return "\n".join([_decomposition_table(cc), _compensation_table(ys)])
 
 
 def _timeseries_csv(u_w, i_w, cc: CurrentComponents) -> str:
     t = np.arange(u_w.n) / u_w.sample_rate_hz
-    ia_t = reconstruct(from_phasor(cc.i_a), t)
-    in_t = reconstruct(from_phasor(cc.i_N), t)
-    rows = [
-        [tv, uv, iv, uv * iv, av, nv]
-        for tv, uv, iv, av, nv in zip(
-            t, u_w.samples, i_w.samples, ia_t, in_t
-        )
-    ]
-    return _csv_text(["t_s", "u", "i", "p", "i_a", "i_N"], rows)
+    u, i = u_w.samples, i_w.samples
+    columns = np.column_stack([
+        t, u, i, u * i,
+        reconstruct(from_phasor(cc.i_a), t),
+        reconstruct(from_phasor(cc.i_N), t),
+    ])
+    return "t_s,u,i,p,i_a,i_N\n" + _g6_rows(columns, ",".join(["%.6g"] * 6) + "\n")
 
 
 def _write_text(text: str, out: str | None) -> None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import negligible
+from .algebra import negligible, pow2_exponent
 from .circuit import HarmonicAdmittance
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
@@ -54,14 +54,13 @@ class CurrentComponents:
             "i": self.total.norm(),
         }
 
-    def table_rows(self) -> list[list]:
-        """One row per basis index with the CSV_COLUMNS coefficients,
-        closed by a row of norms."""
+    def table_rows(self) -> np.ndarray:
+        """``(dim + 1, 6)`` array: one row per basis index with the
+        CSV_COLUMNS coefficients, closed by a row of their norms."""
         comps = (self.i_p, self.i_a, self.i_s, self.i_q, self.i_N, self.total)
-        columns = np.column_stack([c.coeffs for c in comps]).tolist()
-        rows: list[list] = [[index] + row for index, row in enumerate(columns)]
-        rows.append(["norm"] + [c.norm() for c in comps])
-        return rows
+        return np.vstack(
+            [np.column_stack([c.coeffs for c in comps]), [c.norm() for c in comps]]
+        )
 
 
 def fryze_split(
@@ -75,10 +74,12 @@ def fryze_split(
     subtraction) are stored as 0.
     """
     u._check_compatible(i)
-    n2 = u.dot(u)
+    e = pow2_exponent(u.coeffs)
+    scaled = u._like(np.ldexp(u.coeffs, -e))  # keeps ||u||^2 in range
+    n2 = scaled.dot(scaled)
     if n2 == 0.0:
         raise PowerAnalysisError("cannot split against a zero voltage")
-    i_a = (u.dot(i) / n2) * u
+    i_a = float(np.ldexp(scaled.dot(i) / n2, -e)) * u
     i_n = i.coeffs - i_a.coeffs
     return i_a, i._like(np.where(negligible(i_n, i.norm()), 0.0, i_n))
 
@@ -158,9 +159,12 @@ def estimate_admittances(
     orders = u.layout.orders()
     occupied = np.flatnonzero(u.occupied())
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
+    # u_k / 2**e, exact per order, keeps ||u_k||^2 in range
+    e = np.frexp(np.maximum(abs(au), abs(bu)))[1]
+    au, bu = np.ldexp(au, -e), np.ldexp(bu, -e)
     n2 = au * au + bu * bu
-    g = ((au * ai + bu * bi) / n2).tolist()
-    b = (-(au * bi - bu * ai) / n2).tolist()
+    g = np.ldexp((au * ai + bu * bi) / n2, -e).tolist()
+    b = np.ldexp(-(au * bi - bu * ai) / n2, -e).tolist()
     for k, gk, bk in zip(occupied.tolist(), g, b):
         out.append(HarmonicAdmittance(orders[k], gk, bk))
     return out

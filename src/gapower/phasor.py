@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import format_terms, negligible
+from .algebra import format_terms, negligible, pow2_exponent
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
@@ -344,8 +344,11 @@ class GeometricPhasor:
         return float(np.cumsum(self.coeffs * other.coeffs)[-1])
 
     def norm(self) -> float:
-        """Collective rms value of the signal the phasor represents."""
-        return math.sqrt(self.dot(self))
+        """Collective rms value of the signal the phasor represents, summed
+        like ``dot`` on coefficients scaled by a power of two."""
+        e = pow2_exponent(self.coeffs)
+        c = np.ldexp(self.coeffs, -e)
+        return float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e))
 
     def _check_compatible(self, other: "GeometricPhasor") -> None:
         if self.layout != other.layout:

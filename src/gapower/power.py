@@ -8,7 +8,13 @@ cross-frequency terms with no classical counterpart, reported verbatim.
 Both phasors are grade 1, so ``M = u i = u.i + u^i`` and nothing else:
 ``GeometricPower`` stores the scalar ``u.i`` and the strict upper triangle
 of ``u (x) i - i (x) u`` as a dense ``(dim, dim)`` block, exact as
-computed.
+computed.  ``|M|`` is summed on values scaled by a power of two, so it
+stays finite and non-zero wherever ``|u||i|`` does.
+
+``PowerReport`` keeps the cross-frequency terms as arrays taken straight
+from the block (``CrossTerms``: index pairs and values), which is what
+the CLI renders; a noisy recording fills nearly all ``dim (dim - 1) / 2``
+planes.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import format_terms
+from .algebra import format_terms, pow2_exponent
 from .errors import LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor
 
@@ -128,8 +134,9 @@ def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
 
 def apparent(mpower: GeometricPower) -> float:
     """Apparent power: the multivector norm, equal to ||u|| * ||i||."""
-    block = mpower.bivector
-    return math.sqrt(mpower.scalar * mpower.scalar + float(np.vdot(block, block)))
+    e = pow2_exponent([mpower.scalar, np.max(np.abs(mpower.bivector))])
+    s, block = math.ldexp(mpower.scalar, -e), np.ldexp(mpower.bivector, -e)
+    return float(np.ldexp(math.sqrt(s * s + float(np.vdot(block, block))), e))
 
 
 def power_factor(mpower: GeometricPower) -> float:
@@ -160,9 +167,23 @@ def harmonic_pq(u: GeometricPhasor, i: GeometricPhasor) -> list[HarmonicPQ]:
     ]
 
 
+@dataclass(frozen=True, eq=False)
+class CrossTerms:
+    """Cross-frequency terms as arrays: the plane ``s_a s_b`` of row
+    ``blade_indices[n] = (a, b)`` (``a < b``, rows sorted by ``(a, b)``)
+    carries ``va[n]``.  ``len()`` is the number of terms."""
+
+    blade_indices: np.ndarray
+    va: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.va)
+
+
 @dataclass(frozen=True)
 class PowerReport:
-    """Flat, JSON-ready summary of a geometric power computation.
+    """Summary of a geometric power computation: totals, per-order P/Q
+    and the cross-frequency terms.
 
     ``pf`` is None when the apparent power is zero.
     """
@@ -171,29 +192,11 @@ class PowerReport:
     apparent_va: float
     pf: float | None
     per_harmonic: tuple[HarmonicPQ, ...]
-    cross_terms: tuple[tuple[tuple[int, int], float], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "p_w": self.p_w,
-            "apparent_va": self.apparent_va,
-            "pf": self.pf,
-            "per_harmonic": [
-                {"order": pq.order, "p_w": pq.p, "q_var": pq.q}
-                for pq in self.per_harmonic
-            ],
-            "cross_terms": [
-                {"blade_indices": list(idx), "va": va}
-                for idx, va in self.cross_terms
-            ],
-        }
+    cross_terms: CrossTerms
 
 
-def cross_frequency_terms(
-    mpower: GeometricPower,
-) -> tuple[tuple[tuple[int, int], float], ...]:
-    """Bivector terms that do not lie in any single order's plane, as
-    ``((a, b), coeff)`` with ``a < b``, sorted by ``(a, b)``.
+def cross_frequency_terms(mpower: GeometricPower) -> CrossTerms:
+    """Bivector terms that do not lie in any single order's plane.
 
     The order planes are exactly the slot pairs ``(2m - 1, 2m)``.
     """
@@ -201,9 +204,7 @@ def cross_frequency_terms(
     lo, hi = np.nonzero(block)  # row-major, hence already sorted
     cross = (lo % 2 == 0) | (hi != lo + 1)
     lo, hi = lo[cross], hi[cross]
-    return tuple(
-        zip(zip(lo.tolist(), hi.tolist()), block[lo, hi].tolist())
-    )
+    return CrossTerms(np.column_stack([lo, hi]), block[lo, hi])
 
 
 def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:

@@ -3,13 +3,14 @@
 Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
-complex phasor arithmetic, and the recording CSV by plain string
-splitting.
+complex phasor arithmetic, the recording CSV by plain string
+splitting, and printed numbers one value at a time.
 """
 
 from __future__ import annotations
 
 import cmath
+import json
 
 
 def blade_product_brute(idx_a: tuple[int, ...], idx_b: tuple[int, ...]):
@@ -108,3 +109,20 @@ def parse_rows_brute(text: str) -> tuple[float, list[float], list[float]]:
         u.append(float(a.strip()))
         i.append(float(b.strip()))
     return rate, u, i
+
+
+# -- printed numbers ------------------------------------------------------
+
+
+def fmt6_brute(x: float) -> str:
+    """Table and CSV text of one number: ``%.6g``, with "-0" printed as
+    "0"."""
+    s = f"{float(x):.6g}"
+    return "0" if s == "-0" else s
+
+
+def json6_brute(x: float) -> str:
+    """JSON text of one number: ``json.dumps`` of the float its 6-digit
+    text parses back to, with -0.0 as 0.0."""
+    v = float(fmt6_brute(x))
+    return json.dumps(0.0 if v == 0 else v)

@@ -200,6 +200,27 @@ def test_analyze_bench_json(tmp_path, bench_csv):
     assert len(ts_lines) == 1 + BENCH_SAMPLES
 
 
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_analyze_without_fundamental_exits_2(tmp_path, fmt, capsys):
+    # a pure 3rd harmonic: THD has no fundamental to divide by, whatever
+    # the format prints
+    u = sample_signal(rows_to_signal([(3, 10.0, 0.4)], BENCH_F0_HZ),
+                      BENCH_FS_HZ, BENCH_SAMPLES)
+    i = sample_signal(rows_to_signal([(3, 0.5, -0.2)], BENCH_F0_HZ),
+                      BENCH_FS_HZ, BENCH_SAMPLES)
+    lines = [f"# fs_hz = {BENCH_FS_HZ}"]
+    lines += [f"{a:.17g},{b:.17g}" for a, b in zip(u.samples, i.samples)]
+    path = tmp_path / "third.csv"
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.txt"
+    rc = main(["analyze", "--input", str(path), "--fundamental", "50",
+               "--orders", "5", "--format", fmt, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error: THD needs a fundamental component with rms > 0\n")
+    assert not out.exists()
+
+
 def test_analyze_table_sections(capsys, bench_csv):
     rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
                "--orders", "9"])

@@ -228,12 +228,12 @@ def test_component_table_shape(two_harmonic_phasor, rlc_unequal_conductance):
     ys = admittances_for(rlc_unequal_conductance, two_harmonic_phasor)
     cc = decompose_currents(two_harmonic_phasor, i, ys)
     rows = cc.table_rows()
-    assert len(rows) == 7 + 1
-    assert rows[-1][0] == "norm"
+    assert rows.shape == (7 + 1, len(CSV_COLUMNS))
+    assert rows[:-1, CSV_COLUMNS.index("i")].tolist() == i.coeffs.tolist()
     norms = cc.norms()
     assert list(norms) == list(CSV_COLUMNS)
     # the norm row mirrors the norms dict, column by column
-    assert rows[-1][1:] == [norms[c] for c in CSV_COLUMNS]
+    assert rows[-1].tolist() == [norms[c] for c in CSV_COLUMNS]
 
 
 def test_decompose_defaults_to_estimated_admittances(bench_phasors):

@@ -72,7 +72,10 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
     layout = u.layout
     planes = {layout.slot_pair(o) for o in layout.orders()}
     terms = cross_frequency_terms(m)
-    idx = [t[0] for t in terms]
+    assert terms.blade_indices.shape == (len(terms), 2)
+    assert terms.blade_indices.dtype.kind == "i"
+    assert terms.va.shape == (len(terms),) and terms.va.dtype == np.float64
+    idx = [tuple(t) for t in terms.blade_indices.tolist()]
     assert idx == sorted(idx) and len(set(idx)) == len(idx)
     want = {
         (a, b)
@@ -80,8 +83,7 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
         if (a, b) not in planes
     }
     assert set(idx) == want
-    for (a, b), va in terms:
-        assert type(a) is int and type(va) is float
+    for (a, b), va in zip(idx, terms.va.tolist()):
         assert va == m.bivector[a, b]
 
 

@@ -3,8 +3,9 @@
 The determinism tests in ``test_cli.py`` compare two runs of one build;
 these compare against files under ``tests/golden/`` so that a change to
 the numerical core that moves a printed digit, a term's position or a
-term's presence fails here.  The large dense-noise report is compared by
-its sha256 (recorded in ``tests/golden/SHA256SUMS``).
+term's presence fails here.  The large dense-noise reports and the
+``--timeseries`` CSVs are compared by their sha256 (recorded in
+``tests/golden/SHA256SUMS``).
 
 Inputs are generated in the test from fixed rows and a seeded generator,
 written as text with ``%.12g`` like ``scripts/synth_recording.py``, and
@@ -66,9 +67,17 @@ CASES = {
     "decompose_mixed.json": DECOMPOSE_MIXED + ["--format", "json"],
     "decompose_mixed.csv": DECOMPOSE_MIXED + ["--format", "csv"],
 }
-# Cases recorded by sha256 only (hundreds of kB of JSON).
+# Cases recorded by sha256 only (hundreds of kB of output).  A case whose
+# arguments name ``--timeseries`` checks that file; its report goes to a
+# scratch file.
 HASHED = {
     "analyze_noisy30.json": ANALYZE_NOISY + ["--format", "json"],
+    "analyze_noisy30.table": ANALYZE_NOISY + ["--format", "table"],
+    "analyze_noisy30.csv": ANALYZE_NOISY + ["--format", "csv"],
+    "analyze_bench_timeseries.csv": ANALYZE_BENCH + [
+        "--format", "csv", "--timeseries", "analyze_bench_timeseries.csv"],
+    "analyze_noisy30_timeseries.csv": ANALYZE_NOISY + [
+        "--format", "csv", "--timeseries", "analyze_noisy30_timeseries.csv"],
 }
 
 
@@ -128,10 +137,11 @@ def write_inputs(d: Path) -> None:
 
 
 def run_case(d: Path, argv: list[str], name: str) -> bytes:
+    out = name + ".report" if "--timeseries" in argv else name
     cwd = os.getcwd()
     os.chdir(d)
     try:
-        rc = main(argv + ["--out", name])
+        rc = main(argv + ["--out", out])
     finally:
         os.chdir(cwd)
     assert rc == 0, f"{name}: exit {rc}"

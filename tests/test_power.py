@@ -3,6 +3,7 @@ oracle."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import jsonschema
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gapower.cli import _json, _power_json
 from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
@@ -167,11 +169,10 @@ def test_harmonic_pq_bench_matches_complex_oracle(bench_phasors):
 def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conductance):
     i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
     m = geometric_power(two_harmonic_phasor, i)
-    assert cross_frequency_terms(m) == (
-        ((1, 6), pytest.approx(-3000.0)),
-        ((2, 5), pytest.approx(-3000.0)),
-        ((2, 6), pytest.approx(8000.0)),
-    )
+    terms = cross_frequency_terms(m)
+    assert len(terms) == 3
+    assert terms.blade_indices.tolist() == [[1, 6], [2, 5], [2, 6]]
+    assert terms.va.tolist() == pytest.approx([-3000.0, -3000.0, 8000.0])
 
 
 # -- report ---------------------------------------------------------------------
@@ -179,10 +180,12 @@ def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conducta
 def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductance):
     i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
     report = power_report(two_harmonic_phasor, i)
-    doc = report.to_dict()
+    assert report.p_w == pytest.approx(10000.0)
+    assert report.apparent_va == pytest.approx(10000.0 * math.sqrt(2))
+    assert [h.order for h in report.per_harmonic] == [1.0, 3.0]
+    # the block as the CLI prints it
+    doc = json.loads(_json(_power_json(report)))
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
-    assert doc["p_w"] == pytest.approx(10000.0)
-    assert doc["apparent_va"] == pytest.approx(10000.0 * math.sqrt(2))
     assert [h["order"] for h in doc["per_harmonic"]] == [1.0, 3.0]
     assert {tuple(t["blade_indices"]) for t in doc["cross_terms"]} == {
         (1, 6),
@@ -191,12 +194,12 @@ def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductanc
 
 
 def test_power_report_zero_pair_has_null_pf():
-    u = phasor_of({1: 1.0}, 3)
     zero = phasor_of({}, 3)
-    doc = power_report(zero, zero).to_dict()
+    report = power_report(zero, zero)
+    assert report.pf is None
+    doc = json.loads(_json(_power_json(report)))
     assert doc["pf"] is None
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
-    assert u  # silence unused warning
 
 
 # -- random-instance properties ----------------------------------------------------

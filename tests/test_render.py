@@ -1,0 +1,91 @@
+"""The CLI's array renderer against the per-value rules of
+``tests/oracles.py``: every element of an array of arbitrary floats prints
+as the oracle prints it alone, and record blocks are laid out as
+``json.dumps(..., indent=2)`` lays out the same records."""
+
+from __future__ import annotations
+
+import json
+import math
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from gapower import cli
+from gapower.cli import _SLOT, _Records, _g6, _g6_rows, _json, _json6
+
+from oracles import fmt6_brute, json6_brute
+
+# Values at the edges of the format: signed zeros, non-finite values,
+# subnormals, the extremes of the range and 6-digit rounding ties.
+EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+    5e-324, -5e-324, 2.2250738585072014e-308, 1e-308, -1e-308,
+    1e308, -1e308, 1.7976931348623157e308,
+    999999.5, -999999.5, 1.0000005, 0.0001234565, 9999995.0, 123456.5,
+    0.5, 1e-5, 1e16, 123456789.0,
+]
+values = st.one_of(st.floats(), st.sampled_from(EDGES))
+
+
+@given(st.lists(values, max_size=60))
+def test_array_text_matches_per_value_rules(xs):
+    a = np.array(xs, dtype=np.float64)
+    assert _g6(a) == [fmt6_brute(x) for x in xs]
+    assert _json6(a) == [json6_brute(x) for x in xs]
+
+
+@given(st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.lists(values, min_size=k, max_size=k), max_size=20)))
+def test_row_template_matches_per_value_rules(rows):
+    k = len(rows[0]) if rows else 1
+    a = np.array(rows, dtype=np.float64).reshape(-1, k)
+    want = "".join(",".join(map(fmt6_brute, r)) + "\n" for r in rows)
+    assert _g6_rows(a, ",".join(["%.6g"] * k) + "\n") == want
+
+
+def test_rows_split_across_calls_print_the_same(monkeypatch):
+    a = np.random.default_rng(3).normal(0.0, 1e3, (10, 3))
+    row = "%.6g,%.6g,%.6g\n"
+    whole = _g6_rows(a, row)
+    monkeypatch.setattr(cli, "_ROWS_PER_CALL", 3)
+    assert _g6_rows(a, row) == whole
+    assert whole.count("\n") == 10
+
+
+def test_non_finite_values_print_as_before():
+    a = np.array([math.inf, -math.inf, math.nan])
+    assert _json6(a) == ["Infinity", "-Infinity", "NaN"]
+    assert _g6(a) == ["inf", "-inf", "nan"]
+
+
+def test_json_numbers_are_the_repr_of_the_rounded_value():
+    assert _json6([123456789.0, -0.0, 1.0, 2.5e-7]) == [
+        "123457000.0", "0.0", "1.0", "2.5e-07"]
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), values),
+                max_size=12),
+       values)
+def test_record_block_is_laid_out_like_json_dumps(rows, x):
+    block = _Records(
+        {"blade_indices": [_SLOT, _SLOT], "va %": _SLOT},
+        (
+            [str(a) for a, _, _ in rows],
+            [str(b) for _, b, _ in rows],
+            _json6([v for _, _, v in rows]),
+        ),
+    )
+    doc = {"power": {"x": x, "n": 3, "s": "a%sb", "none": None, "terms": block},
+           "empty": {}}
+    rounded = [json.loads(json6_brute(v)) for _, _, v in rows]
+    want = {
+        "power": {
+            "x": json.loads(json6_brute(x)), "n": 3, "s": "a%sb", "none": None,
+            "terms": [{"blade_indices": [a, b], "va %": r}
+                      for (a, b, _), r in zip(rows, rounded)],
+        },
+        "empty": {},
+    }
+    assert _json(doc) == json.dumps(want, indent=2)

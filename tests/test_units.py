@@ -1,7 +1,8 @@
 """Results do not depend on units: the zero rule is relative to the signal.
 
 Scaling the voltage by alpha and the current by beta scales the power by
-alpha*beta and leaves every ratio, and the set of occupied orders, alone.
+alpha*beta and leaves every ratio, and the set of occupied orders, alone,
+out to scales where the squares of the values overflow or underflow.
 A component is never dropped for being small in absolute terms, and the
 phases 0, +-pi/2 and pi put exact values on the slots.
 """
@@ -10,14 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from gapower.circuit import SeriesRLC, solve_current
 from gapower.cli import main
-from gapower.decompose import decompose_currents
+from gapower.decompose import decompose_currents, estimate_admittances
 from gapower.phasor import (
     BasisLayout,
     HarmonicComponent,
@@ -28,7 +32,7 @@ from gapower.phasor import (
 from gapower.power import geometric_power, harmonic_pq, power_factor
 
 from conftest import vector
-from oracles import pq_complex
+from oracles import branch_current_complex, pair_from_complex, pq_complex
 
 # A value of 1e-3 .. 1e3 of either sign, or an exact zero (an empty slot).
 slot_values = st.one_of(
@@ -36,7 +40,8 @@ slot_values = st.one_of(
     st.builds(lambda m, e: m * 10.0**e,
               st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0)),
 )
-exponents = st.floats(-9.0, 9.0)  # alpha = 10**e, log-uniform in [1e-9, 1e9]
+# alpha = 10**e, log-uniform in [1e-150, 1e150]
+exponents = st.floats(-150.0, 150.0)
 
 
 @st.composite
@@ -66,6 +71,7 @@ def ratios(u, i) -> dict[str, float]:
 def test_scaling_u_and_i_scales_m_and_keeps_ratios(pair, ea, eb):
     u, i = pair
     alpha, beta = 10.0**ea, 10.0**eb
+    assume(alpha * beta * u.norm() * i.norm() < sys.float_info.max)
     su, si = alpha * u, beta * i
     m, ms = geometric_power(u, i), geometric_power(su, si)
     size = su.norm() * si.norm()  # |M| of the scaled pair
@@ -99,6 +105,37 @@ def test_tiny_component_occupies_its_order():
     back = from_phasor(p).harmonics[0]
     assert back.rms == pytest.approx(1e-13, rel=1e-12)
     assert back.phase_rad == pytest.approx(0.3, rel=1e-12)
+
+
+@pytest.mark.parametrize("volts", [1e155, 1e-200])
+def test_decompose_at_extreme_voltage_scale(volts):
+    # ||u||^2 is 1e310 or 1e-400: out of range unless scaled before squaring
+    layout = BasisLayout(n=1)
+    u, i = vector(layout, {2: volts}), vector(layout, {2: 2.0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        ys = estimate_admittances(u, i)
+        cc = decompose_currents(u, i, ys)
+    assert cc.i_a.coeffs.tolist() == i.coeffs.tolist()
+    assert not cc.i_N.coeffs.any()
+    assert [(y.order, y.conductance) for y in ys] == [(1.0, 2.0 / volts)]
+    assert ys[0].susceptance == 0.0
+
+
+def test_huge_component_has_its_norm_and_order():
+    p = vector(BasisLayout(n=1), {1: 1e155})
+    assert p.norm() == 1e155
+    assert p.occupied_orders() == (1.0,)
+
+
+def test_solve_at_huge_voltage_against_complex_oracle():
+    s = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 1e155, 0.7),))
+    u = to_phasor(s, BasisLayout(n=1))
+    i = solve_current(u, SeriesRLC(r=1e10))
+    want = pair_from_complex(
+        branch_current_complex(1e155, 0.7, 1e10, 0.0, None, 1.0, u.omega))
+    assert abs(want[0] + 1j * want[1]) == pytest.approx(1e145, rel=1e-6)
+    assert i.pair(1) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("phase, want", [
