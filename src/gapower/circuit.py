@@ -80,11 +80,22 @@ def impedance_at(net: SeriesRLC, k: float, omega: float) -> HarmonicImpedance:
 
 def admittance_at(z: HarmonicImpedance) -> HarmonicAdmittance:
     """Spinor inverse of a harmonic impedance: G = R/(R^2+X^2),
-    B = -X/(R^2+X^2)."""
-    n2 = z.resistance**2 + z.reactance**2
+    B = -X/(R^2+X^2), with R and X scaled by a power of two so that
+    R^2+X^2 neither overflows nor underflows (the rule of
+    ``algebra.pow2_exponent``, taken with ``math`` on the two floats
+    because this runs once per order)."""
+    e = math.frexp(max(abs(z.resistance), abs(z.reactance)))[1]
+    r, x = math.ldexp(z.resistance, -e), math.ldexp(z.reactance, -e)
+    n2 = r * r + x * x
     if n2 == 0.0:
         raise CircuitError(f"zero impedance at order {z.order} is not invertible")
-    return HarmonicAdmittance(z.order, z.resistance / n2, -z.reactance / n2)
+    try:
+        g, b = math.ldexp(r / n2, -e), math.ldexp(-x / n2, -e)
+    except OverflowError:
+        raise CircuitError(
+            f"impedance at order {z.order} is too small to invert"
+        ) from None
+    return HarmonicAdmittance(z.order, g, b)
 
 
 def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittance]:

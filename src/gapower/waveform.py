@@ -5,11 +5,19 @@ window to span an integer number of fundamental periods (at least two);
 non-coherent windows are rejected instead of being corrected.  Phases are
 referenced to ``sin(k*w*t)`` at the start of the window, which makes the
 output of ``dft_extract`` feed straight into ``to_phasor``.
+
+Both layers do only the work the output needs.  A recording named by a
+path is parsed by numpy's chunked reader straight from the file, not line
+by line through Python; the guard in ``_numpy_reads_as_text`` keeps
+pipes and names that numpy would decompress or download on the stream
+path.  The DFT reads a handful of bins, all multiples of ``g``, so the
+window is folded to ``size / g`` samples before the FFT.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -66,23 +74,54 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     be a path or an open text stream.  Parse errors carry the offending
     line number.
 
-    After the header, a seekable source is parsed in one streaming
-    ``np.loadtxt`` pass, which takes plain ``u,i`` rows with surrounding
-    spaces or tabs, CRLF endings and empty lines.  A comment or
+    After the header, the rows are parsed in one ``np.loadtxt`` pass,
+    which takes plain ``u,i`` rows with surrounding spaces or tabs, CRLF
+    endings and empty lines.  A path is handed to numpy by name, with the
+    header's lines skipped, so its C reader pulls the file in chunks; this
+    needs a seekable file whose name numpy opens as plain local text
+    (``_numpy_reads_as_text``).  Any other seekable source is handed over
+    as a stream, which numpy reads line by line.  A comment or
     whitespace-only line after the header, a bad row or a header-only
-    input makes that pass give up; the rows are then re-read one by one,
-    which gives the same values or the line-numbered error.  A stream
-    that cannot seek is always read row by row.
+    input makes that pass give up; the rows are then read one by one from
+    just after the header, which gives the same values or the
+    line-numbered error.  A stream that cannot seek is always read row by
+    row.
     """
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return _read_recording(fh)
-    return _read_recording(source)
+        path = os.fspath(source)
+        with open(path, "r", encoding="utf-8") as fh:
+            return _read_recording(fh, path if _numpy_reads_as_text(fh, path) else None)
+    return _read_recording(source, None)
 
 
-def _read_recording(fh) -> tuple[SampledWaveform, SampledWaveform]:
+# suffixes numpy's datasource opens with a decompressor
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _numpy_reads_as_text(fh, path: str) -> bool:
+    """Whether ``np.loadtxt(path)`` reads exactly the text ``fh`` holds:
+    the file must be seekable (a pipe or FIFO would lose the rows ``fh``
+    has buffered to a second reader), and its name must not make numpy
+    decompress it (by suffix, here in any case) or fetch it
+    (``scheme://``)."""
+    return (
+        fh.seekable()
+        and not path.lower().endswith(_COMPRESSED_SUFFIXES)
+        and "://" not in path
+    )
+
+
+def _read_recording(fh, path: str | None) -> tuple[SampledWaveform, SampledWaveform]:
     rate, lineno = _read_header(fh)
-    columns = _load_columns(fh) if fh.seekable() else None
+    if path is not None:
+        columns = _load_columns(path, skiprows=lineno)
+    elif fh.seekable():
+        start = fh.tell()
+        columns = _load_columns(fh)
+        if columns is None:
+            fh.seek(start)
+    else:
+        columns = None
     u, i = columns if columns is not None else _parse_rows(fh, lineno + 1)
     return (
         SampledWaveform(u, rate, "voltage"),
@@ -114,21 +153,26 @@ def _read_header(fh) -> tuple[float, int]:
     return rate, lineno
 
 
-def _load_columns(fh) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``u`` and ``i`` columns of the rest of ``fh`` in one pass, or
-    ``None`` with ``fh`` rewound when only the row loop can tell."""
-    start = fh.tell()
+def _load_columns(source, skiprows: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``u`` and ``i`` columns of ``source`` after its first
+    ``skiprows`` lines in one pass, or ``None`` when only the row loop can
+    tell."""
     with warnings.catch_warnings():
         # a header-only input is reported by the row loop
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(
-                fh, delimiter=",", dtype=float, comments=None, ndmin=2
+                source,
+                delimiter=",",
+                dtype=float,
+                comments=None,
+                ndmin=2,
+                skiprows=skiprows,
+                encoding="utf-8",
             )
         except ValueError:
-            data = None
-    if data is None or data.shape[0] == 0 or data.shape[1] != 2:
-        fh.seek(start)
+            return None
+    if data.shape[0] == 0 or data.shape[1] != 2:
         return None
     return data[:, 0], data[:, 1]
 
@@ -189,6 +233,11 @@ def dft_extract(
 
     Components (and a DC level) that are zero against the window's total
     rms by the rule of ``algebra`` are dropped.
+
+    Every bin read (DC and the bins of the orders) is a multiple of ``g``,
+    the gcd of the window length and those bins, so the FFT runs on the
+    window summed over its ``g`` blocks of ``size / g`` samples (added
+    pairwise); the result equals the full-length DFT up to rounding.
     """
     if not (math.isfinite(fundamental_hz) and fundamental_hz > 0):
         raise WaveformError(f"fundamental must be > 0 Hz, got {fundamental_hz}")
@@ -207,11 +256,7 @@ def dft_extract(
             f"window must span at least 2 fundamental periods, got {m}"
         )
 
-    spectrum = np.fft.rfft(np.asarray(w.samples))
-    total = rms(w)
-    scale = math.sqrt(2.0) / size
-
-    def extract(order: float) -> HarmonicComponent | None:
+    def bin_of(order: float) -> int:
         b_exact = order * m
         b = round(b_exact)
         if abs(b_exact - b) > 1e-9:
@@ -223,7 +268,19 @@ def dft_extract(
                 f"order {order} is at or beyond the Nyquist limit; "
                 "a higher sample rate is needed"
             )
-        z = spectrum[b]
+        return b
+
+    orders = [float(k) for k in range(1, n + 1)]
+    orders += [float(o) for o in interharmonic_orders]
+    bins = [bin_of(order) for order in orders]
+    # bin c of the window folded onto size/g samples is bin c*g of the whole
+    g = math.gcd(size, *bins)
+    spectrum = np.fft.rfft(_fold(w.samples, g))
+    total = rms(w)
+    scale = math.sqrt(2.0) / size
+
+    def extract(order: float, b: int) -> HarmonicComponent | None:
+        z = spectrum[b // g]
         amp = abs(z) * scale
         if negligible(amp, total):
             return None
@@ -231,17 +288,31 @@ def dft_extract(
         # into its bin, hence the rotated atan2.
         return HarmonicComponent(order, amp, math.atan2(z.real, -z.imag))
 
-    harmonics = [c for c in (extract(float(k)) for k in range(1, n + 1)) if c]
-    inter = [c for c in (extract(float(o)) for o in interharmonic_orders) if c]
+    found = [extract(order, b) for order, b in zip(orders, bins)]
     dc = float(spectrum[0].real) / size
     if negligible(dc, total):
         dc = 0.0
     return SpectralSignal(
         fundamental_hz=fundamental_hz,
         dc=dc,
-        harmonics=tuple(harmonics),
-        interharmonics=tuple(inter),
+        harmonics=tuple(c for c in found[:n] if c),
+        interharmonics=tuple(c for c in found[n:] if c),
     )
+
+
+def _fold(x: np.ndarray, g: int) -> np.ndarray:
+    """The sum of the ``g`` equal blocks of ``x``, added pairwise: the
+    rounding error then grows with log2(g).  Adding the blocks one after
+    the other errs by up to about 10^-12 of the rms on a pure tone with
+    g near 1e5, as the partial sums grow."""
+    blocks = x.reshape(g, x.size // g)
+    while len(blocks) > 1:
+        half = len(blocks) // 2
+        pairs = blocks[:half] + blocks[half : 2 * half]
+        if len(blocks) % 2:
+            pairs[0] += blocks[-1]
+        blocks = pairs
+    return blocks[0]
 
 
 def thd(s: SpectralSignal) -> float:

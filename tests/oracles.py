@@ -4,13 +4,16 @@ Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
 complex phasor arithmetic, the recording CSV by plain string
-splitting, and printed numbers one value at a time.
+splitting, DFT bins by a full-length FFT, and printed numbers one value
+at a time.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+
+import numpy as np
 
 
 def blade_product_brute(idx_a: tuple[int, ...], idx_b: tuple[int, ...]):
@@ -109,6 +112,14 @@ def parse_rows_brute(text: str) -> tuple[float, list[float], list[float]]:
         u.append(float(a.strip()))
         i.append(float(b.strip()))
     return rate, u, i
+
+
+# -- DFT bins -------------------------------------------------------------
+
+
+def dft_bins_brute(x, bins) -> np.ndarray:
+    """Bins ``bins`` of the real DFT of the whole window ``x``."""
+    return np.fft.rfft(np.asarray(x, dtype=float))[list(bins)]
 
 
 # -- printed numbers ------------------------------------------------------

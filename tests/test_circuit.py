@@ -83,6 +83,12 @@ def test_admittance_rejects_zero_impedance():
         admittance_at(impedance_at(SeriesRLC(l=1.0, c=1.0), 1, 1.0))
 
 
+def test_admittance_rejects_impedance_too_small_to_invert():
+    # 1/5e-324 is beyond the float range: a handled error, not a traceback
+    with pytest.raises(CircuitError, match="too small to invert"):
+        admittance_at(impedance_at(SeriesRLC(r=5e-324), 1, 1.0))
+
+
 # X = 1.0e-12 ohm next to R = 2 ohm: B = -2.5e-13 S must survive as it is
 @example(r=2.0, l=7.34e-16, c=None, k=6, omega=228.0)
 @given(

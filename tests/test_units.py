@@ -138,6 +138,32 @@ def test_solve_at_huge_voltage_against_complex_oracle():
     assert i.pair(1) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("volts, ohms", [(1e170, 1e160), (1e-150, 1e-160)])
+def test_solve_at_extreme_resistance_against_complex_oracle(tmp_path, volts, ohms):
+    # R**2 is 1e320 or 1e-320: out of range unless scaled before squaring
+    s = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, volts, 0.7),))
+    u = to_phasor(s, BasisLayout(n=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        i = solve_current(u, SeriesRLC(r=ohms))
+    want = pair_from_complex(
+        branch_current_complex(volts, 0.7, ohms, 0.0, None, 1.0, u.omega))
+    assert i.pair(1) == pytest.approx(want, rel=1e-12)
+
+    source = {"fundamental_hz": 50.0,
+              "harmonics": [{"order": 1, "rms": volts, "phase_rad": 0.0}]}
+    (tmp_path / "src.json").write_text(json.dumps(source))
+    (tmp_path / "c.json").write_text(json.dumps({"r_ohm": ohms}))
+    out = tmp_path / "out.csv"
+    rc = main(["solve", "--circuit", str(tmp_path / "c.json"),
+               "--source", str(tmp_path / "src.json"), "--format", "csv",
+               "--out", str(out)])
+    assert rc == 0
+    amps = abs(branch_current_complex(volts, 0.0, ohms, 0.0, None, 1.0, u.omega))
+    assert f"{amps:.6g}" == "1e+10"
+    assert out.read_text().splitlines()[-1] == "norm,1e+10,1e+10,0,0,0,1e+10"
+
+
 @pytest.mark.parametrize("phase, want", [
     (math.pi, (0.0, -230e3)),
     (0.0, (0.0, 230e3)),
