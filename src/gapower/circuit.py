@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import pow2_exponent
 from .errors import CircuitError
 from .phasor import GeometricPhasor
 
@@ -74,17 +75,18 @@ def impedance_at(net: SeriesRLC, k: float, omega: float) -> HarmonicImpedance:
         raise CircuitError(f"order*omega must be > 0, got {kw}")
     x = net.l * kw
     if net.c is not None:
-        x -= 1.0 / (net.c * kw)
+        ckw = net.c * kw
+        x = x - 1.0 / ckw if ckw > 0.0 else -math.inf
+    if not math.isfinite(x):
+        raise CircuitError(f"reactance at order {k:g} exceeds the float range")
     return HarmonicImpedance(float(k), net.r, x)
 
 
 def admittance_at(z: HarmonicImpedance) -> HarmonicAdmittance:
     """Spinor inverse of a harmonic impedance: G = R/(R^2+X^2),
     B = -X/(R^2+X^2), with R and X scaled by a power of two so that
-    R^2+X^2 neither overflows nor underflows (the rule of
-    ``algebra.pow2_exponent``, taken with ``math`` on the two floats
-    because this runs once per order)."""
-    e = math.frexp(max(abs(z.resistance), abs(z.reactance)))[1]
+    R^2+X^2 neither overflows nor underflows."""
+    e = pow2_exponent((z.resistance, z.reactance))
     r, x = math.ldexp(z.resistance, -e), math.ldexp(z.reactance, -e)
     n2 = r * r + x * x
     if n2 == 0.0:
@@ -133,7 +135,10 @@ def solve_current(u: GeometricPhasor, net: SeriesRLC) -> GeometricPhasor:
     odd, even = u.pairs.T
     coeffs = np.empty(layout.dimension)
     coeffs[0] = dc
-    coeffs[1::2] = g * odd + b * even
-    coeffs[2::2] = g * even - b * odd
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs[1::2] = g * odd + b * even
+        coeffs[2::2] = g * even - b * odd
+    if not math.isfinite(np.max(np.abs(coeffs))):
+        raise CircuitError("current exceeds the float range")
     return u._like(coeffs)
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -346,6 +347,12 @@ class GeometricPhasor:
     def norm(self) -> float:
         """Collective rms value of the signal the phasor represents, summed
         like ``dot`` on coefficients scaled by a power of two."""
+        return self._norm
+
+    @cached_property
+    def _norm(self) -> float:
+        # coeffs is read-only, so the norm the zero rule asks for on every
+        # has_dc/occupied call is computed once per phasor
         e = pow2_exponent(self.coeffs)
         c = np.ldexp(self.coeffs, -e)
         return float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e))

@@ -94,7 +94,8 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     return _read_recording(source, None)
 
 
-# suffixes numpy's datasource opens with a decompressor
+# suffixes numpy's datasource opens with a decompressor (the tests check
+# this against numpy's own table)
 _COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
@@ -103,7 +104,11 @@ def _numpy_reads_as_text(fh, path: str) -> bool:
     the file must be seekable (a pipe or FIFO would lose the rows ``fh``
     has buffered to a second reader), and its name must not make numpy
     decompress it (by suffix, here in any case) or fetch it
-    (``scheme://``)."""
+    (``scheme://``).
+
+    Only a name gets numpy's chunked reader: given a handle or any other
+    iterable, numpy takes one line per item, and it rejects an item that
+    holds several lines, so ``fh`` cannot be fed to it in blocks."""
     return (
         fh.seekable()
         and not path.lower().endswith(_COMPRESSED_SUFFIXES)

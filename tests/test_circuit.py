@@ -83,6 +83,16 @@ def test_admittance_rejects_zero_impedance():
         admittance_at(impedance_at(SeriesRLC(l=1.0, c=1.0), 1, 1.0))
 
 
+@pytest.mark.parametrize("net, omega", [
+    (SeriesRLC(r=1.0, c=1e-320), 314.0),  # 1/(C w) overflows
+    (SeriesRLC(r=1.0, c=5e-324), 0.25),  # C w underflows to 0
+    (SeriesRLC(r=1.0, l=1e308), 314.0),  # L w overflows
+])
+def test_impedance_rejects_reactance_beyond_float_range(net, omega):
+    with pytest.raises(CircuitError, match="exceeds the float range"):
+        impedance_at(net, 1, omega)
+
+
 def test_admittance_rejects_impedance_too_small_to_invert():
     # 1/5e-324 is beyond the float range: a handled error, not a traceback
     with pytest.raises(CircuitError, match="too small to invert"):

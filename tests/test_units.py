@@ -164,6 +164,21 @@ def test_solve_at_extreme_resistance_against_complex_oracle(tmp_path, volts, ohm
     assert out.read_text().splitlines()[-1] == "norm,1e+10,1e+10,0,0,0,1e+10"
 
 
+def test_solve_rejects_a_current_beyond_the_float_range(tmp_path, capsys):
+    # G = 1e307 S is finite, but G * 230 V * sqrt(2) is not
+    source = {"fundamental_hz": 50.0,
+              "harmonics": [{"order": 1, "rms": 230.0, "phase_rad": 0.0}]}
+    (tmp_path / "src.json").write_text(json.dumps(source))
+    (tmp_path / "c.json").write_text(json.dumps({"r_ohm": 1e-307}))
+    out = tmp_path / "out.csv"
+    rc = main(["solve", "--circuit", str(tmp_path / "c.json"),
+               "--source", str(tmp_path / "src.json"), "--format", "csv",
+               "--out", str(out)])
+    assert rc == 1
+    assert "current exceeds the float range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("phase, want", [
     (math.pi, (0.0, -230e3)),
     (0.0, (0.0, 230e3)),

@@ -31,6 +31,7 @@ from gapower.phasor import (
 )
 from gapower.power import apparent, geometric_power
 from gapower.waveform import (
+    _COMPRESSED_SUFFIXES,
     SampledWaveform,
     active_power,
     dft_extract,
@@ -100,14 +101,15 @@ class _Unseekable(io.StringIO):
 def csv_sources(text: str, directory) -> dict:
     """``text`` as an in-memory stream, as a file (both parsed in one
     pass, with the row loop as fallback) and as a stream that cannot seek
-    (row loop only).  The streams read ``\\r`` and ``\\r\\n`` as line ends,
-    as a file opened in text mode does."""
+    (row loop only).  The streams split lines at ``\\n``, ``\\r\\n`` and
+    ``\\r`` but hand them over with their raw endings, unlike a file
+    opened in text mode."""
     path = directory / "rec.csv"
     path.write_bytes(text.encode())  # line endings exactly as given
     return {
-        "stream": io.StringIO(text, newline=None),
+        "stream": io.StringIO(text, newline=""),
         "file": path,
-        "unseekable": _Unseekable(text, newline=None),
+        "unseekable": _Unseekable(text, newline=""),
     }
 
 
@@ -133,13 +135,6 @@ def test_load_csv_stream_and_header_variants():
     u, _ = load_csv(io.StringIO("#fs_hz=2.5e3\n1,2\n3,4\n"))
     assert u.sample_rate_hz == 2500.0
     assert u.n == 2
-
-
-@pytest.mark.parametrize("stream", [io.StringIO, _Unseekable])
-def test_load_csv_stream_with_untranslated_crlf(stream):
-    u, i = load_csv(stream("# fs_hz = 10\r\n1, 2\r\n\r\n3,4\r\n"))
-    assert u.samples.tolist() == [1.0, 3.0]
-    assert i.samples.tolist() == [2.0, 4.0]
 
 
 def fifo_rows(n: int) -> str:
@@ -207,6 +202,15 @@ def test_load_csv_hands_numpy_only_plain_local_names(tmp_path, monkeypatch, name
     assert [isinstance(s, str) for s in seen] == [by_name]
     _, u_want, i_want = parse_rows_brute(text)
     assert np.array_equal(u.samples, u_want) and np.array_equal(i.samples, i_want)
+
+
+def test_compressed_suffixes_cover_numpys_openers():
+    # numpy's datasource picks a decompressor by suffix (a private table);
+    # one it learns later must join the guard before a plain recording
+    # with that suffix reaches numpy by name.
+    from numpy.lib import _datasource
+
+    assert set(_datasource._file_openers.keys()) - {None} <= set(_COMPRESSED_SUFFIXES)
 
 
 @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
