@@ -39,7 +39,8 @@ def run(c_farad: float) -> None:
     )
     net = SeriesRLC(r=1.0, l=0.5, c=c_farad)
     u = to_phasor(source, BasisLayout.for_signals(source))
-    i = solve_current(u, net)
+    ys = admittances_for(net, u)
+    i = solve_current(u, ys)
     m = geometric_power(u, i)
 
     print(f"C = {c_farad:.6g} F")
@@ -50,7 +51,6 @@ def run(c_farad: float) -> None:
     for pq in harmonic_pq(u, i):
         print(f"  order {pq.order:g}: P = {pq.p:.6g} W, Q = {pq.q:.6g} VAr")
 
-    ys = admittances_for(net, u)
     cc = decompose_currents(u, i, ys)
     for name, value in cc.norms().items():
         print(f"  |{name}| = {value:.6g} A")

@@ -18,6 +18,7 @@ from .circuit import (
     admittance_at,
     admittances_for,
     impedance_at,
+    parallel_quadrature,
     solve_current,
 )
 from .decompose import (
@@ -27,7 +28,6 @@ from .decompose import (
     estimate_admittances,
     fryze_split,
     generated_current,
-    parallel_quadrature,
     scattered,
 )
 from .errors import (

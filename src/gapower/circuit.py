@@ -6,7 +6,9 @@ scalar-plus-bivector element ``R + X_k * s_odd s_even`` on the order's
 plane.  Ohm's law is a left multiplication: ``i_k = Y_k u_k`` with the
 admittance ``G_k + B_k * s_odd s_even`` the spinor inverse of the
 impedance.  Both are stored as per-order pairs, (R, X) and (G, B); the
-plane is always the order's own.
+plane is always the order's own.  ``parallel_quadrature`` is the one
+place where a table meets a voltage: it gives the product's G and B parts,
+and ``solve_current(u, admittances_for(net, u))`` is their sum.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import pow2_exponent
-from .errors import CircuitError
+from .errors import CircuitError, PowerAnalysisError
 from .phasor import GeometricPhasor
 
 
@@ -118,27 +120,43 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittan
     return out
 
 
-def solve_current(u: GeometricPhasor, net: SeriesRLC) -> GeometricPhasor:
-    """Steady-state current drawn by ``net`` under voltage ``u``,
-    solved per occupied slot as i_k = Y_k u_k."""
+def parallel_quadrature(
+    u: GeometricPhasor, y: list[HarmonicAdmittance]
+) -> tuple[GeometricPhasor, GeometricPhasor]:
+    """Admittance-driven split over the voltage's own slots:
+    i_p = sum G_k u_k and i_q = sum B_k plane_k u_k."""
     layout = u.layout
-    g = np.zeros(len(layout.orders()))
-    b = np.zeros_like(g)
-    dc = 0.0
-    for y in admittances_for(net, u):
-        if y.order == 0.0:
-            dc = y.conductance * u.dc
-        else:
-            k = layout.slot_pair(y.order)[0] // 2
-            g[k], b[k] = y.conductance, y.susceptance
-    # (G + B plane)(a s_odd + c s_even) = (G a + B c) s_odd + (G c - B a) s_even
+    by_order = {float(adm.order): adm for adm in y}
+    g = np.zeros(layout.dimension)  # conductance per slot
+    b = np.zeros(len(layout.orders()))  # susceptance per order
+    if u.has_dc():
+        adm = by_order.get(0.0)
+        if adm is None:
+            raise PowerAnalysisError("missing admittance for the DC slot")
+        if adm.susceptance != 0.0:
+            raise PowerAnalysisError("DC admittance cannot have susceptance")
+        g[0] = adm.conductance
+    for order in u.occupied_orders():
+        adm = by_order.get(float(order))
+        if adm is None:
+            raise PowerAnalysisError(f"missing admittance for order {order}")
+        lo, hi = layout.slot_pair(order)
+        g[[lo, hi]] = adm.conductance
+        b[lo // 2] = adm.susceptance
+    # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even
     odd, even = u.pairs.T
-    coeffs = np.empty(layout.dimension)
-    coeffs[0] = dc
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs[1::2] = g * odd + b * even
-        coeffs[2::2] = g * even - b * odd
-    if not math.isfinite(np.max(np.abs(coeffs))):
-        raise CircuitError("current exceeds the float range")
-    return u._like(coeffs)
+    iq = np.zeros(layout.dimension)
+    iq[1::2] = b * even
+    iq[2::2] = -(b * odd)
+    return u._like(g * u.coeffs), u._like(iq)
 
+
+def solve_current(u: GeometricPhasor, y: list[HarmonicAdmittance]) -> GeometricPhasor:
+    """Current i = sum Y_k u_k under voltage ``u`` through the admittance
+    table ``y``: the sum i_p + i_q of ``parallel_quadrature``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_p, i_q = parallel_quadrature(u, y)
+        i = i_p + i_q
+    if not math.isfinite(np.max(np.abs(i.coeffs))):
+        raise CircuitError("current exceeds the float range")
+    return i

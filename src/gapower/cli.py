@@ -164,11 +164,14 @@ def _load_json(path: str):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _signal_from_file(path: str) -> SpectralSignal:
+    data = _load_json(path)  # its errors name the path already
     try:
-        return SpectralSignal.from_dict(_load_json(path))
+        return SpectralSignal.from_dict(data)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -350,8 +353,8 @@ def cmd_solve(args) -> str:
     net = _circuit_from_dict(_load_json(args.circuit))
     layout = BasisLayout.for_signals(source)
     u = to_phasor(source, layout)
-    i = solve_current(u, net)
     ys = admittances_for(net, u)
+    i = solve_current(u, ys)
     cc = decompose_currents(u, i, ys)
     if args.format == "csv":
         return _decomposition_csv(cc)
@@ -549,14 +552,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        text = args.run(args)
+        _write_text(args.run(args), args.out)
     except (SchemaError, WaveformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PowerAnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _write_text(text, args.out)
     return 0
 
 

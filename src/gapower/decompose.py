@@ -12,9 +12,9 @@ The scattered current ``i_s = i_p - i_a`` links the two splits.
 
 Values are stored exactly.  The relative zero rule of ``algebra`` applies
 twice: an order or DC slot takes part only where the voltage has it
-(``GeometricPhasor.occupied``), and ``i_N`` entries that are zero against
-``||i||`` are stored as 0, so a current proportional to the voltage has
-no non-active part.
+(``GeometricPhasor.occupied``), and ``i_N`` and ``i_s`` entries that are
+zero against ``||i||`` and ``||i_p||`` are stored as 0, so a current
+proportional to the voltage has no non-active or scattered part.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import negligible, pow2_exponent
-from .circuit import HarmonicAdmittance
+from .circuit import HarmonicAdmittance, parallel_quadrature
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
 
@@ -70,8 +70,7 @@ def fryze_split(
 
     i_a is the smallest current that still delivers the pair's active
     power; it is collinear with the voltage, so i_N is orthogonal to it.
-    Entries of i_N that are zero against ||i|| (roundoff of the
-    subtraction) are stored as 0.
+    Entries of i_N that are zero against ||i|| are stored as 0.
     """
     u._check_compatible(i)
     e = pow2_exponent(u.coeffs)
@@ -80,45 +79,20 @@ def fryze_split(
     if n2 == 0.0:
         raise PowerAnalysisError("cannot split against a zero voltage")
     i_a = float(np.ldexp(scaled.dot(i) / n2, -e)) * u
-    i_n = i.coeffs - i_a.coeffs
-    return i_a, i._like(np.where(negligible(i_n, i.norm()), 0.0, i_n))
+    return i_a, _difference(i, i_a)
 
 
-def parallel_quadrature(
-    u: GeometricPhasor, y: list[HarmonicAdmittance]
-) -> tuple[GeometricPhasor, GeometricPhasor]:
-    """Admittance-driven split over the voltage's own slots:
-    i_p = sum G_k u_k and i_q = sum B_k plane_k u_k."""
-    layout = u.layout
-    by_order = {float(adm.order): adm for adm in y}
-    g = np.zeros(layout.dimension)  # conductance per slot
-    b = np.zeros(len(layout.orders()))  # susceptance per order
-    if u.has_dc():
-        adm = by_order.get(0.0)
-        if adm is None:
-            raise PowerAnalysisError("missing admittance for the DC slot")
-        if adm.susceptance != 0.0:
-            raise PowerAnalysisError("DC admittance cannot have susceptance")
-        g[0] = adm.conductance
-    for order in u.occupied_orders():
-        adm = by_order.get(float(order))
-        if adm is None:
-            raise PowerAnalysisError(f"missing admittance for order {order}")
-        lo, hi = layout.slot_pair(order)
-        g[[lo, hi]] = adm.conductance
-        b[lo // 2] = adm.susceptance
-    # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even
-    odd, even = u.pairs.T
-    iq = np.zeros(layout.dimension)
-    iq[1::2] = b * even
-    iq[2::2] = -(b * odd)
-    return u._like(g * u.coeffs), u._like(iq)
+def _difference(a: GeometricPhasor, b: GeometricPhasor) -> GeometricPhasor:
+    """a - b, with entries that are zero against ||a|| (roundoff of the
+    subtraction) stored as 0."""
+    d = (a - b).coeffs
+    return a._like(np.where(negligible(d, a.norm()), 0.0, d))
 
 
 def scattered(i_p: GeometricPhasor, i_a: GeometricPhasor) -> GeometricPhasor:
     """i_s = i_p - i_a; vanishes when every order sees the same
-    conductance."""
-    return i_p - i_a
+    conductance (entries zero against ||i_p|| are stored as 0)."""
+    return _difference(i_p, i_a)
 
 
 def generated_current(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPhasor:

@@ -379,9 +379,6 @@ class GeometricPhasor:
         self._check_compatible(other)
         return self._like(self.coeffs - other.coeffs)
 
-    def __neg__(self) -> "GeometricPhasor":
-        return self._like(-self.coeffs)
-
     def __mul__(self, other) -> "GeometricPhasor":
         if isinstance(other, (int, float)):
             return self._like(self.coeffs * float(other))

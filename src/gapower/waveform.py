@@ -71,8 +71,8 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
 
     The format is a ``# fs_hz=<rate>`` header line followed by ``u,i``
     rows; blank lines and ``#`` comment lines are skipped.  ``source`` may
-    be a path or an open text stream.  Parse errors carry the offending
-    line number.
+    be a path (to UTF-8 text) or an open text stream.  Parse errors carry
+    the offending line number.
 
     After the header, the rows are parsed in one ``np.loadtxt`` pass,
     which takes plain ``u,i`` rows with surrounding spaces or tabs, CRLF
@@ -89,8 +89,12 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     """
     if isinstance(source, (str, Path)):
         path = os.fspath(source)
-        with open(path, "r", encoding="utf-8") as fh:
-            return _read_recording(fh, path if _numpy_reads_as_text(fh, path) else None)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                named = path if _numpy_reads_as_text(fh, path) else None
+                return _read_recording(fh, named)
+        except UnicodeDecodeError as exc:
+            raise WaveformError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return _read_recording(source, None)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 
@@ -17,7 +18,9 @@ from conftest import (
     OMEGA1_F0_HZ,
     rows_to_signal,
 )
-from gapower.cli import main
+import gapower.circuit
+import gapower.cli
+from gapower.cli import FORMATS, main
 from gapower.power import POWER_REPORT_SCHEMA
 from gapower.waveform import sample_signal
 
@@ -138,6 +141,30 @@ def test_solve_table_sections(capsys, source_file, circuit_unequal):
         assert title in text
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_solve_builds_the_admittance_table_once(
+    monkeypatch, capsys, source_file, circuit_unequal, fmt
+):
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(gapower.cli, "admittances_for")
+    spy(gapower.cli, "solve_current")
+    spy(gapower.circuit, "impedance_at")
+    assert main(["solve", "--circuit", circuit_unequal, "--source", source_file,
+                 "--format", fmt]) == 0
+    # the source occupies orders 1 and 3
+    assert calls == {"admittances_for": 1, "solve_current": 1, "impedance_at": 2}
+
+
 def test_solve_missing_file(tmp_path, source_file):
     rc = main(
         ["solve", "--circuit", str(tmp_path / "nope.json"), "--source", source_file]
@@ -149,6 +176,24 @@ def test_solve_malformed_json(tmp_path, source_file):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["solve", "--circuit", str(bad), "--source", source_file]) == 2
+
+
+def test_solve_source_not_utf8(tmp_path, circuit_equal, capsys):
+    bad = tmp_path / "source.json"
+    bad.write_bytes(b'{"fundamental_hz": 50.0, "dc": "\xff"}')
+    assert main(["solve", "--circuit", circuit_equal, "--source", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_unwritable_out_is_an_input_error(
+    tmp_path, source_file, circuit_equal, capsys
+):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["solve", "--circuit", circuit_equal, "--source", source_file,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 @pytest.mark.parametrize(
@@ -270,6 +315,14 @@ def test_analyze_empty_input(tmp_path):
     path.write_text("")
     assert main(["analyze", "--input", str(path), "--fundamental", "50",
                  "--orders", "9"]) == 2
+
+
+def test_analyze_input_not_utf8(tmp_path, capsys):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(b"# fs_hz = 1000\n1,2\n\xff\n")
+    assert main(["analyze", "--input", str(path), "--fundamental", "50",
+                 "--orders", "9"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_analyze_non_coherent_fundamental(bench_csv):

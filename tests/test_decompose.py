@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapower.circuit import (
@@ -51,7 +51,9 @@ def assert_coeffs(p: GeometricPhasor, want) -> None:
 # -- fryze_split --------------------------------------------------------------
 
 def test_fryze_fixture(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     i_a, i_n = fryze_split(two_harmonic_phasor, i)
     assert_coeffs(i_a, dense(7, {2: 50.0, 6: 50.0}))
     assert_coeffs(i_n, dense(7, {1: 50.0, 5: -50.0}))
@@ -66,7 +68,9 @@ def test_fryze_bench_norms(bench_phasors):
 
 
 def test_fryze_resistive_has_no_residual(two_harmonic_phasor):
-    i = solve_current(two_harmonic_phasor, SeriesRLC(r=5.0))
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(SeriesRLC(r=5.0), two_harmonic_phasor)
+    )
     _, i_n = fryze_split(two_harmonic_phasor, i)
     assert is_zero(i_n)
 
@@ -126,16 +130,16 @@ def test_parallel_quadrature_dc_slot():
 def test_scattered_zero_for_equal_conductances(
     two_harmonic_phasor, rlc_equal_conductance
 ):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
     ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    i = solve_current(two_harmonic_phasor, ys)
     i_a, _ = fryze_split(two_harmonic_phasor, i)
     i_p, _ = parallel_quadrature(two_harmonic_phasor, ys)
     assert is_zero(scattered(i_p, i_a))
 
 
 def test_scattered_variant_fixture(two_harmonic_phasor, rlc_unequal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
     ys = admittances_for(rlc_unequal_conductance, two_harmonic_phasor)
+    i = solve_current(two_harmonic_phasor, ys)
     i_a, _ = fryze_split(two_harmonic_phasor, i)
     i_p, _ = parallel_quadrature(two_harmonic_phasor, ys)
     i_s = scattered(i_p, i_a)
@@ -150,10 +154,22 @@ def test_scattered_single_harmonic_is_zero():
     assert is_zero(cc.i_s)
 
 
+@example(8.770014309871662)  # i_p - i_a rounds to 3.55e-15 A here
+@given(st.floats(-5.0, 5.0).map(lambda e: 10.0**e))
+def test_scattered_is_exactly_zero_for_a_pure_resistor(r):
+    source = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 230.0),))
+    u = to_phasor(source, BasisLayout.for_signals(source))
+    ys = admittances_for(SeriesRLC(r=r), u)
+    cc = decompose_currents(u, solve_current(u, ys), ys)
+    assert is_zero(cc.i_s)
+
+
 # -- generated_current ----------------------------------------------------------------
 
 def test_generated_zero_when_voltage_covers(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     assert is_zero(generated_current(two_harmonic_phasor, i))
 
 
@@ -206,7 +222,9 @@ def test_compensated_load_draws_no_quadrature_current(
 def test_estimate_recovers_circuit_admittances(
     two_harmonic_phasor, rlc_equal_conductance
 ):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     estimated = {y.order: y for y in estimate_admittances(two_harmonic_phasor, i)}
     for y in admittances_for(rlc_equal_conductance, two_harmonic_phasor):
         assert estimated[y.order].conductance == pytest.approx(y.conductance)
@@ -224,8 +242,8 @@ def test_estimate_handles_dc():
 # -- decompose_currents -------------------------------------------------------------------
 
 def test_component_table_shape(two_harmonic_phasor, rlc_unequal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
     ys = admittances_for(rlc_unequal_conductance, two_harmonic_phasor)
+    i = solve_current(two_harmonic_phasor, ys)
     cc = decompose_currents(two_harmonic_phasor, i, ys)
     rows = cc.table_rows()
     assert rows.shape == (7 + 1, len(CSV_COLUMNS))
@@ -310,8 +328,8 @@ def test_active_current_is_minimal(pair):
 def test_equal_conductance_makes_fryze_and_parallel_agree(
     two_harmonic_phasor, rlc_equal_conductance
 ):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
     ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    i = solve_current(two_harmonic_phasor, ys)
     i_a, _ = fryze_split(two_harmonic_phasor, i)
     i_p, _ = parallel_quadrature(two_harmonic_phasor, ys)
     assert_coeffs(i_a, i_p.coeffs)

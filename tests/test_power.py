@@ -30,7 +30,7 @@ from gapower.power import (
     power_factor,
     power_report,
 )
-from gapower.circuit import solve_current
+from gapower.circuit import admittances_for, solve_current
 
 from conftest import dense, vector
 from oracles import pq_complex
@@ -52,7 +52,9 @@ def assert_power(m: GeometricPower, scalar: float, planes: dict) -> None:
 # -- fixtures ------------------------------------------------------------
 
 def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     m = geometric_power(two_harmonic_phasor, i)
     assert_power(m, 10000.0, {
         (1, 2): -5000.0, (5, 6): 5000.0, (1, 6): -5000.0, (2, 5): -5000.0,
@@ -62,7 +64,10 @@ def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
 
 
 def test_geometric_power_variant_fixture(two_harmonic_phasor, rlc_unequal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
+    i = solve_current(
+        two_harmonic_phasor,
+        admittances_for(rlc_unequal_conductance, two_harmonic_phasor),
+    )
     m = geometric_power(two_harmonic_phasor, i)
     assert_power(m, 10000.0, {
         (1, 2): -3000.0, (5, 6): 3000.0, (1, 6): -3000.0, (2, 5): -3000.0,
@@ -96,8 +101,13 @@ def test_geometric_power_type_guards_grades():
 
 def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
                           rlc_unequal_conductance):
-    i1 = solve_current(two_harmonic_phasor, rlc_equal_conductance)
-    i2 = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
+    i1 = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
+    i2 = solve_current(
+        two_harmonic_phasor,
+        admittances_for(rlc_unequal_conductance, two_harmonic_phasor),
+    )
     expected = 10000.0 * math.sqrt(2.0)
     assert apparent(geometric_power(two_harmonic_phasor, i1)) == pytest.approx(
         expected, rel=1e-12
@@ -118,7 +128,9 @@ def test_apparent_zero_current(two_harmonic_phasor):
 
 
 def test_power_factor_fixture(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     pf = power_factor(geometric_power(two_harmonic_phasor, i))
     assert pf == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
@@ -132,7 +144,9 @@ def test_power_factor_quadrature_is_zero():
 # -- per-harmonic P/Q ----------------------------------------------------------
 
 def test_harmonic_pq_fixture(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     pq = harmonic_pq(two_harmonic_phasor, i)
     assert [(x.order, x.p, x.q) for x in pq] == [
         (1.0, pytest.approx(5000.0), pytest.approx(-5000.0)),
@@ -167,7 +181,10 @@ def test_harmonic_pq_bench_matches_complex_oracle(bench_phasors):
 
 
 def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_unequal_conductance)
+    i = solve_current(
+        two_harmonic_phasor,
+        admittances_for(rlc_unequal_conductance, two_harmonic_phasor),
+    )
     m = geometric_power(two_harmonic_phasor, i)
     terms = cross_frequency_terms(m)
     assert len(terms) == 3
@@ -178,7 +195,9 @@ def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conducta
 # -- report ---------------------------------------------------------------------
 
 def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductance):
-    i = solve_current(two_harmonic_phasor, rlc_equal_conductance)
+    i = solve_current(
+        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    )
     report = power_report(two_harmonic_phasor, i)
     assert report.p_w == pytest.approx(10000.0)
     assert report.apparent_va == pytest.approx(10000.0 * math.sqrt(2))

@@ -265,6 +265,27 @@ def test_load_csv_errors(tmp_path, text, fragment):
         assert fragment in str(err.value), kind
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        pytest.param(b"# fs_hz = 100\xff\n1,2\n", id="header"),
+        # far past the first decoded block, so numpy's pass gives up first
+        pytest.param(
+            b"# fs_hz = 100\n" + good_rows(20000).encode() + b"1,\xff2\n",
+            id="row-20002",
+        ),
+    ],
+)
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path, data):
+    path = tmp_path / "rec.csv"
+    path.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(WaveformError) as err:
+            load_csv(path)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 pad = st.text(alphabet=" \t", max_size=2)
 csv_row = st.builds(
