@@ -50,6 +50,8 @@ ANALYZE_BENCH = ["analyze", "--input", "bench.csv", "--fundamental", "50",
                  "--orders", "9"]
 ANALYZE_NOISY = ["analyze", "--input", "noisy.csv", "--fundamental", "50",
                  "--orders", "30"]
+ANALYZE_NOISY_KV = ["analyze", "--input", "noisy_kv.csv", "--fundamental", "50",
+                    "--orders", "30"]
 DECOMPOSE = ["decompose", "--voltage", "v.json", "--current", "i.json"]
 DECOMPOSE_MIXED = ["decompose", "--voltage", "v_mixed.json",
                    "--current", "i_mixed.json"]
@@ -74,6 +76,9 @@ HASHED = {
     "analyze_noisy30.json": ANALYZE_NOISY + ["--format", "json"],
     "analyze_noisy30.table": ANALYZE_NOISY + ["--format", "table"],
     "analyze_noisy30.csv": ANALYZE_NOISY + ["--format", "csv"],
+    # kV and kA: P, S and the cross terms fall on both sides of 1e6, where
+    # JSON spells a number out in full (123457000.0)
+    "analyze_noisy30_kv.json": ANALYZE_NOISY_KV + ["--format", "json"],
     "analyze_bench_timeseries.csv": ANALYZE_BENCH + [
         "--format", "csv", "--timeseries", "analyze_bench_timeseries.csv"],
     "analyze_noisy30_timeseries.csv": ANALYZE_NOISY + [
@@ -118,9 +123,10 @@ def write_inputs(d: Path) -> None:
     _write_csv(d / "bench.csv", u, i)
     # noise fills every order, so the cross terms are dense
     rng = np.random.default_rng(20201)
-    _write_csv(d / "noisy.csv",
-               u + rng.normal(0.0, 0.8, u.shape),
-               i + rng.normal(0.0, 0.02, i.shape))
+    u_noisy = u + rng.normal(0.0, 0.8, u.shape)
+    i_noisy = i + rng.normal(0.0, 0.02, i.shape)
+    _write_csv(d / "noisy.csv", u_noisy, i_noisy)
+    _write_csv(d / "noisy_kv.csv", u_noisy * 1e3, i_noisy * 1e3)
 
     rms_i = 100.0 / math.sqrt(2.0)
     write("v.json", _spectrum(OMEGA1_F0_HZ, [(1, 100.0, 0.0), (3, 100.0, 0.0)]))
