@@ -10,8 +10,11 @@ Every number is printed with 6 significant digits, so identical inputs
 give identical bytes.  Numbers are rendered from arrays: one ``%``
 template formats a whole float array, and each regular block (a table, the
 CSV rows, a JSON array of records such as the cross-frequency terms) goes
-through one template built from its header or keys.  ``json.dumps`` only
-writes keys, strings and the few irregular values.
+through one template built from its header or keys.  A JSON number is
+its ``%.6g`` text, respelled only in the few forms where JSON writes the
+same float differently (see the number-formatting comment), and integer
+columns such as the blade indices go into their template as ints.
+``json.dumps`` only writes keys, strings and the few irregular values.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
@@ -51,12 +54,18 @@ FORMATS = ("table", "json", "csv")
 # -- number formatting ------------------------------------------------
 # One rule for every number, applied to whole arrays: ``%.6g`` of the
 # value plus 0.0, which turns -0.0 (the only source of "-0") into 0.0.
-# JSON prints the repr of the float that text parses back to, so
-# 1.23457e+08 prints as 123457000.0, and non-finite values keep json's
-# spellings.
+# JSON prints the repr of the float that text parses back to.  That repr
+# is the text itself except in four forms, each told by the text: an
+# integral fixed value ("100") gains ".0"; exponents e+06 to e+15 are
+# spelled out (1.23457e+08 is 123457000.0); from e-308 down, subnormals
+# hold fewer than 6 digits and repr may be shorter (4.94066e-324 is
+# 5e-324); and nan, inf and -inf take json's spellings.
 
 _ROWS_PER_CALL = 1 << 16  # rows per ``%`` call: bounds the temporary lists
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_REPR_EXPONENTS = frozenset(
+    ["e+%02d" % k for k in range(6, 16)] + ["e-%d" % k for k in range(308, 325)]
+)
 
 
 def _g6_rows(a, row: str) -> str:
@@ -74,10 +83,19 @@ def _g6(values) -> list[str]:
 
 def _json6(values) -> list[str]:
     """JSON number text of every element of a float array."""
-    text = list(map(repr, map(float, _g6(values))))
-    if np.isfinite(values).all():
-        return text
-    return [_JSON_NONFINITE.get(t, t) for t in text]
+    return [
+        t if "." in t and t[-4:] not in _REPR_EXPONENTS
+        and t[-5:] not in _REPR_EXPONENTS else _json_misfit(t)
+        for t in _g6(values)
+    ]
+
+
+def _json_misfit(text: str) -> str:
+    """JSON text of a ``%.6g`` text in one of the forms JSON spells
+    differently."""
+    if "e" in text:
+        return repr(float(text))
+    return _JSON_NONFINITE.get(text) or text + ".0"
 
 
 def _orders(orders, six) -> list[str]:
@@ -88,7 +106,7 @@ def _orders(orders, six) -> list[str]:
     ]
 
 
-def _cells(columns: list[list[str]]) -> tuple[str, ...]:
+def _cells(columns: list[list]) -> tuple:
     """The entries of equal-length columns in row-major order."""
     k = len(columns)
     cells = [""] * (k * len(columns[0]))
@@ -121,10 +139,10 @@ _SLOT_TEXT = json.dumps(_SLOT)
 class _Records:
     """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
     values of ``proto`` take, in order, the entries of ``columns``: one
-    list of JSON text per slot, one entry per record."""
+    list per slot of JSON text or of ints, one entry per record."""
 
     proto: dict
-    columns: tuple[list[str], ...]
+    columns: tuple[list, ...]
 
 
 def _bracket(ends: str, items: list[str], pad: str) -> str:
@@ -158,20 +176,18 @@ def _json(obj, pad: str = "") -> str:
 
 # -- input documents ---------------------------------------------------
 
-def _load_json(path: str):
+def _read_document(path: str, parse):
+    """``parse`` applied to the JSON document at ``path``; every
+    ``SchemaError`` names the file."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-def _signal_from_file(path: str) -> SpectralSignal:
-    data = _load_json(path)  # its errors name the path already
     try:
-        return SpectralSignal.from_dict(data)
+        return parse(data)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None
 
@@ -240,7 +256,7 @@ def _power_json(report: PowerReport) -> dict:
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
             (
-                *(list(map(str, col)) for col in terms.blade_indices.T.tolist()),
+                *terms.blade_indices.T.tolist(),
                 _json6(terms.va),
             ),
         ),
@@ -255,7 +271,7 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (
-                [str(k) for k in range(len(table) - 1)],
+                list(range(len(table) - 1)),
                 *map(_json6, table[:-1].T),
             ),
         ),
@@ -349,8 +365,8 @@ def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
 # -- subcommands -------------------------------------------------------
 
 def cmd_solve(args) -> str:
-    source = _signal_from_file(args.source)
-    net = _circuit_from_dict(_load_json(args.circuit))
+    source = _read_document(args.source, SpectralSignal.from_dict)
+    net = _read_document(args.circuit, _circuit_from_dict)
     layout = BasisLayout.for_signals(source)
     u = to_phasor(source, layout)
     ys = admittances_for(net, u)
@@ -434,8 +450,8 @@ def cmd_analyze(args) -> str:
 
 
 def cmd_decompose(args) -> str:
-    u_sig = _signal_from_file(args.voltage)
-    i_sig = _signal_from_file(args.current)
+    u_sig = _read_document(args.voltage, SpectralSignal.from_dict)
+    i_sig = _read_document(args.current, SpectralSignal.from_dict)
     if not math.isclose(
         u_sig.fundamental_hz, i_sig.fundamental_hz, rel_tol=1e-9, abs_tol=0.0
     ):

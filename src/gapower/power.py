@@ -136,7 +136,10 @@ def apparent(mpower: GeometricPower) -> float:
     """Apparent power: the multivector norm, equal to ||u|| * ||i||."""
     e = pow2_exponent([mpower.scalar, np.max(np.abs(mpower.bivector))])
     s, block = math.ldexp(mpower.scalar, -e), np.ldexp(mpower.bivector, -e)
-    return float(np.ldexp(math.sqrt(s * s + float(np.vdot(block, block))), e))
+    # einsum sums in its own loop, so the bits do not depend on how many
+    # threads BLAS (which np.vdot would call) runs with
+    squares = float(np.einsum("ij,ij->", block, block))
+    return float(np.ldexp(math.sqrt(s * s + squares), e))
 
 
 def power_factor(mpower: GeometricPower) -> float:

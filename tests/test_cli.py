@@ -203,12 +203,13 @@ def test_unwritable_out_is_an_input_error(
         {"r_ohm": "one"},
         {"r_ohm": -1.0},
         {"r_ohm": 1.0, "c_farad": 0.0},
+        [{"r_ohm": 1.0}],
     ],
 )
 def test_solve_bad_circuit_documents(tmp_path, source_file, doc, capsys):
     path = write_json(tmp_path / "c.json", doc)
     assert main(["solve", "--circuit", str(path), "--source", source_file]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
 
 
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):

@@ -5,6 +5,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -285,3 +289,37 @@ def test_scalar_part_equals_mean_instantaneous_power(pair):
     t = np.arange(samples) / (samples * f0)
     p_t = reconstruct(from_phasor(u), t) * reconstruct(from_phasor(i), t)
     assert float(np.mean(p_t)) == pytest.approx(m.active, abs=1e-6)
+
+
+# Prints the bits of the apparent power of five seeded dim-201 powers.
+_APPARENT_BITS = """
+import numpy as np
+from gapower.phasor import BasisLayout, GeometricPhasor
+from gapower.power import apparent, geometric_power
+layout = BasisLayout(n=100)
+rng = np.random.default_rng(7)
+for _ in range(5):
+    u, i = (GeometricPhasor(rng.normal(size=layout.dimension), layout, 50.0)
+            for _ in range(2))
+    print(apparent(geometric_power(u, i)).hex())
+"""
+
+
+def test_apparent_does_not_depend_on_the_blas_thread_count():
+    """Identical inputs give identical bits whatever BLAS thread count the
+    process runs with."""
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def bits(threads: int) -> str:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads), MKL_NUM_THREADS=str(threads))
+        paths = [str(src), env.get("PYTHONPATH", "")]
+        env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+        return subprocess.run(
+            [sys.executable, "-c", _APPARENT_BITS],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+
+    one = bits(1)
+    assert one.count("\n") == 5
+    assert bits(2) == one

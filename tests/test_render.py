@@ -9,6 +9,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -27,6 +28,19 @@ EDGES = [
     0.5, 1e-5, 1e16, 123456789.0,
 ]
 values = st.one_of(st.floats(), st.sampled_from(EDGES))
+
+# The edges of each text form ``_json6`` tells apart: an exponent from
+# e+06 to e+15 (spelled out), one at e-308 and below (subnormals, where
+# repr can be shorter than 6 digits: 1e-318 prints as 9.99999e-319), an
+# integral fixed value (".0" appended), a non-finite value, and the
+# neighbours of each that print their ``%.6g`` text unchanged.
+TEXT_FORM_EDGES = [
+    999999.5, 999999.4, 1e6, 9.999995e15, 9.999994e15, 1e16,
+    2.2250738585072014e-308, 2.225073858507201e-308, 1e-308, 1e-307,
+    1e-318, 4.9e-324,
+    0.0, -0.0, 1.0, -100.0, 123456.4, 123456.6,
+    math.inf, -math.inf, math.nan,
+]
 
 
 @given(st.lists(values, max_size=60))
@@ -54,6 +68,12 @@ def test_rows_split_across_calls_print_the_same(monkeypatch):
     assert whole.count("\n") == 10
 
 
+@pytest.mark.parametrize("x", TEXT_FORM_EDGES + [-x for x in TEXT_FORM_EDGES])
+def test_json_text_forms_at_their_edges(x):
+    assert _json6([x]) == [json6_brute(x)]
+    assert _json6(np.array([x, 0.5, x])) == [json6_brute(x), "0.5", json6_brute(x)]
+
+
 def test_non_finite_values_print_as_before():
     a = np.array([math.inf, -math.inf, math.nan])
     assert _json6(a) == ["Infinity", "-Infinity", "NaN"]
@@ -61,8 +81,8 @@ def test_non_finite_values_print_as_before():
 
 
 def test_json_numbers_are_the_repr_of_the_rounded_value():
-    assert _json6([123456789.0, -0.0, 1.0, 2.5e-7]) == [
-        "123457000.0", "0.0", "1.0", "2.5e-07"]
+    assert _json6([123456789.0, -0.0, 1.0, 2.5e-7, 4.9e-324, 1e6, 1e16]) == [
+        "123457000.0", "0.0", "1.0", "2.5e-07", "5e-324", "1000000.0", "1e+16"]
 
 
 @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), values),
@@ -72,8 +92,8 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
     block = _Records(
         {"blade_indices": [_SLOT, _SLOT], "va %": _SLOT},
         (
-            [str(a) for a, _, _ in rows],
-            [str(b) for _, b, _ in rows],
+            [a for a, _, _ in rows],
+            [b for _, b, _ in rows],
             _json6([v for _, _, v in rows]),
         ),
     )
