@@ -57,9 +57,10 @@ FORMATS = ("table", "json", "csv")
 # JSON prints the repr of the float that text parses back to.  That repr
 # is the text itself except in four forms, each told by the text: an
 # integral fixed value ("100") gains ".0"; exponents e+06 to e+15 are
-# spelled out (1.23457e+08 is 123457000.0); from e-308 down, subnormals
-# hold fewer than 6 digits and repr may be shorter (4.94066e-324 is
-# 5e-324); and nan, inf and -inf take json's spellings.
+# spelled out (1.23457e+08 is 123457000.0); from e-308 down lie the
+# subnormals, whose precision falls below 6 digits, so repr may be
+# shorter (4.94066e-324 is 5e-324); and nan, inf and -inf take json's
+# spellings.
 
 _ROWS_PER_CALL = 1 << 16  # rows per ``%`` call: bounds the temporary lists
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
