@@ -134,21 +134,11 @@ class SpectralSignal:
         """Collective rms value including DC."""
         return math.sqrt(self.dc**2 + sum(c.rms**2 for c in self.components()))
 
-    def to_dict(self) -> dict:
-        def comp(c: HarmonicComponent) -> dict:
-            order = int(c.order) if _is_integer_order(c.order) else c.order
-            return {"order": order, "rms": c.rms, "phase_rad": c.phase_rad}
-
-        return {
-            "fundamental_hz": self.fundamental_hz,
-            "dc": self.dc,
-            "harmonics": [comp(c) for c in self.harmonics],
-            "interharmonics": [comp(c) for c in self.interharmonics],
-        }
-
     @classmethod
     def from_dict(cls, data) -> "SpectralSignal":
-        """Parse the JSON document shape produced by :meth:`to_dict`.
+        """Parse a spectrum JSON document: ``fundamental_hz``, ``dc`` and
+        ``harmonics``/``interharmonics`` lists of ``order``, ``rms`` and
+        ``phase_rad`` records, the shape ``gapower`` prints spectra in.
 
         Raises :class:`SchemaError` with a field path on malformed input.
         """

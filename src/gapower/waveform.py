@@ -8,14 +8,15 @@ output of ``dft_extract`` feed straight into ``to_phasor``.
 
 Both layers do only the work the output needs.  A recording named by a
 path is parsed by numpy's chunked reader straight from the file, not line
-by line through Python; the guard in ``_numpy_reads_as_text`` keeps
-pipes and names that numpy would decompress or download on the stream
-path.  The DFT reads a handful of bins, all multiples of ``g``, so the
-window is folded to ``size / g`` samples before the FFT.
+by line through Python; the guard in ``_numpy_reads_as_text`` sends
+pipes and names that numpy would decompress or download, like every
+stream, to the row loop.  The DFT reads a handful of bins, all multiples
+of ``g``, so the window is folded to ``size / g`` samples before the FFT.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import re
@@ -38,7 +39,6 @@ class SampledWaveform:
 
     samples: np.ndarray
     sample_rate_hz: float
-    label: str = ""
 
     def __post_init__(self):
         arr = np.array(self.samples, dtype=float, copy=True)
@@ -51,10 +51,6 @@ class SampledWaveform:
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise WaveformError(
                 f"sample rate must be > 0 Hz, got {self.sample_rate_hz}"
-            )
-        if self.label not in ("", "voltage", "current"):
-            raise WaveformError(
-                f"label must be 'voltage' or 'current', got {self.label!r}"
             )
 
     @property
@@ -70,22 +66,21 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     """Read an aligned voltage/current recording.
 
     The format is a ``# fs_hz=<rate>`` header line followed by ``u,i``
-    rows; blank lines and ``#`` comment lines are skipped.  ``source`` may
-    be a path (to UTF-8 text) or an open text stream.  Parse errors carry
-    the offending line number.
+    rows.  After the header, a ``#`` starts a comment that runs to the end
+    of its line (numpy's rule), and lines left blank are skipped.
+    ``source`` may be a path (to UTF-8 text) or an open text stream.
+    Parse errors carry the offending line number.
 
-    After the header, the rows are parsed in one ``np.loadtxt`` pass,
-    which takes plain ``u,i`` rows with surrounding spaces or tabs, CRLF
-    endings and empty lines.  A path is handed to numpy by name, with the
-    header's lines skipped, so its C reader pulls the file in chunks; this
-    needs a seekable file whose name numpy opens as plain local text
-    (``_numpy_reads_as_text``).  Any other seekable source is handed over
-    as a stream, which numpy reads line by line.  A comment or
-    whitespace-only line after the header, a bad row or a header-only
-    input makes that pass give up; the rows are then read one by one from
-    just after the header, which gives the same values or the
-    line-numbered error.  A stream that cannot seek is always read row by
-    row.
+    A path whose name numpy opens as plain local text
+    (``_numpy_reads_as_text``) is handed to ``np.loadtxt`` by name, with
+    the header's lines skipped, so numpy's C reader pulls the file in
+    chunks.  It takes ``u,i`` rows with surrounding spaces or tabs, CRLF
+    endings, comments and empty lines.  A whitespace-only or indented
+    comment line, a bad row or a header-only input makes that pass give
+    up; the rows are then read one by one from just after the header,
+    which gives the same values or the line-numbered error.  Every other
+    source (a stream, a pipe, a compressed or ``scheme://`` name) is read
+    row by row.
     """
     if isinstance(source, (str, Path)):
         path = os.fspath(source)
@@ -122,20 +117,9 @@ def _numpy_reads_as_text(fh, path: str) -> bool:
 
 def _read_recording(fh, path: str | None) -> tuple[SampledWaveform, SampledWaveform]:
     rate, lineno = _read_header(fh)
-    if path is not None:
-        columns = _load_columns(path, skiprows=lineno)
-    elif fh.seekable():
-        start = fh.tell()
-        columns = _load_columns(fh)
-        if columns is None:
-            fh.seek(start)
-    else:
-        columns = None
+    columns = _load_columns(path, lineno) if path is not None else None
     u, i = columns if columns is not None else _parse_rows(fh, lineno + 1)
-    return (
-        SampledWaveform(u, rate, "voltage"),
-        SampledWaveform(i, rate, "current"),
-    )
+    return SampledWaveform(u, rate), SampledWaveform(i, rate)
 
 
 def _read_header(fh) -> tuple[float, int]:
@@ -162,8 +146,8 @@ def _read_header(fh) -> tuple[float, int]:
     return rate, lineno
 
 
-def _load_columns(source, skiprows: int = 0) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``u`` and ``i`` columns of ``source`` after its first
+def _load_columns(path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``u`` and ``i`` columns of the file ``path`` after its first
     ``skiprows`` lines in one pass, or ``None`` when only the row loop can
     tell."""
     with warnings.catch_warnings():
@@ -171,10 +155,10 @@ def _load_columns(source, skiprows: int = 0) -> tuple[np.ndarray, np.ndarray] | 
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
             data = np.loadtxt(
-                source,
+                path,
                 delimiter=",",
                 dtype=float,
-                comments=None,
+                comments="#",
                 ndmin=2,
                 skiprows=skiprows,
                 encoding="utf-8",
@@ -191,9 +175,10 @@ def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:
     i_vals: list[float] = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         text = raw.strip()
-        if not text or text.startswith("#"):
+        row = text.partition("#")[0]
+        if not row:
             continue
-        fields = [f.strip() for f in text.split(",")]
+        fields = [f.strip() for f in row.split(",")]
         if len(fields) == 1:
             raise WaveformError(
                 f"line {lineno}: found a single column; rows must be 'u,i'"
@@ -279,11 +264,12 @@ def dft_extract(
             )
         return b
 
-    orders = [float(k) for k in range(1, n + 1)]
-    orders += [float(o) for o in interharmonic_orders]
-    bins = [bin_of(order) for order in orders]
+    # each order is checked as it is drawn, so a huge n is refused at the
+    # Nyquist limit before its order list is built
+    orders = map(float, itertools.chain(range(1, n + 1), interharmonic_orders))
+    order_bins = [(order, bin_of(order)) for order in orders]
     # bin c of the window folded onto size/g samples is bin c*g of the whole
-    g = math.gcd(size, *bins)
+    g = math.gcd(size, *(b for _, b in order_bins))
     spectrum = np.fft.rfft(_fold(w.samples, g))
     total = rms(w)
     scale = math.sqrt(2.0) / size
@@ -297,7 +283,7 @@ def dft_extract(
         # into its bin, hence the rotated atan2.
         return HarmonicComponent(order, amp, math.atan2(z.real, -z.imag))
 
-    found = [extract(order, b) for order, b in zip(orders, bins)]
+    found = [extract(order, b) for order, b in order_bins]
     dc = float(spectrum[0].real) / size
     if negligible(dc, total):
         dc = 0.0
@@ -347,10 +333,9 @@ def sample_signal(
     signal: SpectralSignal,
     sample_rate_hz: float,
     n_samples: int,
-    label: str = "",
 ) -> SampledWaveform:
     """Synthesize a waveform from its spectral description."""
     if n_samples < 1:
         raise WaveformError(f"sample count must be >= 1, got {n_samples}")
     t = np.arange(n_samples) / float(sample_rate_hz)
-    return SampledWaveform(reconstruct(signal, t), sample_rate_hz, label)
+    return SampledWaveform(reconstruct(signal, t), sample_rate_hz)

@@ -99,14 +99,15 @@ def pq_complex(
 
 def parse_rows_brute(text: str) -> tuple[float, list[float], list[float]]:
     """(rate, u, i) of a recording: the first non-blank line is the
-    ``# fs_hz=<rate>`` header, later blank and ``#`` lines are skipped and
-    every other line is ``u,i``."""
+    ``# fs_hz=<rate>`` header; after it every line is cut at its first
+    ``#``, lines left blank are skipped and every other line is ``u,i``."""
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     rate = float(lines[0].split("=", 1)[1])
     u, i = [], []
     for line in lines[1:]:
-        if line.startswith("#"):
+        line = line.split("#", 1)[0]
+        if not line:
             continue
         a, b = line.split(",")
         u.append(float(a.strip()))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -67,13 +68,27 @@ def test_signal_rejects_misplaced_orders():
 
 
 def test_signal_dict_round_trip():
+    doc = json.loads(
+        """{
+          "fundamental_hz": 50.0,
+          "dc": 2.0000000000000004,
+          "harmonics": [
+            {"order": 1, "rms": 10.123456789012345, "phase_rad": 0.1},
+            {"order": 5, "rms": 1.0, "phase_rad": -2.0}
+          ],
+          "interharmonics": [{"order": 2.5, "rms": 0.5, "phase_rad": 1.0}]
+        }"""
+    )
     s = SpectralSignal(
         50.0,
-        dc=2.0,
-        harmonics=(HarmonicComponent(1, 10.0, 0.1), HarmonicComponent(5, 1.0, -2.0)),
+        dc=2.0000000000000004,
+        harmonics=(
+            HarmonicComponent(1, 10.123456789012345, 0.1),
+            HarmonicComponent(5, 1.0, -2.0),
+        ),
         interharmonics=(HarmonicComponent(2.5, 0.5, 1.0),),
     )
-    assert SpectralSignal.from_dict(s.to_dict()) == s
+    assert SpectralSignal.from_dict(doc) == s
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import io
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -22,6 +23,7 @@ from conftest import (
     BENCH_VOLTAGE_ROWS,
     rows_to_signal,
 )
+from gapower import waveform
 from gapower.errors import WaveformError
 from gapower.phasor import (
     BasisLayout,
@@ -45,10 +47,10 @@ from oracles import dft_bins_brute, parse_rows_brute, pq_complex
 
 def bench_waveforms() -> tuple[SampledWaveform, SampledWaveform]:
     u = sample_signal(
-        rows_to_signal(BENCH_VOLTAGE_ROWS, BENCH_F0_HZ), BENCH_FS_HZ, BENCH_SAMPLES, "voltage"
+        rows_to_signal(BENCH_VOLTAGE_ROWS, BENCH_F0_HZ), BENCH_FS_HZ, BENCH_SAMPLES
     )
     i = sample_signal(
-        rows_to_signal(BENCH_CURRENT_ROWS, BENCH_F0_HZ), BENCH_FS_HZ, BENCH_SAMPLES, "current"
+        rows_to_signal(BENCH_CURRENT_ROWS, BENCH_F0_HZ), BENCH_FS_HZ, BENCH_SAMPLES
     )
     return u, i
 
@@ -68,19 +70,18 @@ def test_waveform_basics():
 
 
 @pytest.mark.parametrize(
-    "samples,rate,label",
+    "samples,rate",
     [
-        ([], 1.0, ""),
-        ([[1.0, 2.0]], 1.0, ""),
-        ([1.0, float("nan")], 1.0, ""),
-        ([1.0], 0.0, ""),
-        ([1.0], -5.0, ""),
-        ([1.0], 1.0, "u"),
+        ([], 1.0),
+        ([[1.0, 2.0]], 1.0),
+        ([1.0, float("nan")], 1.0),
+        ([1.0], 0.0),
+        ([1.0], -5.0),
     ],
 )
-def test_waveform_rejects(samples, rate, label):
+def test_waveform_rejects(samples, rate):
     with pytest.raises(WaveformError):
-        SampledWaveform(samples, rate, label)
+        SampledWaveform(samples, rate)
 
 
 # -- load_csv ----------------------------------------------------------------
@@ -99,11 +100,11 @@ class _Unseekable(io.StringIO):
 
 
 def csv_sources(text: str, directory) -> dict:
-    """``text`` as an in-memory stream, as a file (both parsed in one
-    pass, with the row loop as fallback) and as a stream that cannot seek
-    (row loop only).  The streams split lines at ``\\n``, ``\\r\\n`` and
-    ``\\r`` but hand them over with their raw endings, unlike a file
-    opened in text mode."""
+    """``text`` as an in-memory stream and as a stream that cannot seek
+    (both read by the row loop), and as a file (parsed by numpy in one
+    pass, with the row loop as fallback).  The streams split lines at
+    ``\\n``, ``\\r\\n`` and ``\\r`` but hand them over with their raw
+    endings, unlike a file opened in text mode."""
     path = directory / "rec.csv"
     path.write_bytes(text.encode())  # line endings exactly as given
     return {
@@ -125,7 +126,6 @@ def test_load_csv_happy_path(tmp_path):
         "1_0,2\n"
     )
     u, i = load_csv(path)
-    assert u.label == "voltage" and i.label == "current"
     assert u.sample_rate_hz == 1000.0 == i.sample_rate_hz
     assert np.allclose(u.samples, [0.5, -0.5, 10.0])
     assert np.allclose(i.samples, [0.1, -0.1, 2.0])
@@ -199,8 +199,30 @@ def test_load_csv_hands_numpy_only_plain_local_names(tmp_path, monkeypatch, name
     path.write_text(text)
     seen = loadtxt_sources(monkeypatch)
     u, i = load_csv(name)
-    assert [isinstance(s, str) for s in seen] == [by_name]
+    assert seen == ([name] if by_name else [])
     _, u_want, i_want = parse_rows_brute(text)
+    assert np.array_equal(u.samples, u_want) and np.array_equal(i.samples, i_want)
+
+
+def test_load_csv_hands_a_commented_file_to_numpy_once(tmp_path, monkeypatch):
+    # numpy skips the comments itself, so one '#' mid-file does not send
+    # a long recording through the row loop
+    rows = good_rows(3000).splitlines(keepends=True)
+    rows[1000] = "# operator note\n"
+    rows[2000] = rows[2000].replace("\n", " # trailing note\n")
+    text = "# fs_hz = 100\n" + "".join(rows)
+    path = tmp_path / "rec.csv"
+    path.write_text(text)
+    seen = loadtxt_sources(monkeypatch)
+
+    def no_row_loop(*args):
+        raise AssertionError("the row loop read a file numpy can read")
+
+    monkeypatch.setattr(waveform, "_parse_rows", no_row_loop)
+    u, i = load_csv(path)
+    assert seen == [str(path)]
+    _, u_want, i_want = parse_rows_brute(text)
+    assert u.n == 2999
     assert np.array_equal(u.samples, u_want) and np.array_equal(i.samples, i_want)
 
 
@@ -239,6 +261,8 @@ def good_rows(n: int) -> str:
         ("# fs_hz = -100\n1,2\n", "must be > 0"),
         ("# fs_hz = 100\n1.5\n", "single column"),
         ("# fs_hz = 100\n1,2,3\n", "expected 2"),
+        ("# fs_hz = 100\n1,#2\n", "line 2"),
+        ("# fs_hz = 100\n1,2,3 # c\n", "expected 2"),
         ("# fs_hz = 100\n\n1,x\n", "line 3"),
         ("# fs_hz = 100\n# only comments\n", "no data rows"),
         pytest.param("# fs_hz = 100\n", "no data rows", id="header-only"),
@@ -288,12 +312,14 @@ def test_load_csv_names_a_file_that_is_not_utf8(tmp_path, data):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 pad = st.text(alphabet=" \t", max_size=2)
+trailing_comment = st.sampled_from(["", "", " # note", "#", "\t#1,2"])
 csv_row = st.builds(
-    lambda a, b, fmt, p: f"{p[0]}{fmt(a)}{p[1]},{p[2]}{fmt(b)}{p[3]}",
+    lambda a, b, fmt, p, c: f"{p[0]}{fmt(a)}{p[1]},{p[2]}{fmt(b)}{p[3]}{c}",
     finite,
     finite,
     st.sampled_from([repr, "{:.12g}".format]),
     st.tuples(pad, pad, pad, pad),
+    trailing_comment,
 )
 skipped_line = st.sampled_from(["", " ", "\t \t", "# comment", "  # 1,2"])
 
@@ -418,6 +444,24 @@ def test_extract_rejects_orders_beyond_nyquist():
     w = SampledWaveform(np.ones(20), 10.0 * 50)
     with pytest.raises(WaveformError, match="Nyquist"):
         dft_extract(w, 50.0, n=5)
+
+
+def test_extract_refuses_a_huge_order_count_in_bounded_memory():
+    # the bench window holds 10 periods, so order 157 is the first at or
+    # beyond its Nyquist bin; the two million orders are never listed
+    u, _ = bench_waveforms()
+    tracemalloc.start()
+    try:
+        with pytest.raises(WaveformError) as err:
+            dft_extract(u, BENCH_F0_HZ, n=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "order 157.0 is at or beyond the Nyquist limit; "
+        "a higher sample rate is needed"
+    )
+    assert peak < 1_000_000
 
 
 def test_extract_input_validation():
@@ -632,7 +676,7 @@ def test_window_shift_leaves_power_invariants_alone(delay):
     full_i = sample_signal(si, fs, n + delay)
 
     def window(w, start):
-        return SampledWaveform(w.samples[start : start + n], fs, w.label)
+        return SampledWaveform(w.samples[start : start + n], fs)
 
     pairs = [
         (window(full_u, 0), window(full_i, 0)),
