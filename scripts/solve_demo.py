@@ -54,7 +54,7 @@ def run(c_farad: float) -> None:
     cc = decompose_currents(u, i, ys)
     for name, value in cc.norms().items():
         print(f"  |{name}| = {value:.6g} A")
-    for order, b in compensation_susceptances(ys):
+    for order, b in zip(*compensation_susceptances(ys)):
         print(f"  compensation at order {order:g}: {b:.6g} S")
     print()
 

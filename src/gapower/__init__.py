@@ -12,12 +12,10 @@ its terms in blade notation, e.g. ``10000 - 5000 s12 + 5000 s56``.
 """
 
 from .circuit import (
-    HarmonicAdmittance,
-    HarmonicImpedance,
+    Admittances,
     SeriesRLC,
-    admittance_at,
     admittances_for,
-    impedance_at,
+    invert,
     parallel_quadrature,
     solve_current,
 )

@@ -16,7 +16,6 @@ above 9.
 
 from __future__ import annotations
 
-import math
 from typing import Iterable
 
 import numpy as np
@@ -34,11 +33,7 @@ def negligible(x, scale: float):
 
 def pow2_exponent(x) -> int:
     """Exponent ``e`` of the largest ``|x|``, so that ``x / 2**e`` is
-    exact and below 1 in magnitude (0 for zero or non-finite ``x``).
-    A tuple of finite floats is taken with ``math``, which skips numpy's
-    per-call cost on a handful of scalars."""
-    if isinstance(x, tuple):
-        return math.frexp(max(map(abs, x)))[1]
+    exact and below 1 in magnitude (0 for zero or non-finite ``x``)."""
     return int(np.frexp(np.max(np.abs(x)))[1])
 
 

@@ -5,8 +5,9 @@ At order k the series branch has reactance ``X_k = k*L*w - 1/(k*C*w)``
 scalar-plus-bivector element ``R + X_k * s_odd s_even`` on the order's
 plane.  Ohm's law is a left multiplication: ``i_k = Y_k u_k`` with the
 admittance ``G_k + B_k * s_odd s_even`` the spinor inverse of the
-impedance.  Both are stored as per-order pairs, (R, X) and (G, B); the
-plane is always the order's own.  ``parallel_quadrature`` is the one
+impedance (``invert``).  A load is one ``Admittances`` table of per-order
+(G, B) arrays on the layout; the plane is always the order's own, and
+every order is computed at once.  ``parallel_quadrature`` is the one
 place where a table meets a voltage: it gives the product's G and B parts,
 and ``solve_current(u, admittances_for(net, u))`` is their sum.
 """
@@ -18,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import pow2_exponent
-from .errors import CircuitError, PowerAnalysisError
-from .phasor import GeometricPhasor
+from .errors import CircuitError, LayoutError, PowerAnalysisError
+from .phasor import BasisLayout, GeometricPhasor
 
 
 @dataclass(frozen=True)
@@ -46,112 +46,122 @@ class SeriesRLC:
             raise CircuitError("circuit needs at least one of r, l, c")
 
 
-@dataclass(frozen=True)
-class HarmonicImpedance:
-    """Impedance of one order: the element R + X * (the order's plane)."""
+@dataclass(frozen=True, eq=False)
+class Admittances:
+    """A load's admittance table: the element G + B * (the order's plane)
+    for DC and each order of ``layout``.
 
-    order: float
-    resistance: float
-    reactance: float
-
-
-@dataclass(frozen=True)
-class HarmonicAdmittance:
-    """Admittance of one order: the element G + B * (the order's plane).
-
-    DC is represented with ``order=0``; its susceptance is always zero.
+    ``conductance`` has the DC entry followed by one entry per
+    ``layout.orders()``; ``susceptance`` has one entry per order, because
+    DC has no plane.  ``present`` marks, in the order of ``conductance``,
+    the entries the table holds; the others are 0.  The arrays are
+    read-only copies.
     """
 
-    order: float
-    conductance: float
-    susceptance: float
+    layout: BasisLayout
+    conductance: np.ndarray
+    susceptance: np.ndarray
+    present: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.layout.orders())
+        for name, dtype, size in (
+            ("conductance", np.float64, 1 + n),
+            ("susceptance", np.float64, n),
+            ("present", bool, 1 + n),
+        ):
+            a = np.array(getattr(self, name), dtype=dtype)
+            if a.shape != (size,):
+                raise LayoutError(
+                    f"{name} shape {a.shape} does not match the layout's {size}"
+                )
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
-def impedance_at(net: SeriesRLC, k: float, omega: float) -> HarmonicImpedance:
-    """Series-branch impedance at order ``k`` (a harmonic or an
-    interharmonic) and fundamental angular frequency ``omega``."""
-    kw = k * omega
-    if kw <= 0:
-        if net.c is not None:
-            raise CircuitError("series capacitor blocks DC excitation")
-        raise CircuitError(f"order*omega must be > 0, got {kw}")
-    x = net.l * kw
-    if net.c is not None:
-        ckw = net.c * kw
-        x = x - 1.0 / ckw if ckw > 0.0 else -math.inf
-    if not math.isfinite(x):
-        raise CircuitError(f"reactance at order {k:g} exceeds the float range")
-    return HarmonicImpedance(float(k), net.r, x)
+def _entries(u: GeometricPhasor) -> np.ndarray:
+    """Mask over a table's entries (DC, then ``layout.orders()``) of those
+    the voltage needs: its DC and its occupied orders."""
+    return np.concatenate(([u.has_dc()], u.occupied()))
 
 
-def admittance_at(z: HarmonicImpedance) -> HarmonicAdmittance:
-    """Spinor inverse of a harmonic impedance: G = R/(R^2+X^2),
-    B = -X/(R^2+X^2), with R and X scaled by a power of two so that
-    R^2+X^2 neither overflows nor underflows."""
-    e = pow2_exponent((z.resistance, z.reactance))
-    r, x = math.ldexp(z.resistance, -e), math.ldexp(z.reactance, -e)
-    n2 = r * r + x * x
-    if n2 == 0.0:
-        raise CircuitError(f"zero impedance at order {z.order} is not invertible")
-    try:
-        g, b = math.ldexp(r / n2, -e), math.ldexp(-x / n2, -e)
-    except OverflowError:
-        raise CircuitError(
-            f"impedance at order {z.order} is too small to invert"
-        ) from None
-    return HarmonicAdmittance(z.order, g, b)
+def invert(r, x) -> tuple[np.ndarray, np.ndarray]:
+    """Spinor inverse G + B plane of R + X plane, elementwise over arrays:
+    G = R/(R^2+X^2) and B = -X/(R^2+X^2), with R and X scaled by a power
+    of two so that R^2+X^2 neither overflows nor underflows.  Where
+    R = X = 0, G and B are NaN; where the inverse exceeds the float range,
+    one of them is infinite.  Neither case warns."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        e = np.frexp(np.maximum(abs(r), abs(x)))[1]
+        r, x = np.ldexp(r, -e), np.ldexp(x, -e)
+        n2 = r * r + x * x
+        return np.ldexp(r / n2, -e), np.ldexp(-x / n2, -e)
 
 
-def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> list[HarmonicAdmittance]:
-    """Admittance table covering every slot the voltage occupies.
-
-    Includes a DC entry (order 0, zero susceptance) when the voltage has a
-    DC component, which requires a resistive path.
-    """
-    out = []
-    if u.has_dc():
+def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> Admittances:
+    """Admittance table of the branch over the voltage's DC and occupied
+    orders.  A DC entry requires a resistive path.  Raises
+    ``CircuitError`` naming the first order, in layout order, whose
+    admittance has no float value."""
+    present = _entries(u)
+    g = np.zeros(len(present))
+    b = np.zeros(len(present) - 1)
+    if present[0]:
         if net.c is not None:
             raise CircuitError("series capacitor blocks DC excitation")
         if net.r == 0.0:
             raise CircuitError("DC excitation with zero resistance is unbounded")
-        out.append(HarmonicAdmittance(0.0, 1.0 / net.r, 0.0))
-    for order in u.occupied_orders():
-        out.append(admittance_at(impedance_at(net, order, u.omega)))
-    return out
+        g[0] = 1.0 / net.r
+    occupied = np.flatnonzero(present[1:])
+    orders = np.array(u.layout.orders())[occupied]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kw = orders * u.omega
+        x = net.l * kw
+        if net.c is not None:
+            x = x - 1.0 / (net.c * kw)
+    g_k, b_k = invert(net.r, x)
+    beyond = ~np.isfinite(x)
+    failed = beyond | ~(np.isfinite(g_k) & np.isfinite(b_k))
+    if failed.any():
+        k = int(np.argmax(failed))
+        order = float(orders[k])
+        if beyond[k]:
+            raise CircuitError(f"reactance at order {order:g} exceeds the float range")
+        if np.isnan(g_k[k]):  # 0/0: R = X = 0
+            raise CircuitError(f"zero impedance at order {order} is not invertible")
+        raise CircuitError(f"impedance at order {order} is too small to invert")
+    g[1 + occupied] = g_k
+    b[occupied] = b_k
+    return Admittances(u.layout, g, b, present)
 
 
 def parallel_quadrature(
-    u: GeometricPhasor, y: list[HarmonicAdmittance]
+    u: GeometricPhasor, y: Admittances
 ) -> tuple[GeometricPhasor, GeometricPhasor]:
     """Admittance-driven split over the voltage's own slots:
-    i_p = sum G_k u_k and i_q = sum B_k plane_k u_k."""
-    layout = u.layout
-    by_order = {float(adm.order): adm for adm in y}
-    g = np.zeros(layout.dimension)  # conductance per slot
-    b = np.zeros(len(layout.orders()))  # susceptance per order
-    if u.has_dc():
-        adm = by_order.get(0.0)
-        if adm is None:
+    i_p = sum G_k u_k and i_q = sum B_k plane_k u_k.  Entries the voltage
+    does not need are not read."""
+    if y.layout != u.layout:
+        raise LayoutError("admittance table and voltage use different layouts")
+    want = _entries(u)
+    missing = np.flatnonzero(want & ~y.present)
+    if len(missing):
+        if missing[0] == 0:
             raise PowerAnalysisError("missing admittance for the DC slot")
-        if adm.susceptance != 0.0:
-            raise PowerAnalysisError("DC admittance cannot have susceptance")
-        g[0] = adm.conductance
-    for order in u.occupied_orders():
-        adm = by_order.get(float(order))
-        if adm is None:
-            raise PowerAnalysisError(f"missing admittance for order {order}")
-        lo, hi = layout.slot_pair(order)
-        g[[lo, hi]] = adm.conductance
-        b[lo // 2] = adm.susceptance
+        order = u.layout.orders()[missing[0] - 1]
+        raise PowerAnalysisError(f"missing admittance for order {order}")
+    g = np.where(want, y.conductance, 0.0)
+    b = np.where(want[1:], y.susceptance, 0.0)
     # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even
     odd, even = u.pairs.T
-    iq = np.zeros(layout.dimension)
+    iq = np.zeros(u.layout.dimension)
     iq[1::2] = b * even
     iq[2::2] = -(b * odd)
-    return u._like(g * u.coeffs), u._like(iq)
+    # the DC conductance once, then each order's on both of its slots
+    return u._like(np.repeat(g, 2)[1:] * u.coeffs), u._like(iq)
 
 
-def solve_current(u: GeometricPhasor, y: list[HarmonicAdmittance]) -> GeometricPhasor:
+def solve_current(u: GeometricPhasor, y: Admittances) -> GeometricPhasor:
     """Current i = sum Y_k u_k under voltage ``u`` through the admittance
     table ``y``: the sum i_p + i_q of ``parallel_quadrature``."""
     with np.errstate(over="ignore", invalid="ignore"):

@@ -201,17 +201,15 @@ def _circuit_from_dict(data) -> SeriesRLC:
         if key not in known:
             raise SchemaError(f"unknown circuit field {key!r}")
 
-    def number(key, default):
-        value = data.get(key, default)
-        if value is None:
-            return None
+    def number(key):
+        value = data.get(key, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SchemaError(f"{key} must be a number")
         return float(value)
 
-    r = number("r_ohm", 0.0)
-    l = number("l_henry", 0.0)
-    c = number("c_farad", None)
+    r, l = number("r_ohm"), number("l_henry")
+    # only the capacitor may be null: no capacitor is a short circuit
+    c = None if data.get("c_farad") is None else number("c_farad")
     try:
         return SeriesRLC(r=r, l=l, c=c)
     except PowerAnalysisError as exc:
@@ -266,9 +264,9 @@ def _power_json(report: PowerReport) -> dict:
 
 def _currents_json(cc: CurrentComponents, ys) -> dict:
     table = cc.table_rows()
-    comp = compensation_susceptances(ys)
+    orders, siemens = compensation_susceptances(ys)
     return {
-        "norms": dict(zip(CSV_COLUMNS, table[-1].tolist())),
+        "norms": cc.norms(),
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (
@@ -278,7 +276,7 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
         ),
         "compensation_susceptances": _Records(
             {"order": _SLOT, "siemens": _SLOT},
-            (_orders([o for o, _ in comp], _json6), _json6([b for _, b in comp])),
+            (_orders(orders, _json6), _json6(siemens)),
         ),
     }
 
@@ -333,11 +331,11 @@ def _power_tables(report: PowerReport) -> str:
 
 
 def _compensation_table(ys) -> str:
-    comp = compensation_susceptances(ys)
+    orders, siemens = compensation_susceptances(ys)
     return _table(
         "Compensation susceptances (S)",
         ["order", "siemens"],
-        [_orders([o for o, _ in comp], _g6), _g6([b for _, b in comp])],
+        [_orders(orders, _g6), _g6(siemens)],
     )
 
 

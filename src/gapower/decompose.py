@@ -5,8 +5,9 @@ Two orthogonal splits of the same current:
 * ``i = i_a + i_N``: the minimum-norm current carrying the full active
   power, plus everything else.
 * ``i = i_p + i_q + i_G``: conductance-driven, susceptance-driven and
-  voltage-free-frequency parts, computed from a per-order admittance table
-  (estimated from the signals themselves for measured data).
+  voltage-free-frequency parts, computed from an ``Admittances`` table of
+  per-order (G, B) arrays (estimated from the signals themselves for
+  measured data).
 
 The scattered current ``i_s = i_p - i_a`` links the two splits.
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import negligible, pow2_exponent
-from .circuit import HarmonicAdmittance, parallel_quadrature
+from .circuit import Admittances, _entries, parallel_quadrature
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
 
@@ -44,15 +45,9 @@ class CurrentComponents:
     total: GeometricPhasor
 
     def norms(self) -> dict[str, float]:
-        """Component rms values keyed by the CSV column names."""
-        return {
-            "i_p": self.i_p.norm(),
-            "i_a": self.i_a.norm(),
-            "i_s": self.i_s.norm(),
-            "i_q": self.i_q.norm(),
-            "i_N": self.i_N.norm(),
-            "i": self.total.norm(),
-        }
+        """Component rms values keyed by the CSV column names: the norm
+        row of ``table_rows``."""
+        return dict(zip(CSV_COLUMNS, self.table_rows()[-1].tolist()))
 
     def table_rows(self) -> np.ndarray:
         """``(dim + 1, 6)`` array: one row per basis index with the
@@ -109,45 +104,43 @@ def generated_current(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPhasor
     return u._like(coeffs)
 
 
-def compensation_susceptances(
-    y: list[HarmonicAdmittance],
-) -> list[tuple[float, float]]:
-    """Susceptance each order's passive compensator must add so that the
-    quadrature current vanishes (the negated load susceptance)."""
-    return [(adm.order, -adm.susceptance + 0.0) for adm in y]
+def compensation_susceptances(y: Admittances) -> tuple[np.ndarray, np.ndarray]:
+    """``(orders, siemens)`` over the entries the table holds, DC as order
+    0: the susceptance each order's passive compensator must add so that
+    the quadrature current vanishes (the negated load susceptance, 0 at
+    DC)."""
+    orders = np.array((0.0, *y.layout.orders()))[y.present]
+    return orders, -np.concatenate(([0.0], y.susceptance))[y.present] + 0.0
 
 
-def estimate_admittances(
-    u: GeometricPhasor, i: GeometricPhasor
-) -> list[HarmonicAdmittance]:
+def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
     """Per-order admittance Y_k = i_k u_k^{-1} seen from measured signals.
 
-    Only orders the voltage occupies get an entry; current on other planes
-    belongs to generated_current.  G comes from the in-plane dot product,
-    B from the (negated) in-plane wedge, each over ||u_k||^2.
+    Only the voltage's DC and occupied orders get an entry; current on
+    other planes belongs to generated_current.  G comes from the in-plane
+    dot product, B from the (negated) in-plane wedge, each over ||u_k||^2.
     """
     u._check_compatible(i)
-    out = []
-    if u.has_dc():
-        out.append(HarmonicAdmittance(0.0, i.dc / u.dc, 0.0))
-    orders = u.layout.orders()
-    occupied = np.flatnonzero(u.occupied())
+    present = _entries(u)
+    g = np.zeros(len(present))
+    b = np.zeros(len(present) - 1)
+    if present[0]:
+        g[0] = i.dc / u.dc
+    occupied = np.flatnonzero(present[1:])
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
     # u_k / 2**e, exact per order, keeps ||u_k||^2 in range
     e = np.frexp(np.maximum(abs(au), abs(bu)))[1]
     au, bu = np.ldexp(au, -e), np.ldexp(bu, -e)
     n2 = au * au + bu * bu
-    g = np.ldexp((au * ai + bu * bi) / n2, -e).tolist()
-    b = np.ldexp(-(au * bi - bu * ai) / n2, -e).tolist()
-    for k, gk, bk in zip(occupied.tolist(), g, b):
-        out.append(HarmonicAdmittance(orders[k], gk, bk))
-    return out
+    g[1 + occupied] = np.ldexp((au * ai + bu * bi) / n2, -e)
+    b[occupied] = np.ldexp(-(au * bi - bu * ai) / n2, -e)
+    return Admittances(u.layout, g, b, present)
 
 
 def decompose_currents(
     u: GeometricPhasor,
     i: GeometricPhasor,
-    y: list[HarmonicAdmittance] | None = None,
+    y: Admittances | None = None,
 ) -> CurrentComponents:
     """Run every split at once.
 

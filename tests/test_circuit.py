@@ -12,14 +12,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapower.circuit import (
-    HarmonicAdmittance,
-    HarmonicImpedance,
     SeriesRLC,
-    admittance_at,
     admittances_for,
-    impedance_at,
+    invert,
     solve_current,
 )
+from gapower.decompose import estimate_admittances
 from gapower.errors import CircuitError
 from gapower.phasor import (
     BasisLayout,
@@ -45,42 +43,65 @@ def test_series_rlc_validation():
     assert SeriesRLC(r=1.0).c is None
 
 
+def one_order(k: float, omega: float) -> GeometricPhasor:
+    """A 1 V source at order ``k`` of the fundamental ``omega`` rad/s."""
+    f0 = omega / (2.0 * math.pi)
+    if float(k).is_integer():
+        s = SpectralSignal(f0, harmonics=(HarmonicComponent(k, 1.0),))
+    else:
+        s = SpectralSignal(f0, interharmonics=(HarmonicComponent(k, 1.0),))
+    return to_phasor(s, BasisLayout.for_signals(s))
+
+
+def table_pairs(ys) -> list[tuple[float, float]]:
+    """(G, B) of each order the table holds, in layout order."""
+    held = ys.present[1:]
+    return list(zip(ys.conductance[1:][held].tolist(),
+                    ys.susceptance[held].tolist()))
+
+
 # -- impedance / admittance ---------------------------------------------------
 
-def test_impedance_fixture_values(rlc_equal_conductance):
-    z1 = impedance_at(rlc_equal_conductance, 1, 1.0)
-    assert (z1.order, z1.resistance, z1.reactance) == (1.0, 1.0, -1.0)
-    z3 = impedance_at(rlc_equal_conductance, 3, 1.0)
-    assert (z3.order, z3.resistance, z3.reactance) == (3.0, 1.0, 1.0)
+def test_impedance_fixture_values(two_harmonic_phasor, rlc_equal_conductance):
+    # R + X plane at orders 1 and 3 is the inverse of the table's G + B plane
+    ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    r, x = invert(*np.transpose(table_pairs(ys)))
+    assert r.tolist() == pytest.approx([1.0, 1.0])
+    assert x.tolist() == pytest.approx([-1.0, 1.0])
 
 
 def test_impedance_pure_resistor():
-    z = impedance_at(SeriesRLC(r=1.0), 5, 2.0)
-    assert (z.resistance, z.reactance) == (1.0, 0.0)
+    ys = admittances_for(SeriesRLC(r=1.0), one_order(5, 2.0))
+    assert table_pairs(ys) == [(1.0, 0.0)]  # R = 1 ohm, X = 0 at any order
 
 
 def test_impedance_rejects_zero_frequency():
+    # order * omega underflows to 0 Hz, where the capacitor is open
+    u = one_order(0.01, 3e-323)
+    assert 0.01 * u.omega == 0.0
     with pytest.raises(CircuitError):
-        impedance_at(SeriesRLC(r=1.0, c=1.0), 1, 0.0)
-    with pytest.raises(CircuitError):
-        impedance_at(SeriesRLC(r=1.0), 0, 1.0)
+        admittances_for(SeriesRLC(r=1.0, c=1.0), u)
 
 
-def test_admittance_fixture_values(rlc_equal_conductance):
-    y1 = admittance_at(impedance_at(rlc_equal_conductance, 1, 1.0))
-    assert (y1.order, y1.conductance, y1.susceptance) == pytest.approx((1.0, 0.5, 0.5))
-    y3 = admittance_at(impedance_at(rlc_equal_conductance, 3, 1.0))
-    assert (y3.conductance, y3.susceptance) == pytest.approx((0.5, -0.5))
+def test_admittance_fixture_values(two_harmonic_phasor, rlc_equal_conductance):
+    ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    assert ys.present.tolist() == [False, True, False, True]
+    (g1, b1), (g3, b3) = table_pairs(ys)
+    assert (g1, b1) == pytest.approx((0.5, 0.5))
+    assert (g3, b3) == pytest.approx((0.5, -0.5))
+    # the entries the table does not hold are 0
+    assert ys.conductance[[0, 2]].tolist() == [0.0, 0.0]
+    assert ys.susceptance[1] == 0.0
 
 
 def test_admittance_scalar_case():
-    y = admittance_at(impedance_at(SeriesRLC(r=2.0), 1, 1.0))
-    assert (y.conductance, y.susceptance) == (0.5, 0.0)
+    ys = admittances_for(SeriesRLC(r=2.0), one_order(1, 1.0))
+    assert table_pairs(ys) == [(0.5, 0.0)]
 
 
 def test_admittance_rejects_zero_impedance():
-    with pytest.raises(CircuitError):
-        admittance_at(impedance_at(SeriesRLC(l=1.0, c=1.0), 1, 1.0))
+    with pytest.raises(CircuitError, match="zero impedance at order 1.0 is not"):
+        admittances_for(SeriesRLC(l=1.0, c=1.0), one_order(1, 1.0))
 
 
 @pytest.mark.parametrize("net, omega", [
@@ -89,14 +110,24 @@ def test_admittance_rejects_zero_impedance():
     (SeriesRLC(r=1.0, l=1e308), 314.0),  # L w overflows
 ])
 def test_impedance_rejects_reactance_beyond_float_range(net, omega):
-    with pytest.raises(CircuitError, match="exceeds the float range"):
-        impedance_at(net, 1, omega)
+    with pytest.raises(CircuitError, match="order 1 exceeds the float range"):
+        admittances_for(net, one_order(1, omega))
 
 
 def test_admittance_rejects_impedance_too_small_to_invert():
     # 1/5e-324 is beyond the float range: a handled error, not a traceback
-    with pytest.raises(CircuitError, match="too small to invert"):
-        admittance_at(impedance_at(SeriesRLC(r=5e-324), 1, 1.0))
+    with pytest.raises(CircuitError, match="order 1.0 is too small to invert"):
+        admittances_for(SeriesRLC(r=5e-324), one_order(1, 1.0))
+
+
+def test_admittance_errors_name_the_first_failing_order(two_harmonic_phasor):
+    u = two_harmonic_phasor  # orders 1 and 3 at w = 1 rad/s
+    with pytest.raises(CircuitError, match="order 3 exceeds the float range"):
+        admittances_for(SeriesRLC(r=1.0, l=1e308), u)
+    # resonant at order 1 (X = 2**1023 - 2**1023 = 0) and 3 L w beyond
+    # the float range at order 3: order 1 fails first
+    with pytest.raises(CircuitError, match="order 1.0 is not invertible"):
+        admittances_for(SeriesRLC(l=2.0**1023, c=2.0**-1023), u)
 
 
 # X = 1.0e-12 ohm next to R = 2 ohm: B = -2.5e-13 S must survive as it is
@@ -113,16 +144,17 @@ def test_admittance_is_spinor_inverse_of_impedance(r, l, c, k, omega):
     part within a relative tolerance of itself.  Below the smallest normal
     float a value has no relative precision left (X = 5e-324 gives
     B = -1.25e-324, which rounds to 0), hence the absolute floor there."""
-    z = impedance_at(SeriesRLC(r=r, l=l, c=c), k, omega)
-    y = admittance_at(z)
-    want = 1.0 / impedance_complex(r, l, c, k, omega)
+    u = one_order(k, omega)
+    z = impedance_complex(r, l, c, k, u.omega)
+    want = 1.0 / z
     tol = {"rel": 1e-12, "abs": sys.float_info.min}
-    assert y.conductance == pytest.approx(want.real, **tol)
-    assert y.susceptance == pytest.approx(want.imag, **tol)
-    # and the round trip back to the impedance
-    back = admittance_at(HarmonicImpedance(z.order, y.conductance, y.susceptance))
-    assert back.conductance == pytest.approx(z.resistance, **tol)
-    assert back.susceptance == pytest.approx(z.reactance, **tol)
+    [(g, b)] = table_pairs(admittances_for(SeriesRLC(r=r, l=l, c=c), u))
+    assert g == pytest.approx(want.real, **tol)
+    assert b == pytest.approx(want.imag, **tol)
+    # and the round trip of invert back to the impedance
+    back_r, back_x = invert(*invert(z.real, z.imag))
+    assert back_r == pytest.approx(z.real, **tol)
+    assert back_x == pytest.approx(z.imag, **tol)
 
 
 # -- solve_current ----------------------------------------------------------------
@@ -266,13 +298,30 @@ def test_kvl_residual(u, net):
 @given(sources(), nets)
 def test_admittances_cover_source(u, net):
     ys = admittances_for(net, u)
-    orders = {y.order for y in ys}
-    assert set(u.occupied_orders()) <= orders
+    assert ys.present.tolist() == [u.has_dc(), *u.occupied().tolist()]
+
+
+@given(sources(), nets)
+def test_estimated_table_matches_the_circuit(u, net):
+    """The table estimated from the solved current holds the circuit's
+    entries, and each order's (G, B) is the complex 1/Z within 1e-12 of
+    |1/Z|."""
+    ys = admittances_for(net, u)
+    est = estimate_admittances(u, solve_current(u, ys))
+    assert est.present.tolist() == ys.present.tolist()
+    held = est.present[1:]
+    orders = np.array(u.layout.orders())[held]
+    g, b = est.conductance[1:][held], est.susceptance[held]
+    for k, gk, bk in zip(orders.tolist(), g.tolist(), b.tolist()):
+        want = 1.0 / impedance_complex(net.r, net.l, net.c, k, u.omega)
+        assert abs(gk - want.real) <= 1e-12 * abs(want)
+        assert abs(bk - want.imag) <= 1e-12 * abs(want)
 
 
 def test_admittance_table_includes_dc_entry():
     s = SpectralSignal(50.0, dc=10.0, harmonics=(HarmonicComponent(1, 10.0),))
     u = to_phasor(s, BasisLayout(n=1))
     ys = admittances_for(u=u, net=SeriesRLC(r=4.0))
-    dc_entries = [y for y in ys if y.order == 0.0]
-    assert dc_entries == [HarmonicAdmittance(0.0, 0.25, 0.0)]
+    assert ys.present.tolist() == [True, True]
+    assert ys.conductance[0] == 0.25
+    assert ys.susceptance.shape == (1,)  # one per order: DC has none

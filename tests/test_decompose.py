@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapower.circuit import (
-    HarmonicAdmittance,
+    Admittances,
     SeriesRLC,
     admittances_for,
     solve_current,
@@ -23,7 +23,7 @@ from gapower.decompose import (
     parallel_quadrature,
     scattered,
 )
-from gapower.errors import PowerAnalysisError
+from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
@@ -108,10 +108,31 @@ def test_parallel_quadrature_zero_susceptance(two_harmonic_phasor):
     assert is_zero(i_q)
 
 
+def without(ys: Admittances, entry: int) -> Admittances:
+    """The table ``ys`` no longer holding ``entry`` (0 is DC)."""
+    present = ys.present.copy()
+    present[entry] = False
+    return Admittances(ys.layout, ys.conductance, ys.susceptance, present)
+
+
 def test_parallel_quadrature_missing_admittance(two_harmonic_phasor):
     ys = admittances_for(SeriesRLC(r=2.0), two_harmonic_phasor)
-    with pytest.raises(PowerAnalysisError):
-        parallel_quadrature(two_harmonic_phasor, ys[:1])
+    with pytest.raises(PowerAnalysisError, match="for order 3.0$"):
+        parallel_quadrature(two_harmonic_phasor, without(ys, 3))
+    # an entry the voltage does not need is not read
+    other = vec_phasor({2: 1.0}, n=3, f0=two_harmonic_phasor.fundamental_hz)
+    i_p, _ = parallel_quadrature(other, without(ys, 3))
+    assert_coeffs(i_p, dense(7, {2: 0.5}))
+
+
+def test_parallel_quadrature_rejects_a_table_on_another_layout(
+    two_harmonic_phasor,
+):
+    ys = admittances_for(SeriesRLC(r=2.0), vec_phasor({2: 1.0}, n=1))
+    with pytest.raises(LayoutError):
+        parallel_quadrature(two_harmonic_phasor, ys)
+    with pytest.raises(LayoutError, match="conductance shape"):
+        Admittances(BasisLayout(n=3), np.zeros(3), np.zeros(3), np.ones(4, bool))
 
 
 def test_parallel_quadrature_dc_slot():
@@ -121,8 +142,8 @@ def test_parallel_quadrature_dc_slot():
     i_p, i_q = parallel_quadrature(u, ys)
     assert i_p.dc == pytest.approx(5.0)
     assert is_zero(i_q)
-    with pytest.raises(PowerAnalysisError):
-        parallel_quadrature(u, [y for y in ys if y.order != 0.0])
+    with pytest.raises(PowerAnalysisError, match="for the DC slot"):
+        parallel_quadrature(u, without(ys, 0))
 
 
 # -- scattered ---------------------------------------------------------------------
@@ -197,22 +218,28 @@ def test_generated_dc_slot():
 
 def test_compensation_fixture(two_harmonic_phasor, rlc_equal_conductance):
     ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
-    assert compensation_susceptances(ys) == [(1.0, -0.5), (3.0, 0.5)]
+    orders, siemens = compensation_susceptances(ys)
+    assert (orders.tolist(), siemens.tolist()) == ([1.0, 3.0], [-0.5, 0.5])
 
 
 def test_compensation_resistive_all_zero(two_harmonic_phasor):
     ys = admittances_for(SeriesRLC(r=2.0), two_harmonic_phasor)
-    assert compensation_susceptances(ys) == [(1.0, 0.0), (3.0, 0.0)]
+    orders, siemens = compensation_susceptances(ys)
+    assert (orders.tolist(), siemens.tolist()) == ([1.0, 3.0], [0.0, 0.0])
+    # DC is held as order 0 and needs no compensation
+    u = vec_phasor({0: 4.0, 2: 10.0}, n=1)
+    orders, siemens = compensation_susceptances(admittances_for(SeriesRLC(r=2.0), u))
+    assert (orders.tolist(), siemens.tolist()) == ([0.0, 1.0], [0.0, 0.0])
 
 
 def test_compensated_load_draws_no_quadrature_current(
     two_harmonic_phasor, rlc_unequal_conductance
 ):
     ys = admittances_for(rlc_unequal_conductance, two_harmonic_phasor)
-    fixed = [
-        HarmonicAdmittance(y.order, y.conductance, y.susceptance + b)
-        for y, (_, b) in zip(ys, compensation_susceptances(ys))
-    ]
+    orders, siemens = compensation_susceptances(ys)
+    b = ys.susceptance.copy()
+    b[orders.astype(int) - 1] += siemens  # harmonic k is entry k - 1
+    fixed = Admittances(ys.layout, ys.conductance, b, ys.present)
     _, i_q = parallel_quadrature(two_harmonic_phasor, fixed)
     assert is_zero(i_q)
 
@@ -222,21 +249,22 @@ def test_compensated_load_draws_no_quadrature_current(
 def test_estimate_recovers_circuit_admittances(
     two_harmonic_phasor, rlc_equal_conductance
 ):
-    i = solve_current(
-        two_harmonic_phasor, admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    ys = admittances_for(rlc_equal_conductance, two_harmonic_phasor)
+    estimated = estimate_admittances(
+        two_harmonic_phasor, solve_current(two_harmonic_phasor, ys)
     )
-    estimated = {y.order: y for y in estimate_admittances(two_harmonic_phasor, i)}
-    for y in admittances_for(rlc_equal_conductance, two_harmonic_phasor):
-        assert estimated[y.order].conductance == pytest.approx(y.conductance)
-        assert estimated[y.order].susceptance == pytest.approx(y.susceptance)
+    assert estimated.present.tolist() == ys.present.tolist()
+    np.testing.assert_allclose(estimated.conductance, ys.conductance, rtol=1e-12)
+    np.testing.assert_allclose(estimated.susceptance, ys.susceptance, rtol=1e-12)
 
 
 def test_estimate_handles_dc():
     u = vec_phasor({0: 4.0, 2: 10.0}, n=1)
     i = vec_phasor({0: 2.0, 2: 5.0}, n=1)
-    ys = {y.order: y for y in estimate_admittances(u, i)}
-    assert ys[0.0].conductance == pytest.approx(0.5)
-    assert ys[0.0].susceptance == 0.0
+    ys = estimate_admittances(u, i)
+    assert ys.present.tolist() == [True, True]
+    assert ys.conductance.tolist() == [0.5, 0.5]
+    assert ys.susceptance.tolist() == [0.0]
 
 
 # -- decompose_currents -------------------------------------------------------------------
