@@ -78,6 +78,21 @@ class Admittances:
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
+    @classmethod
+    def on(cls, u: GeometricPhasor, g_dc, g_k, b_k) -> Admittances:
+        """Table over the voltage's DC (``g_dc``, 0 when it has none) and
+        its occupied orders (``g_k``, ``b_k`` in layout order)."""
+        present = _entries(u)
+        g, b = np.zeros(len(present)), np.zeros(len(present) - 1)
+        g[0] = g_dc
+        g[1:][present[1:]], b[present[1:]] = g_k, b_k
+        return cls(u.layout, g, b, present)
+
+    def held_susceptances(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(orders, B)`` over the entries the table holds, DC as order 0."""
+        orders = np.array((0.0, *self.layout.orders()))
+        return orders[self.present], np.append(0.0, self.susceptance)[self.present]
+
 
 def _entries(u: GeometricPhasor) -> np.ndarray:
     """Mask over a table's entries (DC, then ``layout.orders()``) of those
@@ -103,17 +118,14 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> Admittances:
     orders.  A DC entry requires a resistive path.  Raises
     ``CircuitError`` naming the first order, in layout order, whose
     admittance has no float value."""
-    present = _entries(u)
-    g = np.zeros(len(present))
-    b = np.zeros(len(present) - 1)
-    if present[0]:
+    g_dc = 0.0
+    if u.has_dc():
         if net.c is not None:
             raise CircuitError("series capacitor blocks DC excitation")
         if net.r == 0.0:
             raise CircuitError("DC excitation with zero resistance is unbounded")
-        g[0] = 1.0 / net.r
-    occupied = np.flatnonzero(present[1:])
-    orders = np.array(u.layout.orders())[occupied]
+        g_dc = 1.0 / net.r
+    orders = np.array(u.layout.orders())[u.occupied()]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kw = orders * u.omega
         x = net.l * kw
@@ -130,9 +142,7 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> Admittances:
         if np.isnan(g_k[k]):  # 0/0: R = X = 0
             raise CircuitError(f"zero impedance at order {order} is not invertible")
         raise CircuitError(f"impedance at order {order} is too small to invert")
-    g[1 + occupied] = g_k
-    b[occupied] = b_k
-    return Admittances(u.layout, g, b, present)
+    return Admittances.on(u, g_dc, g_k, b_k)
 
 
 def parallel_quadrature(

@@ -266,7 +266,7 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
     table = cc.table_rows()
     orders, siemens = compensation_susceptances(ys)
     return {
-        "norms": cc.norms(),
+        "norms": dict(zip(CSV_COLUMNS, table[-1].tolist())),
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import negligible, pow2_exponent
-from .circuit import Admittances, _entries, parallel_quadrature
+from .circuit import Admittances, parallel_quadrature
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor
 
@@ -109,8 +109,8 @@ def compensation_susceptances(y: Admittances) -> tuple[np.ndarray, np.ndarray]:
     0: the susceptance each order's passive compensator must add so that
     the quadrature current vanishes (the negated load susceptance, 0 at
     DC)."""
-    orders = np.array((0.0, *y.layout.orders()))[y.present]
-    return orders, -np.concatenate(([0.0], y.susceptance))[y.present] + 0.0
+    orders, b = y.held_susceptances()
+    return orders, -b + 0.0
 
 
 def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
@@ -121,20 +121,15 @@ def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
     dot product, B from the (negated) in-plane wedge, each over ||u_k||^2.
     """
     u._check_compatible(i)
-    present = _entries(u)
-    g = np.zeros(len(present))
-    b = np.zeros(len(present) - 1)
-    if present[0]:
-        g[0] = i.dc / u.dc
-    occupied = np.flatnonzero(present[1:])
+    occupied = u.occupied()
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
     # u_k / 2**e, exact per order, keeps ||u_k||^2 in range
     e = np.frexp(np.maximum(abs(au), abs(bu)))[1]
     au, bu = np.ldexp(au, -e), np.ldexp(bu, -e)
     n2 = au * au + bu * bu
-    g[1 + occupied] = np.ldexp((au * ai + bu * bi) / n2, -e)
-    b[occupied] = np.ldexp(-(au * bi - bu * ai) / n2, -e)
-    return Admittances(u.layout, g, b, present)
+    g_dc = i.dc / u.dc if u.has_dc() else 0.0
+    g_k = np.ldexp((au * ai + bu * bi) / n2, -e)
+    return Admittances.on(u, g_dc, g_k, np.ldexp(-(au * bi - bu * ai) / n2, -e))
 
 
 def decompose_currents(

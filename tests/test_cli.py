@@ -201,19 +201,26 @@ def test_unwritable_out_is_an_input_error(
         {"r_ohm": -1.0},
         {"r_ohm": 1.0, "c_farad": 0.0},
         [{"r_ohm": 1.0}],
-        {"r_ohm": None},
-        {"r_ohm": 1.0, "l_henry": None},
     ],
 )
 def test_solve_bad_circuit_documents(tmp_path, source_file, doc, capsys):
     path = write_json(tmp_path / "c.json", doc)
     assert main(["solve", "--circuit", str(path), "--source", source_file]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"r_ohm": None}, "r_ohm must be a number"),
+        ({"r_ohm": 1.0, "l_henry": None}, "l_henry must be a number"),
+    ],
+)
+def test_solve_null_circuit_field(tmp_path, source_file, doc, message, capsys):
     # only the capacitor may be null (no capacitor: a short circuit)
-    if isinstance(doc, dict) and None in doc.values():
-        key = next(k for k, v in doc.items() if v is None)
-        assert err == f"error: {path}: {key} must be a number\n"
+    path = write_json(tmp_path / "c.json", doc)
+    assert main(["solve", "--circuit", str(path), "--source", source_file]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):
