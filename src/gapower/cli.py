@@ -8,13 +8,17 @@ format prints is computed.
 
 Every number is printed with 6 significant digits, so identical inputs
 give identical bytes.  Numbers are rendered from arrays: one ``%``
-template formats a whole float array, and each regular block (a table, the
-CSV rows, a JSON array of records such as the cross-frequency terms) goes
-through one template built from its header or keys.  A JSON number is
-its ``%.6g`` text, respelled only in the few forms where JSON writes the
-same float differently (see the number-formatting comment), and integer
-columns such as the blade indices go into their template as ints.
-``json.dumps`` only writes keys, strings and the few irregular values.
+template formats a whole float array, and a table or the CSV rows go
+through one template built from the header.  A JSON number is its
+``%.6g`` text, respelled only where a mask cannot rule out a form JSON
+writes differently (see the number-formatting comment).  A JSON array of
+records, such as the cross-frequency terms, is joined once from the
+record's constant text and the value texts.  ``json.dumps`` only writes
+keys, strings and the few irregular values.
+
+Output is a list of text chunks for ``writelines``, never one whole
+document; ``--timeseries`` is formatted ``_ROWS_PER_CALL`` rows at a
+time.  Everything that can fail runs before the first write.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
@@ -60,9 +64,12 @@ FORMATS = ("table", "json", "csv")
 # spelled out (1.23457e+08 is 123457000.0); from e-308 down lie the
 # subnormals, whose precision falls below 6 digits, so repr may be
 # shorter (4.94066e-324 is 5e-324); and nan, inf and -inf take json's
-# spellings.
+# spellings.  Only values a mask cannot rule out are checked: a finite
+# 1e-300 <= |x| < 99999 that lies more than 1e-5*|x| from every integer
+# prints either fixed with a "." (6 digits cannot round it to an
+# integer) or with an exponent from e-05 to e-300, and both are repr.
 
-_ROWS_PER_CALL = 1 << 16  # rows per ``%`` call: bounds the temporary lists
+_ROWS_PER_CALL = 1 << 16  # rows per ``%`` call and per written chunk
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _REPR_EXPONENTS = frozenset(
     ["e+%02d" % k for k in range(6, 16)] + ["e-%d" % k for k in range(308, 325)]
@@ -84,11 +91,17 @@ def _g6(values) -> list[str]:
 
 def _json6(values) -> list[str]:
     """JSON number text of every element of a float array."""
-    return [
-        t if "." in t and t[-4:] not in _REPR_EXPONENTS
-        and t[-5:] not in _REPR_EXPONENTS else _json_misfit(t)
-        for t in _g6(values)
-    ]
+    a = np.ravel(values)
+    texts = _g6(a)
+    # |x| capped at the cut, an integer, where nan and inf land too; every
+    # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway
+    x = np.fmin(np.abs(a), 99999.0)
+    unsure = (x < 1e-300) | (abs(x - np.rint(x)) <= 1e-5 * x)
+    for k in np.flatnonzero(unsure).tolist():
+        t = texts[k]
+        if "." not in t or t[-4:] in _REPR_EXPONENTS or t[-5:] in _REPR_EXPONENTS:
+            texts[k] = _json_misfit(t)
+    return texts
 
 
 def _json_misfit(text: str) -> str:
@@ -97,6 +110,13 @@ def _json_misfit(text: str) -> str:
     if "e" in text:
         return repr(float(text))
     return _JSON_NONFINITE.get(text) or text + ".0"
+
+
+def _ints(values: list[int]) -> list[str]:
+    """Decimal text of every entry of a list of non-negative ints, looked
+    up in one table over ``range(max + 1)``."""
+    text = list(map(str, range(max(values, default=-1) + 1)))
+    return list(map(text.__getitem__, values))
 
 
 def _orders(orders, six) -> list[str]:
@@ -125,10 +145,15 @@ def _table(title: str, header: list[str], columns: list[list[str]]) -> str:
     return "\n".join([title, *map(str.rstrip, text.split("\n"))]) + "\n"
 
 
-def _csv(header: list[str], columns: list[list[str]]) -> str:
-    """CSV text of the given text columns under a header line."""
+def _spaced(tables: list[str]) -> list[str]:
+    """Text chunks of ``tables`` with a blank line between each two."""
+    return [c for t in tables for c in ("\n", t)][1:]
+
+
+def _csv(header: list[str], columns: list[list[str]]) -> list[str]:
+    """CSV text chunks of the given text columns under a header line."""
     row = ",".join(["%s"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + row * len(columns[0]) % _cells(columns)
+    return [",".join(header) + "\n", row * len(columns[0]) % _cells(columns)]
 
 
 # A value slot of a JSON record template.
@@ -140,39 +165,51 @@ _SLOT_TEXT = json.dumps(_SLOT)
 class _Records:
     """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
     values of ``proto`` take, in order, the entries of ``columns``: one
-    list per slot of JSON text or of ints, one entry per record."""
+    list of JSON text per slot, one entry per record."""
 
     proto: dict
-    columns: tuple[list, ...]
+    columns: tuple[list[str], ...]
 
 
-def _bracket(ends: str, items: list[str], pad: str) -> str:
-    """JSON items one per line inside ``ends`` (``"{}"`` or ``"[]"``),
-    indented one level below ``pad``."""
-    if not items:
-        return ends
+def _record_block(block: _Records, pad: str) -> str:
+    """The JSON text of ``block``, joined once from its cells: record m
+    is piece 0, cell 0 of m, piece 1, ..., piece k, where the k+1 pieces
+    are the proto's text cut at its k slots."""
+    n, k = len(block.columns[0]), len(block.columns)
+    if not n:
+        return "[]"
     inner = pad + "  "
-    return f"{ends[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{ends[1]}"
+    pieces = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
+    cells = [f"{pieces[k]},\n{inner}{pieces[0]}"] * (2 * k * n + 1)
+    cells[0], cells[-1] = f"[\n{inner}{pieces[0]}", f"{pieces[k]}\n{pad}]"
+    for j, col in enumerate(block.columns):
+        cells[2 * j + 1::2 * k] = col
+        if j + 1 < k:
+            cells[2 * j + 2::2 * k] = [pieces[j + 1]] * n
+    return "".join(cells)
 
 
-def _json(obj, pad: str = "") -> str:
-    """``obj`` laid out as ``json.dumps(obj, indent=2)`` lays it out, with
-    every float at 6 significant digits; a ``_Records`` block renders
-    through one template."""
-    inner = pad + "  "
+def _json(obj, pad: str = "") -> list[str]:
+    """Text chunks of ``obj`` laid out as ``json.dumps(obj, indent=2)``
+    lays it out, with every float at 6 significant digits; a
+    ``_Records`` block is one chunk."""
     if isinstance(obj, _Records):
-        record = _json(obj.proto, inner).replace("%", "%%")
-        record = record.replace(_SLOT_TEXT, "%s")
-        records = [record] * len(obj.columns[0])
-        return _bracket("[]", records, pad) % _cells(obj.columns)
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_json(v, inner)}" for k, v in obj.items()]
-        return _bracket("{}", items, pad)
-    if isinstance(obj, list):
-        return _bracket("[]", [_json(v, inner) for v in obj], pad)
+        return [_record_block(obj, pad)]
     if isinstance(obj, float):
-        return _json6([obj])[0]
-    return json.dumps(obj)
+        return _json6([obj])
+    if not obj or not isinstance(obj, (dict, list)):
+        return [json.dumps(obj)]
+    inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
+    items = (
+        [(f"{json.dumps(k)}: ", v) for k, v in obj.items()]
+        if isinstance(obj, dict) else [("", v) for v in obj]
+    )
+    chunks, sep = [ends[0]], "\n"
+    for key, value in items:
+        chunks += [sep + inner + key, *_json(value, inner)]
+        sep = ",\n"
+    chunks.append(f"\n{pad}{ends[1]}")
+    return chunks
 
 
 # -- input documents ---------------------------------------------------
@@ -255,7 +292,7 @@ def _power_json(report: PowerReport) -> dict:
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
             (
-                *terms.blade_indices.T.tolist(),
+                *map(_ints, terms.blade_indices.T.tolist()),
                 _json6(terms.va),
             ),
         ),
@@ -270,7 +307,7 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (
-                list(range(len(table) - 1)),
+                _ints(list(range(len(table) - 1))),
                 *map(_json6, table[:-1].T),
             ),
         ),
@@ -289,7 +326,7 @@ def _decomposition_columns(cc: CurrentComponents) -> list[list[str]]:
     return [index, *map(_g6, table.T)]
 
 
-def _decomposition_csv(cc: CurrentComponents) -> str:
+def _decomposition_csv(cc: CurrentComponents) -> list[str]:
     return _csv(["index", *CSV_COLUMNS], _decomposition_columns(cc))
 
 
@@ -301,7 +338,7 @@ def _decomposition_table(cc: CurrentComponents) -> str:
     )
 
 
-def _power_tables(report: PowerReport) -> str:
+def _power_tables(report: PowerReport) -> list[str]:
     pq = report.per_harmonic
     pf = "n/a" if report.pf is None else _g6([report.pf])[0]
     parts = [
@@ -327,7 +364,7 @@ def _power_tables(report: PowerReport) -> str:
         parts.append(
             _table("Cross-frequency terms", ["blade", "va"], [blades, _g6(terms.va)])
         )
-    return "\n".join(parts)
+    return parts
 
 
 def _compensation_table(ys) -> str:
@@ -363,7 +400,7 @@ def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
 
 # -- subcommands -------------------------------------------------------
 
-def cmd_solve(args) -> str:
+def cmd_solve(args) -> list[str]:
     source = _read_document(args.source, SpectralSignal.from_dict)
     net = _read_document(args.circuit, _circuit_from_dict)
     layout = BasisLayout.for_signals(source)
@@ -384,18 +421,18 @@ def cmd_solve(args) -> str:
                 "power": _power_json(report),
                 "currents": _currents_json(cc, ys),
             }
-        ) + "\n"
-    return "\n".join(
+        ) + ["\n"]
+    return _spaced(
         [
             _spectrum_table(source, i_sig),
-            _power_tables(report),
+            *_power_tables(report),
             _decomposition_table(cc),
             _compensation_table(ys),
         ]
     )
 
 
-def cmd_analyze(args) -> str:
+def cmd_analyze(args) -> list[str]:
     u_w, i_w = load_csv(args.input)
     u_sig = dft_extract(u_w, args.fundamental, args.orders, args.interharmonics)
     i_sig = dft_extract(i_w, args.fundamental, args.orders, args.interharmonics)
@@ -432,8 +469,8 @@ def cmd_analyze(args) -> str:
                 "power": _power_json(report),
                 "currents": _currents_json(cc, ys),
             }
-        ) + "\n"
-    return "\n".join(
+        ) + ["\n"]
+    return _spaced(
         [
             _table(
                 "Waveform",
@@ -441,14 +478,14 @@ def cmd_analyze(args) -> str:
                 [[cell] for cell in _g6(list(waveform.values()))],
             ),
             _spectrum_table(u_sig, i_sig),
-            _power_tables(report),
+            *_power_tables(report),
             _decomposition_table(cc),
             _compensation_table(ys),
         ]
     )
 
 
-def cmd_decompose(args) -> str:
+def cmd_decompose(args) -> list[str]:
     u_sig = _read_document(args.voltage, SpectralSignal.from_dict)
     i_sig = _read_document(args.current, SpectralSignal.from_dict)
     if not math.isclose(
@@ -472,27 +509,34 @@ def cmd_decompose(args) -> str:
                 "current_spectrum": _spectrum_json(i_sig),
                 "currents": _currents_json(cc, ys),
             }
-        ) + "\n"
-    return "\n".join([_decomposition_table(cc), _compensation_table(ys)])
+        ) + ["\n"]
+    return _spaced([_decomposition_table(cc), _compensation_table(ys)])
 
 
-def _timeseries_csv(u_w, i_w, cc: CurrentComponents) -> str:
-    t = np.arange(u_w.n) / u_w.sample_rate_hz
-    u, i = u_w.samples, i_w.samples
-    columns = np.column_stack([
-        t, u, i, u * i,
-        reconstruct(from_phasor(cc.i_a), t),
-        reconstruct(from_phasor(cc.i_N), t),
-    ])
-    return "t_s,u,i,p,i_a,i_N\n" + _g6_rows(columns, ",".join(["%.6g"] * 6) + "\n")
+def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
+    """The t,u,i,p,i_a,i_N CSV as a lazy iterator of text chunks of
+    ``_ROWS_PER_CALL`` rows; only formatting is left to the iteration.
+    Every step is elementwise, so a chunk has the bits of the whole."""
+    i_a, i_n = from_phasor(cc.i_a), from_phasor(cc.i_N)
+    row = ",".join(["%.6g"] * 6) + "\n"
+
+    def chunks():
+        yield "t_s,u,i,p,i_a,i_N\n"
+        for k in range(0, u_w.n, _ROWS_PER_CALL):
+            t = np.arange(k, min(k + _ROWS_PER_CALL, u_w.n)) / u_w.sample_rate_hz
+            u, i = u_w.samples[k:k + len(t)], i_w.samples[k:k + len(t)]
+            columns = [t, u, i, u * i, reconstruct(i_a, t), reconstruct(i_n, t)]
+            yield _g6_rows(np.column_stack(columns), row)
+
+    return chunks()
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(chunks, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # -- argument parsing --------------------------------------------------

@@ -20,6 +20,7 @@ proportional to the voltage has no non-active or scattered part.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +120,8 @@ def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
     Only the voltage's DC and occupied orders get an entry; current on
     other planes belongs to generated_current.  G comes from the in-plane
     dot product, B from the (negated) in-plane wedge, each over ||u_k||^2.
+    Raises ``PowerAnalysisError`` naming the first entry (DC, then the
+    orders in layout order) whose admittance exceeds the float range.
     """
     u._check_compatible(i)
     occupied = u.occupied()
@@ -128,8 +131,16 @@ def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
     au, bu = np.ldexp(au, -e), np.ldexp(bu, -e)
     n2 = au * au + bu * bu
     g_dc = i.dc / u.dc if u.has_dc() else 0.0
-    g_k = np.ldexp((au * ai + bu * bi) / n2, -e)
-    return Admittances.on(u, g_dc, g_k, np.ldexp(-(au * bi - bu * ai) / n2, -e))
+    if not math.isfinite(g_dc):
+        raise PowerAnalysisError("conductance at DC exceeds the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_k = np.ldexp((au * ai + bu * bi) / n2, -e)
+        b_k = np.ldexp(-(au * bi - bu * ai) / n2, -e)
+    failed = ~(np.isfinite(g_k) & np.isfinite(b_k))
+    if failed.any():
+        order = float(np.array(u.layout.orders())[occupied][np.argmax(failed)])
+        raise PowerAnalysisError(f"admittance at order {order} exceeds the float range")
+    return Admittances.on(u, g_dc, g_k, b_k)
 
 
 def decompose_currents(

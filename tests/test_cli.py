@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import json
 import math
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -20,8 +21,10 @@ from conftest import (
 )
 import gapower.cli
 from gapower.cli import FORMATS, main
+from gapower.decompose import decompose_currents
+from gapower.phasor import BasisLayout, to_phasor
 from gapower.power import POWER_REPORT_SCHEMA
-from gapower.waveform import sample_signal
+from gapower.waveform import dft_extract, sample_signal
 
 
 def write_json(path, obj) -> str:
@@ -230,6 +233,11 @@ def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal
          "harmonics": [{"order": 1, "rms": 10.0, "phase_rad": 0.0}]},
     )
     assert main(["solve", "--circuit", circuit_equal, "--source", src]) == 1
+    out = tmp_path / "out"
+    for fmt in FORMATS:
+        assert main(["solve", "--circuit", circuit_equal, "--source", src,
+                     "--format", fmt, "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 # -- analyze -------------------------------------------------------------
@@ -269,13 +277,14 @@ def test_analyze_without_fundamental_exits_2(tmp_path, fmt, capsys):
     lines += [f"{a:.17g},{b:.17g}" for a, b in zip(u.samples, i.samples)]
     path = tmp_path / "third.csv"
     path.write_text("\n".join(lines) + "\n")
-    out = tmp_path / "out.txt"
+    out, ts = tmp_path / "out.txt", tmp_path / "ts.csv"
     rc = main(["analyze", "--input", str(path), "--fundamental", "50",
-               "--orders", "5", "--format", fmt, "--out", str(out)])
+               "--orders", "5", "--format", fmt, "--out", str(out),
+               "--timeseries", str(ts)])
     assert rc == 2
     assert capsys.readouterr().err == (
         "error: THD needs a fundamental component with rms > 0\n")
-    assert not out.exists()
+    assert not out.exists() and not ts.exists()
 
 
 def test_analyze_table_sections(capsys, bench_csv):
@@ -455,6 +464,70 @@ def test_decompose_zero_voltage_is_computation_error(tmp_path):
          "harmonics": [{"order": 1, "rms": 1.0, "phase_rad": 0.0}]},
     )
     assert main(["decompose", "--voltage", v, "--current", c]) == 1
+
+
+@pytest.mark.parametrize(
+    "voltage, current, message",
+    [
+        # 1e10 A over 1e-300 V: the DC conductance leaves the float range
+        ({"dc": 1e-300, "harmonics": [{"order": 1, "rms": 1e-290}]},
+         {"dc": 1e10, "harmonics": [{"order": 1, "rms": 1.0}]},
+         "conductance at DC exceeds the float range"),
+        ({"harmonics": [{"order": 1, "rms": 1e-300}]},
+         {"harmonics": [{"order": 1, "rms": 1e10}]},
+         "admittance at order 1.0 exceeds the float range"),
+    ],
+    ids=["dc", "order"],
+)
+def test_decompose_admittance_beyond_float_range_exits_1(
+    tmp_path, capsys, voltage, current, message
+):
+    v = write_json(tmp_path / "v.json", {"fundamental_hz": 50.0, **voltage})
+    c = write_json(tmp_path / "i.json", {"fundamental_hz": 50.0, **current})
+    out = tmp_path / "d.csv"
+    rc = main(["decompose", "--voltage", v, "--current", c,
+               "--format", "csv", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+# -- chunked output ------------------------------------------------------------
+
+def test_small_chunks_write_the_same_bytes(tmp_path, bench_csv, monkeypatch):
+    def run(tag):
+        out, ts = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
+                   "--orders", "9", "--format", "json", "--out", str(out),
+                   "--timeseries", str(ts)])
+        assert rc == 0
+        return out.read_bytes(), ts.read_bytes()
+
+    whole = run("whole")
+    monkeypatch.setattr(gapower.cli, "_ROWS_PER_CALL", 3)
+    assert run("small") == whole
+
+
+def test_timeseries_is_written_in_bounded_memory(tmp_path):
+    # 200,000 rows: about 46 MB traced peak when the whole CSV text is
+    # built before the write, about 26 MB in chunks of _ROWS_PER_CALL rows
+    u_w, i_w = (
+        sample_signal(rows_to_signal(rows, BENCH_F0_HZ), BENCH_FS_HZ, 200_000)
+        for rows in (BENCH_VOLTAGE_ROWS, BENCH_CURRENT_ROWS)
+    )
+    u_sig, i_sig = dft_extract(u_w, BENCH_F0_HZ, 9), dft_extract(i_w, BENCH_F0_HZ, 9)
+    layout = BasisLayout.for_signals(u_sig, i_sig)
+    cc = decompose_currents(to_phasor(u_sig, layout), to_phasor(i_sig, layout))
+    path = tmp_path / "ts.csv"
+    tracemalloc.start()
+    try:
+        gapower.cli._write_text(gapower.cli._timeseries_csv(u_w, i_w, cc), str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 35e6
+    with open(path, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 200_000
 
 
 # -- parser / determinism ----------------------------------------------------

@@ -267,6 +267,21 @@ def test_estimate_handles_dc():
     assert ys.susceptance.tolist() == [0.0]
 
 
+@pytest.mark.parametrize(
+    "u_terms, i_terms, entry",
+    [
+        ({0: 1e-300, 2: 1e-290}, {0: 1e10, 2: 1.0}, "conductance at DC"),
+        ({1: 1e-300, 5: 1e-300}, {1: 1e-300, 5: 1e10}, "admittance at order 3.0"),
+        ({1: 1e-300, 6: 1e-300}, {1: 1e-300, 5: 1e10}, "admittance at order 3.0"),
+        ({3: 1e-300, 5: 1e-300}, {3: 1e10, 5: 1e10}, "admittance at order 2.0"),
+    ],
+)
+def test_estimate_refuses_admittances_beyond_float_range(u_terms, i_terms, entry):
+    u, i = vec_phasor(u_terms, n=3), vec_phasor(i_terms, n=3)
+    with pytest.raises(PowerAnalysisError, match=f"^{entry} exceeds the float range$"):
+        estimate_admittances(u, i)
+
+
 # -- decompose_currents -------------------------------------------------------------------
 
 def test_component_table_shape(two_harmonic_phasor, rlc_unequal_conductance):

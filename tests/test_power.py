@@ -207,7 +207,7 @@ def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductanc
     assert report.apparent_va == pytest.approx(10000.0 * math.sqrt(2))
     assert [h.order for h in report.per_harmonic] == [1.0, 3.0]
     # the block as the CLI prints it
-    doc = json.loads(_json(_power_json(report)))
+    doc = json.loads("".join(_json(_power_json(report))))
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
     assert [h["order"] for h in doc["per_harmonic"]] == [1.0, 3.0]
     assert {tuple(t["blade_indices"]) for t in doc["cross_terms"]} == {
@@ -220,7 +220,7 @@ def test_power_report_zero_pair_has_null_pf():
     zero = phasor_of({}, 3)
     report = power_report(zero, zero)
     assert report.pf is None
-    doc = json.loads(_json(_power_json(report)))
+    doc = json.loads("".join(_json(_power_json(report))))
     assert doc["pf"] is None
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
 

@@ -74,6 +74,43 @@ def test_json_text_forms_at_their_edges(x):
     assert _json6(np.array([x, 0.5, x])) == [json6_brute(x), "0.5", json6_brute(x)]
 
 
+# The edges of the mask with which ``_json6`` lets a ``%.6g`` text through
+# unchecked: its cut at 99999, the last fixed text (99999.95 prints as
+# 100000 and 999999.5 as 1e+06), its floor at 1e-300, and the 6-digit
+# ties that round up to an integer.
+MASK_EDGES = [99999.0, 99999.95, 999999.5, 1e-300, 0.9999995, 4.9999995]
+# Relative offsets from an integer on both sides of 5e-6, where a 6-digit
+# text of 1.x stops rounding to the integer, up to the mask's 1e-5.
+NEAR_INTEGERS = [n * (1 + r) for n in (1, 5, 9, 99, 12345, 99998)
+                 for r in (1e-6, 4e-6, 4.99e-6, 5e-6, 5.01e-6, 9.9e-6, 1e-5)]
+
+
+def beside(x: float, ulps: int = 3) -> list[float]:
+    """``x`` and its nearest ``ulps`` floats on either side."""
+    out = [x]
+    for direction in (math.inf, -math.inf):
+        y = x
+        for _ in range(ulps):
+            y = math.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+@pytest.mark.parametrize("edge", MASK_EDGES + NEAR_INTEGERS)
+def test_json_mask_edges_match_per_value_rule(edge):
+    xs = [y for x in beside(edge) for y in (x, -x)]
+    # also a rounding step of the 6th digit to either side
+    step = 10.0 ** (math.floor(math.log10(edge)) - 5)
+    xs += [edge + k * step / 2 for k in (-2, -1, 1, 2)]
+    assert _json6(np.array(xs)) == [json6_brute(x) for x in xs]
+
+
+@given(st.integers(-10**6, 10**6), st.floats(-9.99, 9.99), st.integers(1, 14))
+def test_json_mask_near_integers_matches_per_value_rule(n, m, e):
+    xs = [n + m * 10.0 ** -e, n - m * 10.0 ** -e, n * (1 + m * 10.0 ** -e)]
+    assert _json6(np.array(xs)) == [json6_brute(x) for x in xs]
+
+
 def test_non_finite_values_print_as_before():
     a = np.array([math.inf, -math.inf, math.nan])
     assert _json6(a) == ["Infinity", "-Infinity", "NaN"]
@@ -92,8 +129,8 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
     block = _Records(
         {"blade_indices": [_SLOT, _SLOT], "va %": _SLOT},
         (
-            [a for a, _, _ in rows],
-            [b for _, b, _ in rows],
+            [str(a) for a, _, _ in rows],
+            [str(b) for _, b, _ in rows],
             _json6([v for _, _, v in rows]),
         ),
     )
@@ -108,4 +145,4 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
         },
         "empty": {},
     }
-    assert _json(doc) == json.dumps(want, indent=2)
+    assert "".join(_json(doc)) == json.dumps(want, indent=2)
