@@ -15,7 +15,6 @@ import math
 
 from gapower import (
     BasisLayout,
-    HarmonicComponent,
     SeriesRLC,
     SpectralSignal,
     admittances_for,
@@ -35,7 +34,8 @@ F0_HZ = 1.0 / (2.0 * math.pi)  # fundamental with w = 1 rad/s
 def run(c_farad: float) -> None:
     source = SpectralSignal(
         F0_HZ,
-        harmonics=(HarmonicComponent(1, 100.0), HarmonicComponent(3, 100.0)),
+        orders=[1, 3],
+        rms=[100.0, 100.0],
     )
     net = SeriesRLC(r=1.0, l=0.5, c=c_farad)
     u = to_phasor(source, BasisLayout.for_signals(source))
@@ -48,8 +48,8 @@ def run(c_farad: float) -> None:
     print(f"  power          M = {m}")
     print(f"  apparent     |M| = {apparent(m):.6g} VA")
     print(f"  power factor     = {power_factor(m):.6g}")
-    for pq in harmonic_pq(u, i):
-        print(f"  order {pq.order:g}: P = {pq.p:.6g} W, Q = {pq.q:.6g} VAr")
+    for order, p, q in zip(*harmonic_pq(u, i)):
+        print(f"  order {order:g}: P = {p:.6g} W, Q = {q:.6g} VAr")
 
     cc = decompose_currents(u, i, ys)
     for name, value in cc.norms().items():

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import argparse
 
-from gapower import HarmonicComponent, SpectralSignal, sample_signal
+from gapower import SpectralSignal, sample_signal
 
+# (order, rms, phase_rad) of each line
 VOLTAGE_ROWS = (
     (1, 233.92, -1.57),
     (3, 0.46, -2.61),
@@ -30,9 +31,8 @@ CURRENT_ROWS = (
 
 
 def signal(rows, f0: float) -> SpectralSignal:
-    return SpectralSignal(
-        f0, harmonics=tuple(HarmonicComponent(k, a, p) for k, a, p in rows)
-    )
+    orders, rms, phase = zip(*rows)
+    return SpectralSignal(f0, orders=orders, rms=rms, phase_rad=phase)
 
 
 def main() -> None:

@@ -38,7 +38,6 @@ from .errors import (
 from .phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
     SpectralSignal,
     from_phasor,
     reconstruct,
@@ -48,7 +47,6 @@ from .power import (
     POWER_REPORT_SCHEMA,
     CrossTerms,
     GeometricPower,
-    HarmonicPQ,
     PowerReport,
     apparent,
     cross_frequency_terms,

@@ -256,26 +256,25 @@ def _circuit_from_dict(data) -> SeriesRLC:
 # -- report fragments --------------------------------------------------
 
 def _spectrum_json(sig: SpectralSignal) -> dict:
-    def lines(comps) -> _Records:
+    def lines(mask) -> _Records:
         return _Records(
             {"order": _SLOT, "rms": _SLOT, "phase_rad": _SLOT},
             (
-                _orders([c.order for c in comps], _json6),
-                _json6([c.rms for c in comps]),
-                _json6([c.phase_rad for c in comps]),
+                _orders(sig.orders[mask], _json6),
+                _json6(sig.rms[mask]),
+                _json6(sig.phase_rad[mask]),
             ),
         )
 
     return {
         "fundamental_hz": sig.fundamental_hz,
         "dc": sig.dc,
-        "harmonics": lines(sig.harmonics),
-        "interharmonics": lines(sig.interharmonics),
+        "harmonics": lines(sig.harmonic),
+        "interharmonics": lines(~sig.harmonic),
     }
 
 
 def _power_json(report: PowerReport) -> dict:
-    pq = report.per_harmonic
     terms = report.cross_terms
     return {
         "p_w": report.p_w,
@@ -283,11 +282,7 @@ def _power_json(report: PowerReport) -> dict:
         "pf": report.pf,
         "per_harmonic": _Records(
             {"order": _SLOT, "p_w": _SLOT, "q_var": _SLOT},
-            (
-                _json6([x.order for x in pq]),
-                _json6([x.p for x in pq]),
-                _json6([x.q for x in pq]),
-            ),
+            tuple(map(_json6, report.per_harmonic)),
         ),
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
@@ -339,7 +334,7 @@ def _decomposition_table(cc: CurrentComponents) -> str:
 
 
 def _power_tables(report: PowerReport) -> list[str]:
-    pq = report.per_harmonic
+    orders, p, q = report.per_harmonic
     pf = "n/a" if report.pf is None else _g6([report.pf])[0]
     parts = [
         _table(
@@ -350,11 +345,7 @@ def _power_tables(report: PowerReport) -> list[str]:
         _table(
             "Per-harmonic P/Q",
             ["order", "p_w", "q_var"],
-            [
-                _orders([x.order for x in pq], _g6),
-                _g6([x.p for x in pq]),
-                _g6([x.q for x in pq]),
-            ],
+            [_orders(orders, _g6), _g6(p), _g6(q)],
         ),
     ]
     terms = report.cross_terms
@@ -377,18 +368,19 @@ def _compensation_table(ys) -> str:
 
 
 def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
-    by_order_u = {c.order: c for c in u_sig.components()}
-    by_order_i = {c.order: c for c in i_sig.components()}
-    orders = sorted(by_order_u.keys() | by_order_i.keys())
+    # a set, not np.union1d: numpy's set routines import numpy.ma on first
+    # use, which costs a cold CLI call about 20 ms
+    orders = np.array(sorted(set(u_sig.orders.tolist()) | set(i_sig.orders.tolist())))
 
-    def side(by_order) -> list[list[str]]:
+    def side(sig: SpectralSignal) -> list[list[str]]:
         """rms and phase columns; a missing order has rms 0 and no phase."""
-        rms = _g6([by_order[o].rms if o in by_order else 0.0 for o in orders])
-        phase = _g6([by_order[o].phase_rad if o in by_order else 0.0
-                     for o in orders])
-        return [rms, [p if o in by_order else "" for o, p in zip(orders, phase)]]
+        rows = np.searchsorted(orders, sig.orders)
+        rms, phase = np.zeros(len(orders)), np.zeros(len(orders))
+        have = np.zeros(len(orders), dtype=bool)
+        rms[rows], phase[rows], have[rows] = sig.rms, sig.phase_rad, True
+        return [_g6(rms), np.where(have, _g6(phase), "").tolist()]
 
-    columns = [_orders(orders, _g6), *side(by_order_u), *side(by_order_i)]
+    columns = [_orders(orders, _g6), *side(u_sig), *side(i_sig)]
     if u_sig.dc or i_sig.dc:
         u_dc, i_dc = _g6([u_sig.dc, i_sig.dc])
         for col, cell in zip(columns, ["dc", u_dc, "", i_dc, ""]):

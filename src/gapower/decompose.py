@@ -74,7 +74,9 @@ def fryze_split(
     n2 = scaled.dot(scaled)
     if n2 == 0.0:
         raise PowerAnalysisError("cannot split against a zero voltage")
-    i_a = float(np.ldexp(scaled.dot(i) / n2, -e)) * u
+    # the ratio is P/||u||^2 times 2**e; P/||u||^2 itself overflows for a
+    # tiny u against a large i, so it is applied to the scaled u
+    i_a = (scaled.dot(i) / n2) * scaled
     return i_a, _difference(i, i_a)
 
 

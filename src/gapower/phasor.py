@@ -1,21 +1,25 @@
 """Harmonic spectra and their geometric-phasor images.
 
 A periodic signal is described by a ``SpectralSignal``: a DC offset plus
-rms/phase pairs for integer harmonics and optional interharmonics, all
-referenced to ``sqrt(2)*rms*sin(order*w*t + phase)``.  A ``BasisLayout``
-assigns each frequency a plane of the algebra: DC sits on s0, harmonic k
-occupies the pair (s_{2k-1}, s_{2k}), and the m-th interharmonic occupies
-the pair after the last harmonic slot.  ``to_phasor`` maps a component of
-rms X and phase p to ``X*sin(p)`` on the odd slot and ``X*cos(p)`` on the
-even slot, so in-phase parts land on even indices; ``from_phasor`` inverts
-that with ``rms = hypot(odd, even)``, ``phase = atan2(odd, even)``.
+a table of spectral lines, the arrays ``orders``, ``rms`` and
+``phase_rad`` with one entry per line, each line referenced to
+``sqrt(2)*rms*sin(order*w*t + phase)``.  Integer orders are harmonics,
+fractional ones interharmonics.  A ``BasisLayout`` assigns each frequency
+a plane of the algebra: DC sits on s0, harmonic k occupies the pair
+(s_{2k-1}, s_{2k}), and the m-th interharmonic occupies the pair after
+the last harmonic slot.  A signal lists its lines in the layout's order,
+so the spectrum and the phasor are the same per-order data in polar and
+in cartesian form.  ``to_phasor`` maps a line of rms X and phase p to
+``X*sin(p)`` on the odd slot and ``X*cos(p)`` on the even slot, so
+in-phase parts land on even indices; ``from_phasor`` inverts that with
+``rms = hypot(odd, even)``, ``phase = atan2(odd, even)``.
 
 A ``GeometricPhasor`` is a dense coefficient vector over that layout;
 per-order work runs on its ``(n_orders, 2)`` slot-pair view.  It stores
 exact values.  Whether an order or the DC slot is present follows the
 relative zero rule of ``algebra``, against the phasor's own norm, and
-``to_phasor`` applies the same rule to each slot against the component's
-rms, so the phases 0, +-pi/2 and pi give exact zeros.
+``to_phasor`` applies the same rule to each slot against the line's rms,
+so the phases 0, +-pi/2 and pi give exact zeros.
 """
 
 from __future__ import annotations
@@ -42,61 +46,57 @@ def _is_integer_order(order: float) -> bool:
     return float(order).is_integer()
 
 
-@dataclass(frozen=True)
-class HarmonicComponent:
-    """One spectral line: rms amplitude and phase at a multiple of the
-    fundamental.  ``order`` is integer-valued for harmonics (1 = the
-    fundamental) and fractional for interharmonics."""
-
-    order: float
-    rms: float
-    phase_rad: float = 0.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.order) and self.order > 0):
-            raise PowerAnalysisError(f"component order must be > 0, got {self.order}")
-        if not (math.isfinite(self.rms) and self.rms >= 0):
-            raise PowerAnalysisError(f"component rms must be >= 0, got {self.rms}")
-        if not math.isfinite(self.phase_rad):
-            raise PowerAnalysisError("component phase must be finite")
-        object.__setattr__(self, "order", float(self.order))
-        object.__setattr__(self, "rms", float(self.rms))
-        object.__setattr__(self, "phase_rad", _normalize_phase(float(self.phase_rad)))
+def _integer(orders: np.ndarray) -> np.ndarray:
+    """Mask of the integer-valued orders: the harmonics."""
+    return orders == np.floor(orders)
 
 
-def _validated_components(
-    comps, want_integer: bool, kind: str
-) -> tuple[HarmonicComponent, ...]:
-    out = []
-    last = 0.0
-    for c in comps:
-        if not isinstance(c, HarmonicComponent):
-            raise PowerAnalysisError(f"{kind} entries must be HarmonicComponent")
-        if _is_integer_order(c.order) != want_integer:
-            expected = "integer" if want_integer else "non-integer"
+def _check_lines(orders: np.ndarray, rms: np.ndarray, phase: np.ndarray) -> None:
+    """Raise ``PowerAnalysisError`` for the first of the rules below that
+    a line breaks, naming the first line that breaks it."""
+    harmonic = _integer(orders)
+    after_harmonic = np.append(True, harmonic[:-1])
+    prev = np.append(-np.inf, orders[:-1])
+    rules = (
+        (~(np.isfinite(orders) & (orders > 0)),
+         "order must be finite and > 0, got {o}"),
+        (~(np.isfinite(rms) & (rms >= 0)),
+         "rms at order {o} must be finite and >= 0, got {r}"),
+        (~np.isfinite(phase), "phase at order {o} must be finite, got {p}"),
+        (harmonic & ~after_harmonic,
+         "harmonic order {o} is listed after interharmonic order {prev}"),
+        ((harmonic == after_harmonic) & (orders <= prev),
+         "order {o} follows order {prev}: harmonic and interharmonic orders "
+         "must each strictly increase"),
+    )
+    for broken, text in rules:
+        if broken.any():
+            k = int(np.argmax(broken))
             raise PowerAnalysisError(
-                f"{kind} orders must be {expected}, got {c.order}"
+                text.format(o=orders[k], r=rms[k], p=phase[k], prev=prev[k])
             )
-        if c.order <= last:
-            raise PowerAnalysisError(f"{kind} orders must be strictly increasing")
-        last = c.order
-        if c.rms > 0.0:
-            out.append(c)
-    return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralSignal:
-    """Frequency-domain description of one periodic waveform.
+    """Frequency-domain description of one periodic waveform: a DC level
+    and a table of spectral lines.
 
-    Zero-rms components are dropped at construction, so two signals built
-    from the same physical content compare equal regardless of padding.
+    ``orders``, ``rms`` and ``phase_rad`` hold one entry per line, as
+    read-only float64 copies of the given sequences (``phase_rad``
+    defaults to zeros).  An order is a multiple of the fundamental:
+    integer-valued for harmonics (1 = the fundamental), fractional for
+    interharmonics.  The lines are listed as ``BasisLayout.orders()``
+    lists them: the harmonics ascending, then the interharmonics
+    ascending.  Phases are wrapped into (-pi, pi], and zero-rms lines are
+    dropped.
     """
 
     fundamental_hz: float
     dc: float = 0.0
-    harmonics: tuple[HarmonicComponent, ...] = ()
-    interharmonics: tuple[HarmonicComponent, ...] = ()
+    orders: np.ndarray = ()
+    rms: np.ndarray = ()
+    phase_rad: np.ndarray | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.fundamental_hz) and self.fundamental_hz > 0):
@@ -107,32 +107,37 @@ class SpectralSignal:
             raise PowerAnalysisError("dc level must be finite")
         object.__setattr__(self, "fundamental_hz", float(self.fundamental_hz))
         object.__setattr__(self, "dc", float(self.dc))
-        object.__setattr__(
-            self,
-            "harmonics",
-            _validated_components(self.harmonics, True, "harmonics"),
+        orders = np.array(self.orders, dtype=np.float64)
+        rms = np.array(self.rms, dtype=np.float64)
+        phase = (
+            np.zeros(orders.shape) if self.phase_rad is None
+            else np.array(self.phase_rad, dtype=np.float64)
         )
-        object.__setattr__(
-            self,
-            "interharmonics",
-            _validated_components(self.interharmonics, False, "interharmonics"),
-        )
+        if not (orders.ndim == 1 and rms.shape == phase.shape == orders.shape):
+            raise PowerAnalysisError(
+                "orders, rms and phase_rad need one entry per line, got orders "
+                f"{orders.tolist()}, rms {rms.tolist()} and phase_rad {phase.tolist()}"
+            )
+        _check_lines(orders, rms, phase)
+        kept = rms > 0.0
+        wrapped = [_normalize_phase(p) for p in phase[kept].tolist()]
+        for name, a in (
+            ("orders", orders[kept]),
+            ("rms", rms[kept]),
+            ("phase_rad", np.array(wrapped, dtype=np.float64)),
+        ):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def omega(self) -> float:
         """Fundamental angular frequency in rad/s."""
         return _TWO_PI * self.fundamental_hz
 
-    def components(self) -> tuple[HarmonicComponent, ...]:
-        return self.harmonics + self.interharmonics
-
-    def max_order(self) -> int:
-        """Highest integer harmonic order present (0 when none)."""
-        return int(self.harmonics[-1].order) if self.harmonics else 0
-
-    def rms(self) -> float:
-        """Collective rms value including DC."""
-        return math.sqrt(self.dc**2 + sum(c.rms**2 for c in self.components()))
+    @property
+    def harmonic(self) -> np.ndarray:
+        """Boolean mask over the lines: True for the integer orders."""
+        return _integer(self.orders)
 
     @classmethod
     def from_dict(cls, data) -> "SpectralSignal":
@@ -156,12 +161,15 @@ class SpectralSignal:
                 raise SchemaError(f"{path} must be a number")
             return float(value)
 
-        def comps(value, path: str) -> list[HarmonicComponent]:
+        fundamental_hz = number(data["fundamental_hz"], "fundamental_hz")
+        dc = number(data.get("dc", 0.0), "dc")
+        orders, rms, phase = [], [], []  # both lists' lines, in listed order
+        for path, integer in (("harmonics", True), ("interharmonics", False)):
+            value = data.get(path)
             if value is None:
-                return []
+                continue
             if not isinstance(value, list):
                 raise SchemaError(f"{path} must be an array")
-            out = []
             for i, item in enumerate(value):
                 where = f"{path}[{i}]"
                 if not isinstance(item, dict):
@@ -171,31 +179,24 @@ class SpectralSignal:
                         raise SchemaError(f"unknown field {key!r} in {where}")
                 if "order" not in item or "rms" not in item:
                     raise SchemaError(f"{where} needs 'order' and 'rms'")
-                try:
-                    out.append(
-                        HarmonicComponent(
-                            number(item["order"], f"{where}.order"),
-                            number(item["rms"], f"{where}.rms"),
-                            number(item.get("phase_rad", 0.0), f"{where}.phase_rad"),
-                        )
+                order = number(item["order"], f"{where}.order")
+                if _is_integer_order(order) != integer:
+                    expected = "integer" if integer else "fractional"
+                    raise SchemaError(
+                        f"{where}.order must be {expected}, got {order}"
                     )
-                except SchemaError:
-                    raise
-                except PowerAnalysisError as exc:
-                    raise SchemaError(f"{where}: {exc}") from exc
-            return out
+                orders.append(order)
+                rms.append(number(item["rms"], f"{where}.rms"))
+                phase.append(number(item.get("phase_rad", 0.0), f"{where}.phase_rad"))
 
         try:
             return cls(
-                fundamental_hz=number(data["fundamental_hz"], "fundamental_hz"),
-                dc=number(data.get("dc", 0.0), "dc"),
-                harmonics=tuple(comps(data.get("harmonics"), "harmonics")),
-                interharmonics=tuple(
-                    comps(data.get("interharmonics"), "interharmonics")
-                ),
+                fundamental_hz=fundamental_hz,
+                dc=dc,
+                orders=orders,
+                rms=rms,
+                phase_rad=phase,
             )
-        except SchemaError:
-            raise
         except PowerAnalysisError as exc:
             raise SchemaError(str(exc)) from exc
 
@@ -229,9 +230,13 @@ class BasisLayout:
     @classmethod
     def for_signals(cls, *signals: SpectralSignal) -> "BasisLayout":
         """Smallest layout that can hold every given signal."""
-        n = max((s.max_order() for s in signals), default=0)
-        inter = sorted({c.order for s in signals for c in s.interharmonics})
-        return cls(n=n, interharmonic_orders=tuple(inter))
+        orders = np.concatenate([np.zeros(0), *(s.orders for s in signals)])
+        harmonic = _integer(orders)
+        # a set, not np.unique, which imports numpy.ma on first use
+        return cls(
+            n=int(orders[harmonic].max(initial=0)),
+            interharmonic_orders=tuple(sorted(set(orders[~harmonic].tolist()))),
+        )
 
     @property
     def dimension(self) -> int:
@@ -383,40 +388,48 @@ class GeometricPhasor:
 def to_phasor(signal: SpectralSignal, layout: BasisLayout) -> GeometricPhasor:
     """Map a spectral signal onto its geometric phasor.
 
-    A component of rms X and phase p contributes X*sin(p) to the odd slot
-    and X*cos(p) to the even slot of its order; a slot value that is zero
+    A line of rms X and phase p contributes X*sin(p) to the odd slot and
+    X*cos(p) to the even slot of its order; a slot value that is zero
     against X by the rule of ``algebra`` (cos(pi/2)*X, say) is stored as
-    an exact 0.  The DC level lands on s0.  Every component must have a
-    slot in the layout.
+    an exact 0.  The DC level lands on s0.  Every line must have a slot
+    in the layout.
     """
+    orders, all_orders = signal.orders, np.array(layout.orders())
+    # row of each line in layout.orders(): harmonic k is row k - 1, and
+    # the interharmonics follow the n harmonic rows in ascending order
+    rows = np.where(
+        signal.harmonic,
+        orders - 1,
+        layout.n + np.searchsorted(all_orders[layout.n:], orders),
+    ).astype(np.intp)
+    # a row past the end reads the appended nan, which matches no order
+    held = np.append(all_orders, np.nan)[np.minimum(rows, len(all_orders))]
+    slotless = held != orders
+    if slotless.any():
+        layout.slot_pair(float(orders[np.argmax(slotless)]))  # raises LayoutError
+    x = signal.rms
+    pairs = np.column_stack(
+        [x * np.sin(signal.phase_rad), x * np.cos(signal.phase_rad)]
+    )
     coeffs = np.zeros(layout.dimension)
     coeffs[0] = signal.dc
-    for comp in signal.components():
-        lo, hi = layout.slot_pair(comp.order)
-        for slot, x in ((lo, comp.rms * math.sin(comp.phase_rad)),
-                        (hi, comp.rms * math.cos(comp.phase_rad))):
-            coeffs[slot] = 0.0 if negligible(x, comp.rms) else x
+    coeffs[1:].reshape(-1, 2)[rows] = np.where(
+        negligible(pairs, x[:, None]), 0.0, pairs
+    )
     return GeometricPhasor(coeffs, layout, signal.fundamental_hz)
 
 
 def from_phasor(p: GeometricPhasor) -> SpectralSignal:
-    """Recover the spectral signal a geometric phasor represents."""
-    harmonics = []
-    interharmonics = []
-    for order, (odd, even) in zip(p.layout.orders(), p.pairs.tolist()):
-        rms = math.hypot(odd, even)
-        if rms == 0.0:
-            continue
-        comp = HarmonicComponent(order, rms, math.atan2(odd, even))
-        if _is_integer_order(order):
-            harmonics.append(comp)
-        else:
-            interharmonics.append(comp)
+    """Recover the spectral signal a geometric phasor represents: a line
+    for each order of its layout whose slots are not both 0, with
+    ``rms = hypot(odd, even)`` and ``phase = atan2(odd, even)``."""
+    odd, even = p.pairs.T.tolist()
     return SpectralSignal(
         fundamental_hz=p.fundamental_hz,
         dc=p.dc,
-        harmonics=tuple(harmonics),
-        interharmonics=tuple(interharmonics),
+        orders=p.layout.orders(),
+        rms=list(map(math.hypot, odd, even)),
+        phase_rad=list(map(math.atan2, odd, even)),
     )
 
 
@@ -424,11 +437,13 @@ def reconstruct(signal: SpectralSignal, times) -> np.ndarray:
     """Instantaneous values ``dc + sum sqrt(2)*rms*sin(order*w*t + phase)``.
 
     ``times`` is an array-like of seconds; returns a float array of the
-    same shape.
+    same shape.  The lines are added one at a time, in listed order.
     """
     t = np.asarray(times, dtype=float)
     x = np.full_like(t, signal.dc)
     w = signal.omega
-    for c in signal.components():
-        x = x + math.sqrt(2.0) * c.rms * np.sin(c.order * w * t + c.phase_rad)
+    for order, rms, phase in zip(
+        signal.orders.tolist(), signal.rms.tolist(), signal.phase_rad.tolist()
+    ):
+        x = x + math.sqrt(2.0) * rms * np.sin(order * w * t + phase)
     return x

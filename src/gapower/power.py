@@ -114,15 +114,6 @@ class GeometricPower:
         return self.scalar
 
 
-@dataclass(frozen=True)
-class HarmonicPQ:
-    """Classical P and signed Q of one order."""
-
-    order: float
-    p: float
-    q: float
-
-
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
@@ -150,8 +141,11 @@ def power_factor(mpower: GeometricPower) -> float:
     return mpower.active / s
 
 
-def harmonic_pq(u: GeometricPhasor, i: GeometricPhasor) -> list[HarmonicPQ]:
-    """Per-order P and Q for every order occupied by either phasor.
+def harmonic_pq(
+    u: GeometricPhasor, i: GeometricPhasor
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-order P and Q as ``(orders, p, q)`` arrays over every order
+    occupied by either phasor, sorted by frequency.
 
     With slot pairs (a, b) = (odd, even) the order-k entry is
     ``p = a_u a_i + b_u b_i`` and ``q = a_u b_i - b_u a_i``: q is the
@@ -159,15 +153,12 @@ def harmonic_pq(u: GeometricPhasor, i: GeometricPhasor) -> list[HarmonicPQ]:
     for a lagging (inductive) current.
     """
     u._check_compatible(i)
-    (au, bu), (ai, bi) = u.pairs.T, i.pairs.T
-    p = (au * ai + bu * bi).tolist()
-    q = (au * bi - bu * ai).tolist()
-    orders = u.layout.orders()
-    occupied = np.flatnonzero(u.occupied() | i.occupied()).tolist()
-    return [
-        HarmonicPQ(orders[k], p[k], q[k])
-        for k in sorted(occupied, key=orders.__getitem__)
-    ]
+    occupied = u.occupied() | i.occupied()
+    (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
+    orders = np.array(u.layout.orders())[occupied]
+    by_frequency = np.argsort(orders)
+    p, q = au * ai + bu * bi, au * bi - bu * ai
+    return orders[by_frequency], p[by_frequency], q[by_frequency]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,10 +174,11 @@ class CrossTerms:
         return len(self.va)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerReport:
     """Summary of a geometric power computation: totals, per-order P/Q
-    and the cross-frequency terms.
+    (the ``(orders, p, q)`` arrays of ``harmonic_pq``) and the
+    cross-frequency terms.
 
     ``pf`` is None when the apparent power is zero.
     """
@@ -194,7 +186,7 @@ class PowerReport:
     p_w: float
     apparent_va: float
     pf: float | None
-    per_harmonic: tuple[HarmonicPQ, ...]
+    per_harmonic: tuple[np.ndarray, np.ndarray, np.ndarray]
     cross_terms: CrossTerms
 
 
@@ -220,6 +212,6 @@ def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:
         p_w=m.active,
         apparent_va=s,
         pf=pf,
-        per_harmonic=tuple(harmonic_pq(u, i)),
+        per_harmonic=harmonic_pq(u, i),
         cross_terms=cross_frequency_terms(m),
     )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .algebra import negligible
 from .errors import WaveformError
-from .phasor import HarmonicComponent, SpectralSignal, reconstruct
+from .phasor import SpectralSignal, reconstruct
 
 _HEADER_RE = re.compile(r"#\s*fs_hz\s*=\s*(\S+)")
 
@@ -225,8 +225,8 @@ def dft_extract(
         Fractional orders to extract as well; each must fall exactly on a
         DFT bin, i.e. order * periods must be an integer.
 
-    Components (and a DC level) that are zero against the window's total
-    rms by the rule of ``algebra`` are dropped.
+    Lines (and a DC level) that are zero against the window's total rms
+    by the rule of ``algebra`` are dropped.
 
     Every bin read (DC and the bins of the orders) is a multiple of ``g``,
     the gcd of the window length and those bins, so the FFT runs on the
@@ -266,32 +266,27 @@ def dft_extract(
 
     # each order is checked as it is drawn, so a huge n is refused at the
     # Nyquist limit before its order list is built
-    orders = map(float, itertools.chain(range(1, n + 1), interharmonic_orders))
-    order_bins = [(order, bin_of(order)) for order in orders]
+    drawn = map(float, itertools.chain(range(1, n + 1), interharmonic_orders))
+    orders, bins = zip(*[(order, bin_of(order)) for order in drawn])
     # bin c of the window folded onto size/g samples is bin c*g of the whole
-    g = math.gcd(size, *(b for _, b in order_bins))
+    g = math.gcd(size, *bins)
     spectrum = np.fft.rfft(_fold(w.samples, g))
     total = rms(w)
     scale = math.sqrt(2.0) / size
-
-    def extract(order: float, b: int) -> HarmonicComponent | None:
-        z = spectrum[b // g]
-        amp = abs(z) * scale
-        if negligible(amp, total):
-            return None
-        # sqrt(2)*X*sin(k w t + p) puts sqrt(2)*X*(S/2)*(sin p - j cos p)
-        # into its bin, hence the rotated atan2.
-        return HarmonicComponent(order, amp, math.atan2(z.real, -z.imag))
-
-    found = [extract(order, b) for order, b in order_bins]
+    z = spectrum[[b // g for b in bins]].tolist()
+    amp = np.array([abs(c) for c in z]) * scale
     dc = float(spectrum[0].real) / size
     if negligible(dc, total):
         dc = 0.0
+    # sqrt(2)*X*sin(k w t + p) puts sqrt(2)*X*(S/2)*(sin p - j cos p)
+    # into its bin, hence the rotated atan2.  Negligible lines get rms 0,
+    # which SpectralSignal drops.
     return SpectralSignal(
         fundamental_hz=fundamental_hz,
         dc=dc,
-        harmonics=tuple(c for c in found[:n] if c),
-        interharmonics=tuple(c for c in found[n:] if c),
+        orders=orders,
+        rms=np.where(negligible(amp, total), 0.0, amp),
+        phase_rad=[math.atan2(c.real, -c.imag) for c in z],
     )
 
 
@@ -313,11 +308,11 @@ def _fold(x: np.ndarray, g: int) -> np.ndarray:
 def thd(s: SpectralSignal) -> float:
     """Total harmonic distortion: rms above the fundamental over the
     fundamental's rms.  Interharmonics and DC are not counted."""
-    fundamental = next((c for c in s.harmonics if c.order == 1.0), None)
-    if fundamental is None:
+    # the harmonics are listed first, ascending: a fundamental is line 0
+    if not len(s.orders) or s.orders[0] != 1.0:
         raise WaveformError("THD needs a fundamental component with rms > 0")
-    rest = sum(c.rms**2 for c in s.harmonics if c.order >= 2.0)
-    return math.sqrt(rest) / fundamental.rms
+    rest = sum(x**2 for x in s.rms[s.harmonic][1:].tolist())
+    return math.sqrt(rest) / float(s.rms[0])
 
 
 def active_power(u: SampledWaveform, i: SampledWaveform) -> float:

@@ -13,7 +13,6 @@ from gapower import (
     BasisLayout,
     GeometricPhasor,
     GeometricPower,
-    HarmonicComponent,
     SeriesRLC,
     SpectralSignal,
     to_phasor,
@@ -78,20 +77,14 @@ def power_terms(m: GeometricPower) -> dict:
 
 
 def rows_to_signal(rows, fundamental_hz: float) -> SpectralSignal:
-    return SpectralSignal(
-        fundamental_hz,
-        harmonics=tuple(HarmonicComponent(k, r, p) for k, r, p in rows),
-    )
+    orders, rms, phase = zip(*rows)
+    return SpectralSignal(fundamental_hz, orders=orders, rms=rms, phase_rad=phase)
 
 
 @pytest.fixture
 def two_harmonic_source() -> SpectralSignal:
     return SpectralSignal(
-        OMEGA1_F0_HZ,
-        harmonics=(
-            HarmonicComponent(1, 100.0, 0.0),
-            HarmonicComponent(3, 100.0, 0.0),
-        ),
+        OMEGA1_F0_HZ, orders=[1, 3], rms=[100.0, 100.0], phase_rad=[0.0, 0.0]
     )
 
 

@@ -33,7 +33,6 @@ from gapower.decompose import decompose_currents, fryze_split
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
     SpectralSignal,
     to_phasor,
 )
@@ -47,6 +46,13 @@ SEED = 20260815
 
 def close(a: float, b: float, tol: float = 1e-9) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def lines_by_order(sig: SpectralSignal) -> dict[float, tuple[float, float]]:
+    """order -> (rms, phase_rad) of each line of ``sig``."""
+    return dict(zip(
+        sig.orders.tolist(), zip(sig.rms.tolist(), sig.phase_rad.tolist())
+    ))
 
 
 def terms_close(x: dict, y: dict, tol: float = 1e-9) -> bool:
@@ -64,7 +70,8 @@ def report(criterion: str, failures: list[str], detail: str = "") -> None:
 def example_source() -> GeometricPhasor:
     sig = SpectralSignal(
         OMEGA1_F0_HZ,
-        harmonics=(HarmonicComponent(1, 100.0), HarmonicComponent(3, 100.0)),
+        orders=[1, 3],
+        rms=[100.0, 100.0],
     )
     return to_phasor(sig, BasisLayout(n=3))
 
@@ -224,7 +231,8 @@ def test_criterion_3_reactive_power_column():
     from oracles import pq_complex
 
     u, i, _, _ = _bench_pipeline()
-    per = {pq.order: pq for pq in harmonic_pq(u, i)}
+    orders, _, q = harmonic_pq(u, i)
+    per_q = dict(zip(orders.tolist(), q.tolist()))
     expected = {
         k: pq_complex(u_rms, u_ph, i_rms, i_ph)[1]
         for (k, u_rms, u_ph), (_, i_rms, i_ph) in zip(
@@ -235,7 +243,7 @@ def test_criterion_3_reactive_power_column():
     failures: list[str] = []
     for order in (1, 3, 5, 7, 9):
         want = expected[order]
-        got = per[float(order)].q
+        got = per_q[float(order)]
         check(
             failures,
             abs(got - want) <= 0.05 and abs(got - want) <= 1e-6 * abs(want),
@@ -320,15 +328,11 @@ def test_criterion_5_oracle_equivalence():
         orders = sorted(
             int(o) for o in rng.choice(np.arange(1, 10), size=3, replace=False)
         )
-        return SpectralSignal(
-            f0,
-            harmonics=tuple(
-                HarmonicComponent(
-                    k, float(rng.uniform(0.1, 200)), float(rng.uniform(-np.pi, np.pi))
-                )
-                for k in orders
-            ),
-        )
+        rms, phase = zip(*(
+            (float(rng.uniform(0.1, 200)), float(rng.uniform(-np.pi, np.pi)))
+            for _ in orders
+        ))
+        return SpectralSignal(f0, orders=orders, rms=rms, phase_rad=phase)
 
     for trial in range(1_000):
         f0 = float(rng.uniform(1.0, 400.0))
@@ -336,19 +340,16 @@ def test_criterion_5_oracle_equivalence():
         layout = BasisLayout.for_signals(u_sig, i_sig)
         u, i = to_phasor(u_sig, layout), to_phasor(i_sig, layout)
 
-        by_u = {c.order: c for c in u_sig.harmonics}
-        by_i = {c.order: c for c in i_sig.harmonics}
-        for pq in harmonic_pq(u, i):
-            cu = by_u.get(pq.order)
-            ci = by_i.get(pq.order)
+        by_u, by_i = lines_by_order(u_sig), lines_by_order(i_sig)
+        for order, p, q in zip(*(a.tolist() for a in harmonic_pq(u, i))):
+            cu = by_u.get(order)
+            ci = by_i.get(order)
             if cu is None or ci is None:
                 want_p, want_q = 0.0, 0.0
             else:
-                want_p, want_q = pq_complex(
-                    cu.rms, cu.phase_rad, ci.rms, ci.phase_rad
-                )
-            if not (close(pq.p, want_p) and close(abs(pq.q), abs(want_q))):
-                failures.append(f"trial {trial}: PQ mismatch at order {pq.order}")
+                want_p, want_q = pq_complex(*cu, *ci)
+            if not (close(p, want_p) and close(abs(q), abs(want_q))):
+                failures.append(f"trial {trial}: PQ mismatch at order {order}")
 
         net = SeriesRLC(
             r=float(rng.uniform(0.5, 10.0)),
@@ -356,14 +357,14 @@ def test_criterion_5_oracle_equivalence():
             c=float(rng.uniform(0.05, 5.0)) if rng.uniform() < 0.7 else None,
         )
         i_net = solve_current(u, admittances_for(net, u))
-        for c in u_sig.harmonics:
+        for order, (rms, phase) in by_u.items():
             z = branch_current_complex(
-                c.rms, c.phase_rad, net.r, net.l, net.c, c.order, u_sig.omega
+                rms, phase, net.r, net.l, net.c, order, u_sig.omega
             )
             want_odd, want_even = pair_from_complex(z)
-            got_odd, got_even = i_net.pair(c.order)
+            got_odd, got_even = i_net.pair(order)
             if not (close(got_odd, want_odd) and close(got_even, want_even)):
-                failures.append(f"trial {trial}: Ohm mismatch at order {c.order}")
+                failures.append(f"trial {trial}: Ohm mismatch at order {order}")
         if failures:
             break
 
@@ -382,16 +383,12 @@ def test_criterion_6_extraction_round_trip():
         orders = sorted(
             int(o) for o in rng.choice(np.arange(1, 16), size=n_orders, replace=False)
         )
-        src = SpectralSignal(
-            f0,
-            dc=float(rng.uniform(-5, 5)),
-            harmonics=tuple(
-                HarmonicComponent(
-                    k, float(rng.uniform(0.01, 100)), float(rng.uniform(-np.pi, np.pi))
-                )
-                for k in orders
-            ),
-        )
+        dc = float(rng.uniform(-5, 5))
+        rms, phase = zip(*(
+            (float(rng.uniform(0.01, 100)), float(rng.uniform(-np.pi, np.pi)))
+            for _ in orders
+        ))
+        src = SpectralSignal(f0, dc=dc, orders=orders, rms=rms, phase_rad=phase)
         periods = int(rng.choice([2, 3, 4]))
         per_period = int(rng.choice([64, 100, 128]))
         w = sample_signal(src, per_period * f0, periods * per_period)
@@ -399,16 +396,16 @@ def test_criterion_6_extraction_round_trip():
 
         if not close(out.dc, src.dc, 1e-6):
             failures.append(f"trial {trial}: dc")
-        got = {c.order: c for c in out.harmonics}
+        got = lines_by_order(out)
         if sorted(got) != [float(k) for k in orders]:
             failures.append(f"trial {trial}: orders {sorted(got)}")
         else:
-            for c in src.harmonics:
-                g = got[c.order]
-                rms_ok = close(g.rms, c.rms, 1e-6)
-                ph_ok = abs(math.remainder(g.phase_rad - c.phase_rad, math.tau)) < 1e-6
+            for order, (rms, phase) in lines_by_order(src).items():
+                g_rms, g_phase = got[order]
+                rms_ok = close(g_rms, rms, 1e-6)
+                ph_ok = abs(math.remainder(g_phase - phase, math.tau)) < 1e-6
                 if not (rms_ok and ph_ok):
-                    failures.append(f"trial {trial}: order {c.order}")
+                    failures.append(f"trial {trial}: order {order}")
         if failures:
             break
 

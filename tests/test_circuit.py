@@ -22,7 +22,6 @@ from gapower.errors import CircuitError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
     SpectralSignal,
     from_phasor,
     reconstruct,
@@ -46,10 +45,7 @@ def test_series_rlc_validation():
 def one_order(k: float, omega: float) -> GeometricPhasor:
     """A 1 V source at order ``k`` of the fundamental ``omega`` rad/s."""
     f0 = omega / (2.0 * math.pi)
-    if float(k).is_integer():
-        s = SpectralSignal(f0, harmonics=(HarmonicComponent(k, 1.0),))
-    else:
-        s = SpectralSignal(f0, interharmonics=(HarmonicComponent(k, 1.0),))
+    s = SpectralSignal(f0, orders=[k], rms=[1.0])
     return to_phasor(s, BasisLayout.for_signals(s))
 
 
@@ -179,7 +175,7 @@ def test_solve_variant_fixture(two_harmonic_phasor, rlc_unequal_conductance):
 
 
 def test_solve_pure_resistor():
-    s = SpectralSignal(OMEGA1_F0_HZ, harmonics=(HarmonicComponent(1, 10.0),))
+    s = SpectralSignal(OMEGA1_F0_HZ, orders=[1], rms=[10.0])
     u = to_phasor(s, BasisLayout(n=1))
     i = solve_current(u, admittances_for(SeriesRLC(r=2.0), u))
     assert i.coeffs.tolist() == [0.0, 0.0, 5.0]
@@ -190,7 +186,7 @@ def test_solve_keeps_a_tiny_susceptance():
     quadrature slot next to its 0.5 A in-phase slot; it is solved, not
     dropped, so every slot matches the complex oracle to 1e-14 of |i|."""
     r, l, k, omega = 2.0, 7.34e-16, 6, 228.0
-    s = SpectralSignal(omega / (2.0 * math.pi), harmonics=(HarmonicComponent(k, 1.0),))
+    s = SpectralSignal(omega / (2.0 * math.pi), orders=[k], rms=[1.0])
     u = to_phasor(s, BasisLayout(n=k))
     i = solve_current(u, admittances_for(SeriesRLC(r=r, l=l), u))
     lo, hi = u.layout.slot_pair(k)
@@ -203,7 +199,7 @@ def test_solve_keeps_a_tiny_susceptance():
 
 
 def test_solve_dc_through_resistor():
-    s = SpectralSignal(50.0, dc=10.0, harmonics=(HarmonicComponent(1, 10.0),))
+    s = SpectralSignal(50.0, dc=10.0, orders=[1], rms=[10.0])
     u = to_phasor(s, BasisLayout(n=1))
     i = solve_current(u, admittances_for(SeriesRLC(r=2.0), u))
     assert i.dc == pytest.approx(5.0)
@@ -220,9 +216,7 @@ def test_solve_dc_rejected_with_capacitor():
 
 def test_solve_interharmonic_slot():
     s = SpectralSignal(
-        OMEGA1_F0_HZ,
-        harmonics=(HarmonicComponent(1, 10.0),),
-        interharmonics=(HarmonicComponent(1.5, 4.0, 0.3),),
+        OMEGA1_F0_HZ, orders=[1, 1.5], rms=[10.0, 4.0], phase_rad=[0.0, 0.3]
     )
     layout = BasisLayout.for_signals(s)
     u = to_phasor(s, layout)
@@ -246,13 +240,12 @@ nets = st.builds(
 def sources(draw) -> GeometricPhasor:
     f0 = draw(st.floats(1.0, 60.0))
     orders = sorted(draw(st.lists(st.integers(1, 5), unique=True, min_size=1)))
-    harmonics = tuple(
-        HarmonicComponent(
-            k, draw(st.floats(0.1, 100.0)), draw(st.floats(-math.pi, math.pi))
-        )
-        for k in orders
+    sig = SpectralSignal(
+        f0,
+        orders=orders,
+        rms=[draw(st.floats(0.1, 100.0)) for _ in orders],
+        phase_rad=[draw(st.floats(-math.pi, math.pi)) for _ in orders],
     )
-    sig = SpectralSignal(f0, harmonics=harmonics)
     return to_phasor(sig, BasisLayout.for_signals(sig))
 
 
@@ -283,9 +276,11 @@ def test_kvl_residual(u, net):
     i = from_phasor(solve_current(u, admittances_for(net, u)))
     t = np.linspace(0.0, 2.0 * math.pi / u.omega, 64, endpoint=False)
     terms = [net.r * reconstruct(i, t)]
-    for c in i.components():
-        kw = c.order * u.omega
-        cos = math.sqrt(2.0) * c.rms * np.cos(kw * t + c.phase_rad)
+    for order, rms, phase in zip(
+        i.orders.tolist(), i.rms.tolist(), i.phase_rad.tolist()
+    ):
+        kw = order * u.omega
+        cos = math.sqrt(2.0) * rms * np.cos(kw * t + phase)
         terms.append(net.l * kw * cos)
         if net.c is not None:
             terms.append(-cos / (kw * net.c))
@@ -319,7 +314,7 @@ def test_estimated_table_matches_the_circuit(u, net):
 
 
 def test_admittance_table_includes_dc_entry():
-    s = SpectralSignal(50.0, dc=10.0, harmonics=(HarmonicComponent(1, 10.0),))
+    s = SpectralSignal(50.0, dc=10.0, orders=[1], rms=[10.0])
     u = to_phasor(s, BasisLayout(n=1))
     ys = admittances_for(u=u, net=SeriesRLC(r=4.0))
     assert ys.present.tolist() == [True, True]

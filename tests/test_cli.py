@@ -226,6 +226,26 @@ def test_solve_null_circuit_field(tmp_path, source_file, doc, message, capsys):
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        ([{"order": 1, "rms": 1.0}, {"order": 3, "rms": -2.0}],
+         "rms at order 3.0 must be finite and >= 0, got -2.0"),
+        ([{"order": 3, "rms": 1.0}, {"order": 1, "rms": 1.0}],
+         "order 1.0 follows order 3.0: harmonic and interharmonic orders must "
+         "each strictly increase"),
+        ([{"order": 1, "rms": 1.0}, {"order": 2.5, "rms": 1.0}],
+         "harmonics[1].order must be integer, got 2.5"),
+    ],
+)
+def test_solve_bad_source_line_names_file_and_order(
+    tmp_path, circuit_equal, lines, message, capsys
+):
+    src = write_json(tmp_path / "s.json", {"fundamental_hz": 50.0, "harmonics": lines})
+    assert main(["solve", "--circuit", circuit_equal, "--source", src]) == 2
+    assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):
     src = write_json(
         tmp_path / "dc.json",
@@ -298,13 +318,9 @@ def test_analyze_table_sections(capsys, bench_csv):
 
 
 def test_analyze_interharmonics_flag(tmp_path):
-    from gapower.phasor import HarmonicComponent, SpectralSignal
+    from gapower.phasor import SpectralSignal
 
-    sig = SpectralSignal(
-        50.0,
-        harmonics=(HarmonicComponent(1, 10.0),),
-        interharmonics=(HarmonicComponent(2.5, 2.0, 0.3),),
-    )
+    sig = SpectralSignal(50.0, orders=[1, 2.5], rms=[10.0, 2.0], phase_rad=[0.0, 0.3])
     w = sample_signal(sig, 6400.0, 1280)  # 10 periods
     path = tmp_path / "ih.csv"
     path.write_text(

@@ -27,7 +27,6 @@ from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
     SpectralSignal,
     to_phasor,
 )
@@ -136,7 +135,7 @@ def test_parallel_quadrature_rejects_a_table_on_another_layout(
 
 
 def test_parallel_quadrature_dc_slot():
-    s = SpectralSignal(50.0, dc=10.0, harmonics=(HarmonicComponent(1, 10.0),))
+    s = SpectralSignal(50.0, dc=10.0, orders=[1], rms=[10.0])
     u = to_phasor(s, BasisLayout(n=1))
     ys = admittances_for(SeriesRLC(r=2.0), u)
     i_p, i_q = parallel_quadrature(u, ys)
@@ -178,7 +177,7 @@ def test_scattered_single_harmonic_is_zero():
 @example(8.770014309871662)  # i_p - i_a rounds to 3.55e-15 A here
 @given(st.floats(-5.0, 5.0).map(lambda e: 10.0**e))
 def test_scattered_is_exactly_zero_for_a_pure_resistor(r):
-    source = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 230.0),))
+    source = SpectralSignal(50.0, orders=[1], rms=[230.0])
     u = to_phasor(source, BasisLayout.for_signals(source))
     ys = admittances_for(SeriesRLC(r=r), u)
     cc = decompose_currents(u, solve_current(u, ys), ys)

@@ -1,6 +1,8 @@
 """The public examples still run: the README "Library quick start" block
-prints what its comments say, and ``scripts/solve_demo.py`` prints the
-bytes recorded in ``tests/golden/solve_demo.txt``."""
+prints what its comments say, ``scripts/solve_demo.py`` prints the bytes
+recorded in ``tests/golden/solve_demo.txt``, and the recording
+``scripts/synth_recording.py`` writes analyzes to
+``tests/golden/analyze_bench.table``."""
 
 from __future__ import annotations
 
@@ -11,6 +13,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from gapower.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,13 +48,29 @@ def test_readme_quick_start_prints_its_comments():
         assert re.fullmatch(_comment_pattern(comment), line), (comment, line)
 
 
-def test_solve_demo_output_is_unchanged():
+def _run_script(name: str, *args: str) -> str:
+    """stdout of ``scripts/<name>`` run with the package on its path."""
     env = dict(os.environ)
     paths = [str(ROOT / "src"), env.get("PYTHONPATH", "")]
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "solve_demo.py")],
+        [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, check=True,
     )
+    return proc.stdout
+
+
+def test_solve_demo_output_is_unchanged():
     want = (ROOT / "tests" / "golden" / "solve_demo.txt").read_text(encoding="utf-8")
-    assert proc.stdout == want
+    assert _run_script("solve_demo.py") == want
+
+
+def test_synth_recording_analyzes_to_the_bench_golden(tmp_path):
+    recording = tmp_path / "bench.csv"
+    _run_script("synth_recording.py", str(recording))
+    out = tmp_path / "bench.table"
+    rc = main(["analyze", "--input", str(recording), "--fundamental", "50",
+               "--orders", "9", "--format", "table", "--out", str(out)])
+    assert rc == 0
+    want = (ROOT / "tests" / "golden" / "analyze_bench.table").read_bytes()
+    assert out.read_bytes() == want

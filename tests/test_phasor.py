@@ -14,7 +14,6 @@ from gapower.errors import LayoutError, PowerAnalysisError, SchemaError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
-    HarmonicComponent,
     SpectralSignal,
     from_phasor,
     reconstruct,
@@ -28,43 +27,90 @@ def phase_diff(a: float, b: float) -> float:
     return abs(math.remainder(a - b, 2.0 * math.pi))
 
 
-# -- component and signal validation --------------------------------------
+# -- signal validation ----------------------------------------------------
 
-def test_component_normalizes_phase():
-    c = HarmonicComponent(1, 1.0, 3.0 * math.pi)
-    assert c.phase_rad == pytest.approx(math.pi)
-    assert HarmonicComponent(1, 1.0, -math.pi).phase_rad == pytest.approx(math.pi)
+def test_signal_normalizes_phase():
+    s = SpectralSignal(50.0, orders=[1, 3], rms=[1.0, 1.0],
+                       phase_rad=[3.0 * math.pi, -math.pi])
+    assert s.phase_rad.tolist() == pytest.approx([math.pi, math.pi])
 
 
-def test_component_rejects_bad_values():
-    with pytest.raises(PowerAnalysisError):
-        HarmonicComponent(0, 1.0)
-    with pytest.raises(PowerAnalysisError):
-        HarmonicComponent(1, -1.0)
-    with pytest.raises(PowerAnalysisError):
-        HarmonicComponent(1, math.nan)
+def refusal(orders, rms, phase, message, name):
+    return pytest.param(orders, rms, phase, message, id=name)
+
+
+@pytest.mark.parametrize(
+    "orders, rms, phase, message",
+    [
+        refusal([0], [1.0], None, "order must be finite and > 0, got 0.0",
+                "order-zero"),
+        refusal([1, math.nan], [1.0, 1.0], None,
+                "order must be finite and > 0, got nan", "order-nan"),
+        refusal([1, 3], [1.0, -1.0], None,
+                "rms at order 3.0 must be finite and >= 0, got -1.0", "rms-negative"),
+        refusal([1], [math.nan], None,
+                "rms at order 1.0 must be finite and >= 0, got nan", "rms-nan"),
+        refusal([1, 3], [1.0, math.inf], None,
+                "rms at order 3.0 must be finite and >= 0, got inf", "rms-inf"),
+        refusal([1, 3], [1.0, 1.0], [0.0, math.inf],
+                "phase at order 3.0 must be finite, got inf", "phase-inf"),
+        refusal([1, 2.5, 3], [1.0] * 3, None,
+                "harmonic order 3.0 is listed after interharmonic order 2.5",
+                "harmonic-after-interharmonic"),
+        refusal([3, 1], [1.0, 1.0], None, "order 1.0 follows order 3.0",
+                "harmonics-descend"),
+        refusal([1, 1], [1.0, 1.0], None, "order 1.0 follows order 1.0",
+                "harmonic-repeated"),
+        refusal([1, 3.5, 2.5], [1.0] * 3, None, "order 2.5 follows order 3.5",
+                "interharmonics-descend"),
+        refusal([1, 3], [1.0], None,
+                "orders [1.0, 3.0], rms [1.0] and phase_rad [0.0, 0.0]", "rms-short"),
+        refusal([1, 3], [1.0, 1.0], [0.5],
+                "orders [1.0, 3.0], rms [1.0, 1.0] and phase_rad [0.5]",
+                "phase-short"),
+    ],
+)
+def test_signal_refusals_name_the_order(orders, rms, phase, message):
+    with pytest.raises(PowerAnalysisError) as err:
+        SpectralSignal(50.0, orders=orders, rms=rms, phase_rad=phase)
+    assert message in str(err.value)
 
 
 def test_signal_drops_zero_rms_components():
-    s = SpectralSignal(
-        50.0,
-        harmonics=(HarmonicComponent(1, 10.0), HarmonicComponent(3, 0.0)),
-    )
-    assert [c.order for c in s.harmonics] == [1.0]
+    s = SpectralSignal(50.0, orders=[1, 3], rms=[10.0, 0.0])
+    assert s.orders.tolist() == [1.0]
+
+
+def test_signal_arrays_are_read_only_copies():
+    orders = np.array([1.0, 2.5])
+    s = SpectralSignal(50.0, orders=orders, rms=[1.0, 2.0])
+    orders[0] = 7.0
+    assert s.orders.tolist() == [1.0, 2.5]
+    assert s.harmonic.tolist() == [True, False]
+    assert s.phase_rad.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        s.rms[0] = 3.0
 
 
 def test_signal_rejects_misplaced_orders():
-    with pytest.raises(PowerAnalysisError):
-        SpectralSignal(50.0, harmonics=(HarmonicComponent(2.5, 1.0),))
-    with pytest.raises(PowerAnalysisError):
-        SpectralSignal(50.0, interharmonics=(HarmonicComponent(2, 1.0),))
-    with pytest.raises(PowerAnalysisError):
-        SpectralSignal(
-            50.0,
-            harmonics=(HarmonicComponent(3, 1.0), HarmonicComponent(1, 1.0)),
+    line = {"rms": 1.0}
+    with pytest.raises(SchemaError,
+                       match=r"harmonics\[0\].order must be integer, got 2.5"):
+        SpectralSignal.from_dict(
+            {"fundamental_hz": 50.0, "harmonics": [{"order": 2.5, **line}]}
+        )
+    with pytest.raises(SchemaError,
+                       match=r"interharmonics\[1\].order must be fractional, got 2.0"):
+        SpectralSignal.from_dict(
+            {"fundamental_hz": 50.0,
+             "interharmonics": [{"order": 1.5, **line}, {"order": 2, **line}]}
         )
     with pytest.raises(PowerAnalysisError):
-        SpectralSignal(0.0, harmonics=(HarmonicComponent(1, 1.0),))
+        SpectralSignal(50.0, orders=[2.5, 3], rms=[1.0, 1.0])
+    with pytest.raises(PowerAnalysisError):
+        SpectralSignal(50.0, orders=[3, 1], rms=[1.0, 1.0])
+    with pytest.raises(PowerAnalysisError):
+        SpectralSignal(0.0, orders=[1], rms=[1.0])
 
 
 def test_signal_dict_round_trip():
@@ -79,16 +125,11 @@ def test_signal_dict_round_trip():
           "interharmonics": [{"order": 2.5, "rms": 0.5, "phase_rad": 1.0}]
         }"""
     )
-    s = SpectralSignal(
-        50.0,
-        dc=2.0000000000000004,
-        harmonics=(
-            HarmonicComponent(1, 10.123456789012345, 0.1),
-            HarmonicComponent(5, 1.0, -2.0),
-        ),
-        interharmonics=(HarmonicComponent(2.5, 0.5, 1.0),),
-    )
-    assert SpectralSignal.from_dict(doc) == s
+    s = SpectralSignal.from_dict(doc)
+    assert (s.fundamental_hz, s.dc) == (50.0, 2.0000000000000004)
+    assert s.orders.tolist() == [1.0, 5.0, 2.5]
+    assert s.rms.tolist() == [10.123456789012345, 1.0, 0.5]
+    assert s.phase_rad.tolist() == [0.1, -2.0, 1.0]
 
 
 @pytest.mark.parametrize(
@@ -136,12 +177,8 @@ def test_layout_rejects_integer_interharmonics():
 
 
 def test_layout_for_signals_spans_both():
-    u = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 1.0),))
-    i = SpectralSignal(
-        50.0,
-        harmonics=(HarmonicComponent(5, 1.0),),
-        interharmonics=(HarmonicComponent(2.5, 1.0),),
-    )
+    u = SpectralSignal(50.0, orders=[1], rms=[1.0])
+    i = SpectralSignal(50.0, orders=[5, 2.5], rms=[1.0, 1.0])
     layout = BasisLayout.for_signals(u, i)
     assert layout.n == 5
     assert layout.interharmonic_orders == (2.5,)
@@ -165,7 +202,7 @@ def test_to_phasor_dc_only():
 def test_to_phasor_cosine_lands_on_odd_slot():
     # sqrt(2)*10*sin(wt + pi/2) is a pure cosine; phase pi/2 puts the whole
     # amplitude on the sine-coefficient slot s1
-    s = SpectralSignal(50.0, harmonics=(HarmonicComponent(1, 10.0, math.pi / 2),))
+    s = SpectralSignal(50.0, orders=[1], rms=[10.0], phase_rad=[math.pi / 2])
     u = to_phasor(s, BasisLayout(n=1))
     assert u.coeffs.tolist() == [0.0, 10.0, 0.0]
     # trig-identity oracle: the reconstructed waveform is the plain cosine
@@ -213,23 +250,22 @@ def test_phasor_mixed_layout_rejected(two_harmonic_phasor):
 
 def test_from_phasor_inverse_fixture(two_harmonic_phasor):
     s = from_phasor(two_harmonic_phasor)
-    assert [(c.order, c.rms, c.phase_rad) for c in s.harmonics] == [
-        (1.0, 100.0, 0.0),
-        (3.0, 100.0, 0.0),
-    ]
+    assert s.orders.tolist() == [1.0, 3.0]
+    assert s.rms.tolist() == [100.0, 100.0]
+    assert s.phase_rad.tolist() == [0.0, 0.0]
 
 
 def test_from_phasor_zero_is_empty():
     layout = BasisLayout(n=2)
     p = GeometricPhasor(np.zeros(5), layout, 50.0)
     s = from_phasor(p)
-    assert s.harmonics == () and s.interharmonics == () and s.dc == 0.0
+    assert s.orders.size == s.rms.size == s.phase_rad.size == 0 and s.dc == 0.0
 
 
 # -- reconstruct --------------------------------------------------------------------
 
 def test_reconstruct_sine_values():
-    s = SpectralSignal(1.0, harmonics=(HarmonicComponent(1, 1.0),))
+    s = SpectralSignal(1.0, orders=[1], rms=[1.0])
     assert reconstruct(s, [0.0])[0] == pytest.approx(0.0)
     assert reconstruct(s, [0.25])[0] == pytest.approx(math.sqrt(2))
 
@@ -250,26 +286,25 @@ phase_strategy = st.floats(-math.pi, math.pi)
 
 @st.composite
 def signals(draw) -> SpectralSignal:
-    harmonics = tuple(
-        HarmonicComponent(k, draw(rms_strategy), draw(phase_strategy))
-        for k in sorted(draw(orders_strategy))
-    )
-    inter = tuple(
-        HarmonicComponent(o, draw(rms_strategy), draw(phase_strategy))
-        for o in sorted(draw(inter_strategy))
-    )
+    orders = sorted(draw(orders_strategy)) + sorted(draw(inter_strategy))
     return SpectralSignal(
         draw(st.floats(1.0, 400.0)),
         dc=draw(st.floats(-10.0, 10.0)),
-        harmonics=harmonics,
-        interharmonics=inter,
+        orders=orders,
+        rms=[draw(rms_strategy) for _ in orders],
+        phase_rad=[draw(phase_strategy) for _ in orders],
     )
+
+
+def lines(sig: SpectralSignal) -> list[tuple[float, float, float]]:
+    """(order, rms, phase_rad) of each line, in listed order."""
+    return list(zip(sig.orders.tolist(), sig.rms.tolist(), sig.phase_rad.tolist()))
 
 
 @given(signals())
 def test_parseval(sig):
     p = to_phasor(sig, BasisLayout.for_signals(sig))
-    expected = sig.dc**2 + sum(c.rms**2 for c in sig.components())
+    expected = sig.dc**2 + sum(r**2 for _, r, _ in lines(sig))
     assert p.norm() ** 2 == pytest.approx(expected, abs=1e-9, rel=1e-12)
 
 
@@ -278,25 +313,25 @@ def test_signal_round_trip(sig):
     p = to_phasor(sig, BasisLayout.for_signals(sig))
     back = from_phasor(p)
     assert back.dc == pytest.approx(sig.dc, abs=1e-9)
-    assert len(back.components()) == len(sig.components())
-    for orig, rec in zip(sig.components(), back.components()):
-        assert rec.order == orig.order
-        assert rec.rms == pytest.approx(orig.rms, abs=1e-9)
-        assert phase_diff(rec.phase_rad, orig.phase_rad) < 1e-9
+    assert len(back.orders) == len(sig.orders)
+    for (order, rms, phase), (r_order, r_rms, r_phase) in zip(lines(sig), lines(back)):
+        assert r_order == order
+        assert r_rms == pytest.approx(rms, abs=1e-9)
+        assert phase_diff(r_phase, phase) < 1e-9
 
 
 @given(signals(), signals())
 def test_disjoint_signals_are_orthogonal(a, b):
-    a_orders = {c.order for c in a.components()}
-    b_comps = tuple(c for c in b.components() if c.order not in a_orders)
+    keep = ~np.isin(b.orders, a.orders)
     b = SpectralSignal(
         a.fundamental_hz,
         dc=0.0,
-        harmonics=tuple(c for c in b_comps if float(c.order).is_integer()),
-        interharmonics=tuple(c for c in b_comps if not float(c.order).is_integer()),
+        orders=b.orders[keep],
+        rms=b.rms[keep],
+        phase_rad=b.phase_rad[keep],
     )
     a = SpectralSignal(
-        a.fundamental_hz, dc=0.0, harmonics=a.harmonics, interharmonics=a.interharmonics
+        a.fundamental_hz, dc=0.0, orders=a.orders, rms=a.rms, phase_rad=a.phase_rad
     )
     layout = BasisLayout.for_signals(a, b)
     pa = to_phasor(a, layout)
@@ -308,7 +343,7 @@ def test_disjoint_signals_are_orthogonal(a, b):
 def test_reconstruct_matches_component_sum(sig, frac):
     t = frac / sig.fundamental_hz
     expected = sig.dc + sum(
-        math.sqrt(2) * c.rms * math.sin(c.order * sig.omega * t + c.phase_rad)
-        for c in sig.components()
+        math.sqrt(2) * rms * math.sin(order * sig.omega * t + phase)
+        for order, rms, phase in lines(sig)
     )
     assert reconstruct(sig, [t])[0] == pytest.approx(expected, abs=1e-9)
