@@ -64,7 +64,7 @@ class Admittances:
     present: np.ndarray
 
     def __post_init__(self):
-        n = len(self.layout.orders())
+        n = self.layout.orders().size
         for name, dtype, size in (
             ("conductance", np.float64, 1 + n),
             ("susceptance", np.float64, n),
@@ -87,11 +87,6 @@ class Admittances:
         g[0] = g_dc
         g[1:][present[1:]], b[present[1:]] = g_k, b_k
         return cls(u.layout, g, b, present)
-
-    def held_susceptances(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(orders, B)`` over the entries the table holds, DC as order 0."""
-        orders = np.array((0.0, *self.layout.orders()))
-        return orders[self.present], np.append(0.0, self.susceptance)[self.present]
 
 
 def _entries(u: GeometricPhasor) -> np.ndarray:
@@ -125,7 +120,7 @@ def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> Admittances:
         if net.r == 0.0:
             raise CircuitError("DC excitation with zero resistance is unbounded")
         g_dc = 1.0 / net.r
-    orders = np.array(u.layout.orders())[u.occupied()]
+    orders = u.layout.orders()[u.occupied()]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kw = orders * u.omega
         x = net.l * kw
@@ -158,7 +153,7 @@ def parallel_quadrature(
     if len(missing):
         if missing[0] == 0:
             raise PowerAnalysisError("missing admittance for the DC slot")
-        order = u.layout.orders()[missing[0] - 1]
+        order = float(u.layout.orders()[missing[0] - 1])
         raise PowerAnalysisError(f"missing admittance for order {order}")
     g = np.where(want, y.conductance, 0.0)
     b = np.where(want[1:], y.susceptance, 0.0)

@@ -112,8 +112,8 @@ def compensation_susceptances(y: Admittances) -> tuple[np.ndarray, np.ndarray]:
     0: the susceptance each order's passive compensator must add so that
     the quadrature current vanishes (the negated load susceptance, 0 at
     DC)."""
-    orders, b = y.held_susceptances()
-    return orders, -b + 0.0
+    orders = np.append(0.0, y.layout.orders())[y.present]
+    return orders, -np.append(0.0, y.susceptance)[y.present] + 0.0
 
 
 def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
@@ -140,7 +140,7 @@ def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
         b_k = np.ldexp(-(au * bi - bu * ai) / n2, -e)
     failed = ~(np.isfinite(g_k) & np.isfinite(b_k))
     if failed.any():
-        order = float(np.array(u.layout.orders())[occupied][np.argmax(failed)])
+        order = float(u.layout.orders()[occupied][np.argmax(failed)])
         raise PowerAnalysisError(f"admittance at order {order} exceeds the float range")
     return Admittances.on(u, g_dc, g_k, b_k)
 

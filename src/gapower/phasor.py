@@ -14,8 +14,11 @@ in cartesian form.  ``to_phasor`` maps a line of rms X and phase p to
 in-phase parts land on even indices; ``from_phasor`` inverts that with
 ``rms = hypot(odd, even)``, ``phase = atan2(odd, even)``.
 
-A ``GeometricPhasor`` is a dense coefficient vector over that layout;
-per-order work runs on its ``(n_orders, 2)`` slot-pair view.  It stores
+``BasisLayout.orders()`` lists a layout's orders as a float64 array, in
+slot order, and ``to_phasor`` is the one place that maps an order to its
+slots.  A ``GeometricPhasor`` is a dense coefficient vector over that
+layout; per-order work runs on its ``(n_orders, 2)`` slot-pair view,
+whose row r belongs to ``layout.orders()[r]``.  It stores
 exact values.  Whether an order or the DC slot is present follows the
 relative zero rule of ``algebra``, against the phasor's own norm, and
 ``to_phasor`` applies the same rule to each slot against the line's rms,
@@ -242,23 +245,10 @@ class BasisLayout:
     def dimension(self) -> int:
         return 1 + 2 * self.n + 2 * len(self.interharmonic_orders)
 
-    def orders(self) -> tuple[float, ...]:
-        """All orders with a slot pair, harmonics first."""
-        return tuple(float(k) for k in range(1, self.n + 1)) + self.interharmonic_orders
-
-    def slot_pair(self, order: float) -> tuple[int, int]:
-        """(odd, even) basis indices carrying the given order."""
-        if _is_integer_order(order):
-            k = int(order)
-            if 1 <= k <= self.n:
-                return 2 * k - 1, 2 * k
-            raise LayoutError(f"harmonic order {k} has no slot (n={self.n})")
-        try:
-            m = self.interharmonic_orders.index(float(order)) + 1
-        except ValueError:
-            raise LayoutError(f"interharmonic order {order} has no slot") from None
-        base = 2 * self.n
-        return base + 2 * m - 1, base + 2 * m
+    def orders(self) -> np.ndarray:
+        """All orders with a slot pair, as a new float64 array: the
+        harmonics 1..n, then the interharmonics."""
+        return np.concatenate((np.arange(1.0, self.n + 1), self.interharmonic_orders))
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,11 +294,6 @@ class GeometricPhasor:
     def dc(self) -> float:
         return float(self.coeffs[0])
 
-    def pair(self, order: float) -> tuple[float, float]:
-        """Coefficients on the (odd, even) slots of an order."""
-        lo, hi = self.layout.slot_pair(order)
-        return float(self.coeffs[lo]), float(self.coeffs[hi])
-
     def _present(self) -> np.ndarray:
         """Boolean mask over ``coeffs``: entries that are not zero by the
         rule of ``algebra``, relative to this phasor's norm."""
@@ -321,18 +306,6 @@ class GeometricPhasor:
     def occupied(self) -> np.ndarray:
         """Boolean mask over ``layout.orders()``: either slot present."""
         return self._present()[1:].reshape(-1, 2).any(axis=1)
-
-    def occupied_orders(self) -> tuple[float, ...]:
-        """Orders with either slot present (DC excluded)."""
-        orders = self.layout.orders()
-        return tuple(orders[k] for k in np.flatnonzero(self.occupied()))
-
-    def component(self, order: float) -> "GeometricPhasor":
-        """Projection onto one order's plane."""
-        lo, hi = self.layout.slot_pair(order)
-        coeffs = np.zeros_like(self.coeffs)
-        coeffs[[lo, hi]] = self.coeffs[[lo, hi]]
-        return self._like(coeffs)
 
     def dot(self, other: "GeometricPhasor") -> float:
         """Scalar product, summed one slot at a time in ascending order
@@ -391,22 +364,29 @@ def to_phasor(signal: SpectralSignal, layout: BasisLayout) -> GeometricPhasor:
     A line of rms X and phase p contributes X*sin(p) to the odd slot and
     X*cos(p) to the even slot of its order; a slot value that is zero
     against X by the rule of ``algebra`` (cos(pi/2)*X, say) is stored as
-    an exact 0.  The DC level lands on s0.  Every line must have a slot
-    in the layout.
+    an exact 0.  The DC level lands on s0.  Raises ``LayoutError`` naming
+    the first line that has no slot in the layout.
     """
-    orders, all_orders = signal.orders, np.array(layout.orders())
+    orders, all_orders = signal.orders, layout.orders()
     # row of each line in layout.orders(): harmonic k is row k - 1, and
-    # the interharmonics follow the n harmonic rows in ascending order
+    # the interharmonics follow the n harmonic rows in ascending order;
+    # rows are capped at the end before the cast, which a huge order would
+    # overflow
     rows = np.where(
         signal.harmonic,
-        orders - 1,
+        np.minimum(orders - 1, all_orders.size),
         layout.n + np.searchsorted(all_orders[layout.n:], orders),
     ).astype(np.intp)
-    # a row past the end reads the appended nan, which matches no order
-    held = np.append(all_orders, np.nan)[np.minimum(rows, len(all_orders))]
+    # a row at the end reads the appended nan, which matches no order
+    held = np.append(all_orders, np.nan)[rows]
     slotless = held != orders
     if slotless.any():
-        layout.slot_pair(float(orders[np.argmax(slotless)]))  # raises LayoutError
+        k = int(np.argmax(slotless))
+        if signal.harmonic[k]:
+            raise LayoutError(
+                f"harmonic order {int(orders[k])} has no slot (n={layout.n})"
+            )
+        raise LayoutError(f"interharmonic order {float(orders[k])} has no slot")
     x = signal.rms
     pairs = np.column_stack(
         [x * np.sin(signal.phase_rad), x * np.cos(signal.phase_rad)]

@@ -155,7 +155,7 @@ def harmonic_pq(
     u._check_compatible(i)
     occupied = u.occupied() | i.occupied()
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
-    orders = np.array(u.layout.orders())[occupied]
+    orders = u.layout.orders()[occupied]
     by_frequency = np.argsort(orders)
     p, q = au * ai + bu * bi, au * bi - bu * ai
     return orders[by_frequency], p[by_frequency], q[by_frequency]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import negligible
+from .algebra import negligible, pow2_exponent
 from .errors import WaveformError
 from .phasor import SpectralSignal, reconstruct
 
@@ -200,8 +200,16 @@ def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:
 
 
 def rms(w: SampledWaveform) -> float:
-    """Root mean square of the samples."""
-    return float(np.sqrt(np.mean(w.samples**2)))
+    """Root mean square of the samples.  Where the mean of their squares
+    leaves the normal float range, it is taken again on the samples
+    scaled by a power of two, so the result does not depend on units."""
+    with np.errstate(over="ignore"):
+        ms = np.mean(w.samples**2)
+    if np.finfo(float).tiny <= ms < np.inf:
+        return float(np.sqrt(ms))
+    e = pow2_exponent(w.samples)
+    x = np.ldexp(w.samples, -e)
+    return float(np.ldexp(np.sqrt(np.mean(x * x)), e))
 
 
 def dft_extract(
@@ -311,8 +319,11 @@ def thd(s: SpectralSignal) -> float:
     # the harmonics are listed first, ascending: a fundamental is line 0
     if not len(s.orders) or s.orders[0] != 1.0:
         raise WaveformError("THD needs a fundamental component with rms > 0")
-    rest = sum(x**2 for x in s.rms[s.harmonic][1:].tolist())
-    return math.sqrt(rest) / float(s.rms[0])
+    # squared after scaling by a power of two, so they stay in range
+    h = s.rms[s.harmonic]
+    x = np.ldexp(h, -pow2_exponent(h)).tolist()
+    rest = sum(v**2 for v in x[1:])
+    return math.sqrt(rest) / x[0]
 
 
 def active_power(u: SampledWaveform, i: SampledWaveform) -> float:

@@ -62,6 +62,13 @@ def vector(layout: BasisLayout, terms: dict[int, float],
     return GeometricPhasor(dense(layout.dimension, terms), layout, f0)
 
 
+def slots(layout: BasisLayout, order: float) -> tuple[int, int]:
+    """(odd, even) basis indices ``to_phasor`` puts a line of ``order``
+    on: the non-zero coefficients of a unit line at phase pi/4."""
+    s = SpectralSignal(1.0, orders=[order], rms=[1.0], phase_rad=[math.pi / 4])
+    return tuple(np.flatnonzero(to_phasor(s, layout).coeffs).tolist())
+
+
 def index_terms(p: GeometricPhasor) -> dict:
     """The oracles' term map of a phasor: ``{(k,): coefficient}``."""
     return {(k,): c for k, c in enumerate(p.coeffs.tolist()) if c}

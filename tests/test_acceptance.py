@@ -362,7 +362,7 @@ def test_criterion_5_oracle_equivalence():
                 rms, phase, net.r, net.l, net.c, order, u_sig.omega
             )
             want_odd, want_even = pair_from_complex(z)
-            got_odd, got_even = i_net.pair(order)
+            got_odd, got_even = i_net.pairs[layout.orders() == order][0]
             if not (close(got_odd, want_odd) and close(got_even, want_even)):
                 failures.append(f"trial {trial}: Ohm mismatch at order {order}")
         if failures:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from gapower.algebra import format_terms, negligible
 from gapower.circuit import invert
 from gapower.errors import LayoutError
-from gapower.phasor import BasisLayout, GeometricPhasor
+from gapower.phasor import BasisLayout, GeometricPhasor, SpectralSignal, to_phasor
 from gapower.power import apparent, geometric_power
 
 from conftest import index_terms, power_terms, vector
@@ -117,11 +117,11 @@ def test_product_dimension_mismatch():
 
 def test_mask_out_of_range_rejected():
     # a blade outside the layout has no coefficient to read or keep
-    u = vector(BasisLayout(n=1), {1: 1.0})
-    with pytest.raises(LayoutError):
-        u.pair(2)
-    with pytest.raises(LayoutError):
-        u.component(1.5)
+    layout = BasisLayout(n=1)
+    with pytest.raises(LayoutError, match=r"^harmonic order 2 has no slot \(n=1\)$"):
+        to_phasor(SpectralSignal(50.0, orders=[2], rms=[1.0]), layout)
+    with pytest.raises(LayoutError, match=r"^interharmonic order 1.5 has no slot$"):
+        to_phasor(SpectralSignal(50.0, orders=[1.5], rms=[1.0]), layout)
 
 
 def test_scalar_mixing_operators():

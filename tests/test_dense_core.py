@@ -18,7 +18,7 @@ from gapower.power import (
     geometric_power,
 )
 
-from conftest import index_terms
+from conftest import index_terms, slots
 from oracles import mv_product_brute
 
 coeff = st.floats(-50.0, 50.0, allow_nan=False).filter(lambda c: abs(c) > 1e-6)
@@ -70,7 +70,7 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
     u, i = pair
     m = geometric_power(u, i)
     layout = u.layout
-    planes = {layout.slot_pair(o) for o in layout.orders()}
+    planes = {slots(layout, o) for o in layout.orders().tolist()}
     terms = cross_frequency_terms(m)
     assert terms.blade_indices.shape == (len(terms), 2)
     assert terms.blade_indices.dtype.kind == "i"

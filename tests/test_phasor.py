@@ -20,7 +20,7 @@ from gapower.phasor import (
     to_phasor,
 )
 
-from conftest import OMEGA1_F0_HZ, dense, vector
+from conftest import OMEGA1_F0_HZ, dense, slots, vector
 
 
 def phase_diff(a: float, b: float) -> float:
@@ -155,18 +155,23 @@ def test_signal_from_dict_rejects_malformed(doc):
 def test_layout_slot_assignment():
     layout = BasisLayout(n=3, interharmonic_orders=(3.5, 4.5))
     assert layout.dimension == 1 + 6 + 4
-    assert layout.slot_pair(1) == (1, 2)
-    assert layout.slot_pair(3) == (5, 6)
-    assert layout.slot_pair(3.5) == (7, 8)
-    assert layout.slot_pair(4.5) == (9, 10)
+    assert layout.orders().dtype == np.float64
+    assert layout.orders().tolist() == [1.0, 2.0, 3.0, 3.5, 4.5]
+    assert slots(layout, 1) == (1, 2)
+    assert slots(layout, 3) == (5, 6)
+    assert slots(layout, 3.5) == (7, 8)
+    assert slots(layout, 4.5) == (9, 10)
 
 
 def test_layout_missing_slot_errors():
     layout = BasisLayout(n=2)
-    with pytest.raises(LayoutError):
-        layout.slot_pair(3)
-    with pytest.raises(LayoutError):
-        layout.slot_pair(1.5)
+    with pytest.raises(LayoutError, match=r"^harmonic order 3 has no slot \(n=2\)$"):
+        to_phasor(SpectralSignal(50.0, orders=[3], rms=[1.0]), layout)
+    with pytest.raises(LayoutError, match=r"^interharmonic order 1.5 has no slot$"):
+        to_phasor(SpectralSignal(50.0, orders=[1.5], rms=[1.0]), layout)
+    # an order beyond the integer range is refused like any other
+    with pytest.raises(LayoutError, match=r"^harmonic order 10{19} has no slot"):
+        to_phasor(SpectralSignal(50.0, orders=[1e19], rms=[1.0]), layout)
 
 
 def test_layout_rejects_integer_interharmonics():
@@ -231,13 +236,10 @@ def test_phasor_requires_grade_one():
 
 def test_phasor_arithmetic_and_pairs(two_harmonic_phasor):
     u = two_harmonic_phasor
-    assert u.pair(1) == (0.0, 100.0)
-    assert u.pair(3) == (0.0, 100.0)
-    assert u.pair(2) == (0.0, 0.0)
-    assert u.occupied_orders() == (1.0, 3.0)
+    assert u.pairs.tolist() == [[0.0, 100.0], [0.0, 0.0], [0.0, 100.0]]
+    assert u.layout.orders()[u.occupied()].tolist() == [1.0, 3.0]
     assert not (u - u).coeffs.any()
     assert (2 * u).norm() == pytest.approx(2 * u.norm())
-    assert np.array_equal(u.component(1).coeffs, dense(7, {2: 100.0}))
 
 
 def test_phasor_mixed_layout_rejected(two_harmonic_phasor):
