@@ -61,6 +61,8 @@ CASES = {
     "solve.table": SOLVE + ["--format", "table"],
     "solve.csv": SOLVE + ["--format", "csv"],
     "solve_dc.json": SOLVE_DC + ["--format", "json"],
+    # the Spectra table's dc row ends in empty cells
+    "solve_dc.table": SOLVE_DC + ["--format", "table"],
     "analyze_bench.json": ANALYZE_BENCH + ["--format", "json"],
     "analyze_bench.table": ANALYZE_BENCH + ["--format", "table"],
     "analyze_bench.csv": ANALYZE_BENCH + ["--format", "csv"],
@@ -68,6 +70,8 @@ CASES = {
     "decompose.csv": DECOMPOSE + ["--format", "csv"],
     "decompose_mixed.json": DECOMPOSE_MIXED + ["--format", "json"],
     "decompose_mixed.csv": DECOMPOSE_MIXED + ["--format", "csv"],
+    # a DC compensation row and an interharmonic order in a table
+    "decompose_mixed.table": DECOMPOSE_MIXED + ["--format", "table"],
 }
 # Cases recorded by sha256 only (hundreds of kB of output).  A case whose
 # arguments name ``--timeseries`` checks that file; its report goes to a
