@@ -8,13 +8,13 @@ format prints is computed.
 
 Every number is printed with 6 significant digits, so identical inputs
 give identical bytes.  Numbers are rendered from arrays: one ``%``
-template formats a whole float array, and a table or the CSV rows go
-through one template built from the header.  A JSON number is its
-``%.6g`` text, respelled only where a mask cannot rule out a form JSON
-writes differently (see the number-formatting comment).  A JSON array of
-records, such as the cross-frequency terms, is joined once from the
-record's constant text and the value texts.  ``json.dumps`` only writes
-keys, strings and the few irregular values.
+template formats a whole float array.  A JSON number is its ``%.6g``
+text, respelled only where a mask cannot rule out a form JSON writes
+differently (see the number-formatting comment).  Every block of rows
+(a table, the CSV, a JSON array of records such as the cross-frequency
+terms) is joined once by ``_rows`` from constant pieces and text
+columns.  ``json.dumps`` only writes keys, strings and the few irregular
+values.
 
 Output is a list of text chunks for ``writelines``, never one whole
 document; ``--timeseries`` is formatted ``_ROWS_PER_CALL`` rows at a
@@ -112,9 +112,9 @@ def _json_misfit(text: str) -> str:
     return _JSON_NONFINITE.get(text) or text + ".0"
 
 
-def _ints(values: list[int]) -> list[str]:
-    """Decimal text of every entry of a list of non-negative ints, looked
-    up in one table over ``range(max + 1)``."""
+def _ints(values) -> list[str]:
+    """Decimal text of every entry of a sequence of non-negative ints,
+    looked up in one table over ``range(max + 1)``."""
     text = list(map(str, range(max(values, default=-1) + 1)))
     return list(map(text.__getitem__, values))
 
@@ -127,33 +127,31 @@ def _orders(orders, six) -> list[str]:
     ]
 
 
-def _cells(columns: list[list]) -> tuple:
-    """The entries of equal-length columns in row-major order."""
-    k = len(columns)
-    cells = [""] * (k * len(columns[0]))
+def _rows(pieces: list[str], columns: list[list[str]]) -> list[str]:
+    """The cells of the rows ``pieces[0] col0[m] pieces[1] ... col_{k-1}[m]
+    pieces[k]``, m = 0, 1, ..., as one flat list to join: the one way a
+    block of rows is laid out."""
+    k, n = len(columns), len(columns[0])
+    cells = [pieces[0]] * ((2 * k + 1) * n)
     for j, col in enumerate(columns):
-        cells[j::k] = col
-    return tuple(cells)
+        cells[2 * j + 1::2 * k + 1] = col
+        cells[2 * j + 2::2 * k + 1] = [pieces[j + 1]] * n
+    return cells
 
 
 def _table(title: str, header: list[str], columns: list[list[str]]) -> str:
-    """An aligned text table of the given text columns."""
+    """An aligned text table of the given text columns.  A row that ends
+    in empty cells loses its trailing spaces."""
     columns = [[h, *col] for h, col in zip(header, columns)]
-    widths = [max(map(len, col)) for col in columns]
-    row = "  " + "  ".join("%%-%ds" % w for w in widths)
-    text = "\n".join([row] * len(columns[0])) % _cells(columns)
-    return "\n".join([title, *map(str.rstrip, text.split("\n"))]) + "\n"
+    widths = [max(map(len, col)) for col in columns[:-1]]  # the last is unpadded
+    padded = [[c.ljust(w) for c in col] for col, w in zip(columns, widths)]
+    text = "".join(_rows(["  "] * len(columns) + ["\n"], [*padded, columns[-1]]))
+    return "\n".join([title, *map(str.rstrip, text.split("\n"))])
 
 
 def _spaced(tables: list[str]) -> list[str]:
     """Text chunks of ``tables`` with a blank line between each two."""
     return [c for t in tables for c in ("\n", t)][1:]
-
-
-def _csv(header: list[str], columns: list[list[str]]) -> list[str]:
-    """CSV text chunks of the given text columns under a header line."""
-    row = ",".join(["%s"] * len(header)) + "\n"
-    return [",".join(header) + "\n", row * len(columns[0]) % _cells(columns)]
 
 
 # A value slot of a JSON record template.
@@ -172,20 +170,15 @@ class _Records:
 
 
 def _record_block(block: _Records, pad: str) -> str:
-    """The JSON text of ``block``, joined once from its cells: record m
-    is piece 0, cell 0 of m, piece 1, ..., piece k, where the k+1 pieces
-    are the proto's text cut at its k slots."""
-    n, k = len(block.columns[0]), len(block.columns)
-    if not n:
+    """The JSON text of ``block``: its rows, whose k+1 pieces are the
+    proto's text cut at its k slots, indented and closed by a comma but
+    for the last."""
+    if not block.columns[0]:
         return "[]"
     inner = pad + "  "
     pieces = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
-    cells = [f"{pieces[k]},\n{inner}{pieces[0]}"] * (2 * k * n + 1)
-    cells[0], cells[-1] = f"[\n{inner}{pieces[0]}", f"{pieces[k]}\n{pad}]"
-    for j, col in enumerate(block.columns):
-        cells[2 * j + 1::2 * k] = col
-        if j + 1 < k:
-            cells[2 * j + 2::2 * k] = [pieces[j + 1]] * n
+    cells = _rows([inner + pieces[0], *pieces[1:-1], pieces[-1] + ",\n"], block.columns)
+    cells[0], cells[-1] = "[\n" + cells[0], f"{pieces[-1]}\n{pad}]"
     return "".join(cells)
 
 
@@ -298,11 +291,11 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
     table = cc.table_rows()
     orders, siemens = compensation_susceptances(ys)
     return {
-        "norms": dict(zip(CSV_COLUMNS, table[-1].tolist())),
+        "norms": cc.norms(),
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (
-                _ints(list(range(len(table) - 1))),
+                _ints(range(len(table) - 1)),
                 *map(_json6, table[:-1].T),
             ),
         ),
@@ -317,12 +310,13 @@ def _decomposition_columns(cc: CurrentComponents) -> list[list[str]]:
     """The basis index, then each of CSV_COLUMNS; the last row holds the
     norms."""
     table = cc.table_rows()
-    index = [str(k) for k in range(len(table) - 1)] + ["norm"]
-    return [index, *map(_g6, table.T)]
+    return [_ints(range(len(table) - 1)) + ["norm"], *map(_g6, table.T)]
 
 
 def _decomposition_csv(cc: CurrentComponents) -> list[str]:
-    return _csv(["index", *CSV_COLUMNS], _decomposition_columns(cc))
+    header = ["index", *CSV_COLUMNS]
+    columns = [[h, *col] for h, col in zip(header, _decomposition_columns(cc))]
+    return ["".join(_rows([""] + [","] * (len(header) - 1) + ["\n"], columns))]
 
 
 def _decomposition_table(cc: CurrentComponents) -> str:
@@ -350,8 +344,8 @@ def _power_tables(report: PowerReport) -> list[str]:
     ]
     terms = report.cross_terms
     if len(terms):
-        pairs = tuple(terms.blade_indices.ravel().tolist())
-        blades = ("s%d s%d\n" * len(terms) % pairs).split("\n")[:-1]
+        indices = list(map(_ints, terms.blade_indices.T.tolist()))
+        blades = "".join(_rows(["s", " s", "\n"], indices)).split("\n")[:-1]
         parts.append(
             _table("Cross-frequency terms", ["blade", "va"], [blades, _g6(terms.va)])
         )

@@ -23,6 +23,13 @@ exact values.  Whether an order or the DC slot is present follows the
 relative zero rule of ``algebra``, against the phasor's own norm, and
 ``to_phasor`` applies the same rule to each slot against the line's rms,
 so the phases 0, +-pi/2 and pi give exact zeros.
+
+``MAX_ORDER`` is the largest order a layout holds.  A layout is dense up
+to its highest harmonic, so one stray order would set the size of every
+array: at 2**20 a phasor is 16 MB and the decomposition CSV about 2e6
+rows, while an order of 1e12 asks for terabytes.  ``SpectralSignal.from_dict``
+refuses a higher order with its field path, and ``BasisLayout`` a higher
+harmonic count or interharmonic order.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .algebra import format_terms, negligible, pow2_exponent
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
+MAX_ORDER = 1 << 20  # a resource limit, see the module docstring
 
 
 def _normalize_phase(phase: float) -> float:
@@ -188,6 +196,11 @@ class SpectralSignal:
                     raise SchemaError(
                         f"{where}.order must be {expected}, got {order}"
                     )
+                if order > MAX_ORDER:
+                    raise SchemaError(
+                        f"{where}.order {order} exceeds the largest supported "
+                        f"order {MAX_ORDER}"
+                    )
                 orders.append(order)
                 rms.append(number(item["rms"], f"{where}.rms"))
                 phase.append(number(item.get("phase_rad", 0.0), f"{where}.phase_rad"))
@@ -220,11 +233,21 @@ class BasisLayout:
     def __post_init__(self):
         if self.n < 0:
             raise LayoutError(f"harmonic count must be >= 0, got {self.n}")
+        if self.n > MAX_ORDER:
+            raise LayoutError(
+                f"harmonic count {self.n} exceeds the largest supported order "
+                f"{MAX_ORDER}"
+            )
         orders = tuple(float(x) for x in self.interharmonic_orders)
         last = 0.0
         for x in orders:
             if not math.isfinite(x) or x <= 0 or _is_integer_order(x):
                 raise LayoutError(f"interharmonic order must be fractional, got {x}")
+            if x > MAX_ORDER:
+                raise LayoutError(
+                    f"interharmonic order {x} exceeds the largest supported order "
+                    f"{MAX_ORDER}"
+                )
             if x <= last:
                 raise LayoutError("interharmonic orders must be strictly increasing")
             last = x

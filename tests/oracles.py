@@ -4,8 +4,8 @@ Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
 complex phasor arithmetic, the recording CSV by plain string
-splitting, DFT bins by a full-length FFT, and printed numbers one value
-at a time.
+splitting, DFT bins by a full-length FFT, printed numbers one value
+at a time, and text tables and CSV one row at a time.
 """
 
 from __future__ import annotations
@@ -138,3 +138,24 @@ def json6_brute(x: float) -> str:
     text parses back to, with -0.0 as 0.0."""
     v = float(fmt6_brute(x))
     return json.dumps(0.0 if v == 0 else v)
+
+
+# -- text layouts ---------------------------------------------------------
+
+
+def table_brute(title: str, header: list[str], columns: list[list[str]]) -> str:
+    """An aligned text table: the title, then per row two spaces and the
+    cells padded to their column's widest cell and joined by two spaces,
+    with trailing spaces cut."""
+    rows = [header] + [[col[m] for col in columns] for m in range(len(columns[0]))]
+    widths = [max(len(r[j]) for r in rows) for j in range(len(header))]
+    lines = [title]
+    for r in rows:
+        line = "  " + "  ".join(cell.ljust(w) for cell, w in zip(r, widths))
+        lines.append(line.rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def csv_brute(header: list[str], rows: list[list[str]]) -> str:
+    """CSV text: the header and each row, cells joined by commas."""
+    return "".join(",".join(row) + "\n" for row in [header, *rows])

@@ -22,7 +22,7 @@ from conftest import (
 import gapower.cli
 from gapower.cli import FORMATS, main
 from gapower.decompose import decompose_currents
-from gapower.phasor import BasisLayout, to_phasor
+from gapower.phasor import MAX_ORDER, BasisLayout, to_phasor
 from gapower.power import POWER_REPORT_SCHEMA
 from gapower.waveform import dft_extract, sample_signal
 
@@ -244,6 +244,34 @@ def test_solve_bad_source_line_names_file_and_order(
     src = write_json(tmp_path / "s.json", {"fundamental_hz": 50.0, "harmonics": lines})
     assert main(["solve", "--circuit", circuit_equal, "--source", src]) == 2
     assert capsys.readouterr().err == f"error: {src}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "order, text",
+    [(1e12, "1000000000000.0"), (1e300, "1e+300"),
+     (MAX_ORDER + 1, f"{MAX_ORDER + 1}.0")],
+)
+@pytest.mark.parametrize("command", ["solve", "decompose-voltage", "decompose-current"])
+def test_order_above_the_ceiling_is_an_input_error(
+    tmp_path, circuit_equal, order, text, command, capsys
+):
+    fine = {"fundamental_hz": 50.0, "harmonics": [{"order": 1, "rms": 1.0}]}
+    absurd = {"fundamental_hz": 50.0,
+              "harmonics": [{"order": 1, "rms": 1.0}, {"order": order, "rms": 1.0}]}
+    bad = write_json(tmp_path / "bad.json", absurd)
+    good = write_json(tmp_path / "good.json", fine)
+    argv = {
+        "solve": ["solve", "--circuit", circuit_equal, "--source", bad],
+        "decompose-voltage": ["decompose", "--voltage", bad, "--current", good],
+        "decompose-current": ["decompose", "--voltage", good, "--current", bad],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: harmonics[1].order {text} exceeds the largest "
+        f"supported order {MAX_ORDER}\n"
+    )
+    assert not out.exists()
 
 
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from gapower.errors import LayoutError, PowerAnalysisError, SchemaError
 from gapower.phasor import (
+    MAX_ORDER,
     BasisLayout,
     GeometricPhasor,
     SpectralSignal,
@@ -179,6 +180,28 @@ def test_layout_rejects_integer_interharmonics():
         BasisLayout(n=1, interharmonic_orders=(2.0,))
     with pytest.raises(LayoutError):
         BasisLayout(n=1, interharmonic_orders=(2.5, 2.5))
+
+
+def test_layout_holds_orders_up_to_the_ceiling():
+    # checked on the layout alone: a phasor at the ceiling is 16 MB
+    doc = {"fundamental_hz": 50.0, "harmonics": [{"order": MAX_ORDER, "rms": 1.0}],
+           "interharmonics": [{"order": MAX_ORDER - 0.5, "rms": 1.0}]}
+    layout = BasisLayout.for_signals(SpectralSignal.from_dict(doc))
+    assert layout.n == MAX_ORDER == 1 << 20
+    assert layout.dimension == 1 + 2 * MAX_ORDER + 2
+    with pytest.raises(LayoutError, match=(
+            f"^harmonic count {MAX_ORDER + 1} exceeds the largest supported "
+            f"order {MAX_ORDER}$")):
+        BasisLayout(MAX_ORDER + 1)
+    with pytest.raises(LayoutError, match=(
+            rf"^interharmonic order {MAX_ORDER + 0.5} exceeds the largest "
+            f"supported order {MAX_ORDER}$")):
+        BasisLayout(1, (MAX_ORDER + 0.5,))
+    doc["interharmonics"][0]["order"] = MAX_ORDER + 0.5
+    with pytest.raises(SchemaError, match=(
+            rf"^interharmonics\[0\]\.order {MAX_ORDER + 0.5} exceeds the largest "
+            f"supported order {MAX_ORDER}$")):
+        SpectralSignal.from_dict(doc)
 
 
 def test_layout_for_signals_spans_both():

@@ -1,7 +1,8 @@
 """The CLI's array renderer against the per-value rules of
 ``tests/oracles.py``: every element of an array of arbitrary floats prints
-as the oracle prints it alone, and record blocks are laid out as
-``json.dumps(..., indent=2)`` lays out the same records."""
+as the oracle prints it alone, record blocks are laid out as
+``json.dumps(..., indent=2)`` lays out the same records, and tables and
+the decomposition CSV as the row-at-a-time oracles lay them out."""
 
 from __future__ import annotations
 
@@ -10,13 +11,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gapower import cli
-from gapower.cli import _SLOT, _Records, _g6, _g6_rows, _json, _json6
+from gapower.cli import (
+    _SLOT,
+    _Records,
+    _decomposition_csv,
+    _g6,
+    _g6_rows,
+    _json,
+    _json6,
+    _table,
+)
+from gapower.decompose import CSV_COLUMNS
 
-from oracles import fmt6_brute, json6_brute
+from oracles import csv_brute, fmt6_brute, json6_brute, table_brute
 
 # Values at the edges of the format: signed zeros, non-finite values,
 # subnormals, the extremes of the range and 6-digit rounding ties.
@@ -146,3 +157,43 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
         "empty": {},
     }
     assert "".join(_json(doc)) == json.dumps(want, indent=2)
+
+
+# Table cells: empty, or short texts that hold what a ``%`` template or a
+# CSV join could misread.
+cells = st.one_of(st.just(""), st.text(alphabet="ab1 -.%,\"", max_size=6))
+
+
+# the Spectra table's dc row ends in empty cells
+@example((["order", "u_rms", "u_phase"], [["dc", "1"], ["12", "230"], ["", "0.3"]]))
+@example((["a", "b"], [[], []]))
+@given(st.integers(1, 5).flatmap(lambda k: st.tuples(
+    st.lists(cells, min_size=k, max_size=k),
+    st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(cells, min_size=n, max_size=n), min_size=k, max_size=k)),
+)))
+def test_table_is_laid_out_like_the_oracle(drawn):
+    header, columns = drawn
+    want = table_brute("A %s title", header, columns)
+    assert _table("A %s title", header, columns) == want
+
+
+class _Rows:
+    """Stands in for a ``CurrentComponents``: the CSV reads only its
+    ``table_rows``."""
+
+    def __init__(self, rows):
+        self.rows = np.array(rows, dtype=np.float64).reshape(-1, len(CSV_COLUMNS))
+
+    def table_rows(self):
+        return self.rows
+
+
+@given(st.lists(st.lists(values, min_size=6, max_size=6), min_size=1, max_size=12))
+def test_decomposition_csv_is_laid_out_like_the_oracle(rows):
+    index = [str(k) for k in range(len(rows) - 1)] + ["norm"]
+    want = csv_brute(
+        ["index", *CSV_COLUMNS],
+        [[k, *map(fmt6_brute, r)] for k, r in zip(index, rows)],
+    )
+    assert "".join(_decomposition_csv(_Rows(rows))) == want
