@@ -604,6 +604,9 @@ def main(argv=None) -> int:
     except PowerAnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

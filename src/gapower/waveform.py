@@ -10,7 +10,8 @@ Both layers do only the work the output needs.  A recording named by a
 path is parsed by numpy's chunked reader straight from the file, not line
 by line through Python; the guard in ``_numpy_reads_as_text`` sends
 pipes and names that numpy would decompress or download, like every
-stream, to the row loop.  The DFT reads a handful of bins, all multiples
+stream, to the row loop; numpy's ``u`` and ``i`` are read-only column
+views of one parsed block.  The DFT reads a handful of bins, all multiples
 of ``g``, so the window is folded to ``size / g`` samples before the FFT.
 """
 
@@ -35,13 +36,15 @@ _HEADER_RE = re.compile(r"#\s*fs_hz\s*=\s*(\S+)")
 
 @dataclass(frozen=True, eq=False)
 class SampledWaveform:
-    """Uniformly sampled real signal."""
+    """Uniformly sampled real signal, kept as read-only float64.  Samples
+    read-only down their whole ``.base`` chain are taken, others copied."""
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        arr = np.array(self.samples, dtype=float, copy=True)
+        take = np.asarray if _frozen(self.samples) else np.array
+        arr = take(self.samples, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise WaveformError("samples must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
@@ -62,6 +65,13 @@ class SampledWaveform:
         return self.samples.size / self.sample_rate_hz
 
 
+def _frozen(a) -> bool:
+    """Whether ``a`` is an ndarray read-only down to its data's owner."""
+    while isinstance(a, np.ndarray) and not a.flags.writeable:
+        a = a.base
+    return a is None
+
+
 def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     """Read an aligned voltage/current recording.
 
@@ -74,7 +84,8 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     A path whose name numpy opens as plain local text
     (``_numpy_reads_as_text``) is handed to ``np.loadtxt`` by name, with
     the header's lines skipped, so numpy's C reader pulls the file in
-    chunks.  It takes ``u,i`` rows with surrounding spaces or tabs, CRLF
+    chunks into one block, whose columns ``u`` and ``i`` are read-only
+    views.  It takes ``u,i`` rows with surrounding spaces or tabs, CRLF
     endings, comments and empty lines.  A whitespace-only or indented
     comment line, a bad row or a header-only input makes that pass give
     up; the rows are then read one by one from just after the header,
@@ -167,6 +178,7 @@ def _load_columns(path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | N
             return None
     if data.shape[0] == 0 or data.shape[1] != 2:
         return None
+    data.flags.writeable = False  # so SampledWaveform keeps the views
     return data[:, 0], data[:, 1]
 
 

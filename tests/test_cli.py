@@ -274,6 +274,26 @@ def test_order_above_the_ceiling_is_an_input_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_out_of_memory_is_a_computation_error(
+    tmp_path, source_file, circuit_equal, fmt, monkeypatch, capsys
+):
+    # stands in for the power block of a source at the order ceiling,
+    # which asks numpy for 32 TiB; no such request is made here
+    message = "Unable to allocate 32.0 TiB for an array with shape (2097153, 2097153)"
+
+    def exhausted(u, i):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(gapower.cli, "power_report", exhausted)
+    out = tmp_path / "out"
+    argv = ["solve", "--circuit", circuit_equal, "--source", source_file,
+            "--format", fmt, "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert not out.exists()
+
+
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):
     src = write_json(
         tmp_path / "dc.json",

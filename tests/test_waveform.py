@@ -83,6 +83,52 @@ def test_waveform_rejects(samples, rate):
         SampledWaveform(samples, rate)
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def test_waveform_copies_a_writable_array():
+    caller = np.array([0.0, 1.0, 0.0, -1.0])
+    w = SampledWaveform(caller, 4.0)
+    caller[0] = 9.0
+    assert w.samples.tolist() == [0.0, 1.0, 0.0, -1.0]
+    assert caller.flags.writeable and not w.samples.flags.writeable
+
+
+def test_waveform_copies_a_read_only_view_of_a_writable_base():
+    base = np.array([0.0, 1.0, 0.0, -1.0])
+    w = SampledWaveform(frozen(base[:]), 4.0)
+    base[0] = 9.0
+    assert w.samples.tolist() == [0.0, 1.0, 0.0, -1.0]
+
+
+def test_waveform_takes_an_array_frozen_down_its_base_chain():
+    block = frozen(np.arange(8.0).reshape(4, 2).copy())
+    w = SampledWaveform(block[:, 1], 4.0)
+    assert np.shares_memory(w.samples, block)
+    assert w.samples.tolist() == [1.0, 3.0, 5.0, 7.0]
+    assert not w.samples.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [0.0, 1.0, 0.0, -1.0],
+        np.array([0.0, 1.0, 0.0, -1.0], dtype=np.float32),
+        frozen(np.array([0.0, 1.0, 0.0, -1.0], dtype=np.float32)),
+    ],
+    ids=["list", "float32", "frozen-float32"],
+)
+def test_waveform_converts_to_a_new_float64_array(samples):
+    w = SampledWaveform(samples, 4.0)
+    assert w.samples.dtype == np.float64
+    assert not w.samples.flags.writeable
+    if isinstance(samples, np.ndarray):
+        assert not np.shares_memory(w.samples, samples)
+    assert w.samples.tolist() == [0.0, 1.0, 0.0, -1.0]
+
+
 # -- load_csv ----------------------------------------------------------------
 
 class _Unseekable(io.StringIO):
@@ -128,6 +174,33 @@ def test_load_csv_happy_path(tmp_path):
     assert u.sample_rate_hz == 1000.0 == i.sample_rate_hz
     assert np.allclose(u.samples, [0.5, -0.5, 10.0])
     assert np.allclose(i.samples, [0.1, -0.1, 2.0])
+
+
+def test_load_csv_keeps_one_read_only_block_of_a_named_file(tmp_path):
+    # 200,000 rows parse into a 3.2 MB block; copying its two columns
+    # would add 3.2 MB more on top of it
+    rng = np.random.default_rng(17)
+    rows = rng.normal(size=(200_000, 2)) * [325.0, 14.0]
+    text = "# fs_hz=10000\n" + "".join("%.12g,%.12g\n" % tuple(r) for r in rows)
+    path = tmp_path / "long.csv"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        u, i = load_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    assert not u.samples.flags.writeable and not i.samples.flags.writeable
+    # the columns interleave, so they share one block but not a byte
+    block = u.samples.base
+    assert i.samples.base is block and block.shape == (200_000, 2)
+    assert np.shares_memory(u.samples, block) and np.shares_memory(i.samples, block)
+    assert not block.flags.writeable
+    rate, u_ref, i_ref = parse_rows_brute(text)
+    assert u.sample_rate_hz == rate == i.sample_rate_hz
+    assert u.samples.tolist() == u_ref
+    assert i.samples.tolist() == i_ref
 
 
 def test_load_csv_stream_and_header_variants():
