@@ -4,7 +4,7 @@ The pipeline: describe a periodic voltage as a ``SpectralSignal`` (or
 extract one from samples with ``dft_extract``), map it onto a grade-1
 geometric phasor (a dense coefficient vector) with ``to_phasor``, solve or
 measure the current, multiply the two phasors into the geometric apparent
-power (a scalar plus a bivector block), and split the current into
+power (a scalar plus its bivector planes), and split the current into
 active/non-active and parallel/quadrature/generated parts.  A coefficient
 counts as zero only relative to the norm of its signal (``algebra``), so
 no result depends on the units.  ``str()`` of a phasor or a power prints
@@ -45,7 +45,6 @@ from .phasor import (
 )
 from .power import (
     POWER_REPORT_SCHEMA,
-    CrossTerms,
     GeometricPower,
     PowerReport,
     apparent,

@@ -343,7 +343,7 @@ def _power_tables(report: PowerReport) -> list[str]:
         ),
     ]
     terms = report.cross_terms
-    if len(terms):
+    if len(terms.va):
         indices = list(map(_ints, terms.blade_indices.T.tolist()))
         blades = "".join(_rows(["s", " s", "\n"], indices)).split("\n")[:-1]
         parts.append(

@@ -6,15 +6,12 @@ per-harmonic reactive powers; bivectors straddling two frequencies are
 cross-frequency terms with no classical counterpart, reported verbatim.
 
 Both phasors are grade 1, so ``M = u i = u.i + u^i`` and nothing else:
-``GeometricPower`` stores the scalar ``u.i`` and the strict upper triangle
-of ``u (x) i - i (x) u`` as a dense ``(dim, dim)`` block, exact as
-computed.  ``|M|`` is summed on values scaled by a power of two, so it
-stays finite and non-zero wherever ``|u||i|`` does.
-
-``PowerReport`` keeps the cross-frequency terms as arrays taken straight
-from the block (``CrossTerms``: index pairs and values), which is what
-the CLI renders; a noisy recording fills nearly all ``dim (dim - 1) / 2``
-planes.
+``GeometricPower`` stores the scalar ``u.i`` and the non-zero planes of
+``u ^ i`` as ``(blade_indices, va)`` arrays, exact as computed; a noisy
+recording fills nearly all ``dim (dim - 1) / 2`` planes.  ``|M|`` is
+summed on values scaled by a power of two, so it stays finite and
+non-zero wherever ``|u||i|`` does.  ``PowerReport`` keeps the
+cross-frequency terms, which the CLI renders, as a power with scalar 0.
 """
 
 from __future__ import annotations
@@ -76,36 +73,42 @@ POWER_REPORT_SCHEMA = {
 class GeometricPower:
     """Product of a voltage and a current phasor (scalar + bivector).
 
-    ``bivector`` is a read-only, strictly upper-triangular ``(dim, dim)``
-    float64 copy of the given block: entry ``[a, b]`` (``a < b``) is the
-    coefficient of the plane ``s_a s_b``.  ``str()`` prints the sum, e.g.
-    ``10000 - 5000 s12 - 5000 s25 - 5000 s16 + 5000 s56``: the scalar
-    first, then the planes in ascending blade mask, i.e. by ``(b, a)``.
+    The bivector is kept as its non-zero planes: row ``n`` of the
+    read-only ``(n_planes, 2)`` int array ``blade_indices`` is ``(a, b)``
+    with ``a < b``, the rows strictly ascending by ``(a, b)``, and
+    ``va[n]`` is the coefficient of the plane ``s_a s_b``.  ``str()``
+    prints the sum, e.g. ``10000 - 5000 s12 - 5000 s25 - 5000 s16 +
+    5000 s56``: the scalar first, then the planes in ascending blade mask,
+    i.e. by ``(b, a)``.
     """
 
     scalar: float
-    bivector: np.ndarray
+    blade_indices: np.ndarray
+    va: np.ndarray
     layout: BasisLayout
 
     def __post_init__(self):
         dim = self.layout.dimension
-        block = np.array(self.bivector, dtype=np.float64)
-        if block.shape != (dim, dim):
-            raise LayoutError(
-                f"bivector block shape {block.shape} does not match "
-                f"layout dimension {dim}"
-            )
-        if np.tril(block).any():
+        idx = np.array(self.blade_indices, dtype=np.intp)
+        va = np.array(self.va, dtype=np.float64)
+        inside = ((idx >= 0) & (idx < dim)).all()
+        if va.ndim != 1 or idx.shape != (len(va), 2) or not inside:
+            raise LayoutError(f"{idx.shape} blade indices for {va.shape} "
+                              f"values do not fit layout dimension {dim}")
+        a, b = idx.T
+        if (a >= b).any() or (np.diff(a * dim + b) <= 0).any():
             raise PowerAnalysisError(
-                "bivector block must be strictly upper triangular"
+                "planes must be (a, b) with a < b, strictly ascending"
             )
-        block.flags.writeable = False
-        object.__setattr__(self, "bivector", block)
+        idx.flags.writeable = va.flags.writeable = False
+        object.__setattr__(self, "blade_indices", idx)
+        object.__setattr__(self, "va", va)
         object.__setattr__(self, "scalar", float(self.scalar))
 
     def __str__(self) -> str:
-        hi, lo = np.nonzero(self.bivector.T)  # sorted by (b, a)
-        planes = zip(zip(lo.tolist(), hi.tolist()), self.bivector[lo, hi].tolist())
+        a, b = self.blade_indices.T
+        by_mask = np.lexsort((a, b))  # sorted by (b, a)
+        planes = zip(self.blade_indices[by_mask].tolist(), self.va[by_mask].tolist())
         return format_terms([((), self.scalar), *planes])
 
     @property
@@ -117,19 +120,23 @@ class GeometricPower:
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
-    a, b = u.coeffs, i.coeffs
-    return GeometricPower(
-        u.dot(i), np.triu(np.outer(a, b) - np.outer(b, a), 1), u.layout
-    )
+    # u ^ i has planes only among the slots where u or i is non-zero, so
+    # the block is formed there; they are sorted, so its planes ascend
+    support = np.flatnonzero((u.coeffs != 0) | (i.coeffs != 0))
+    a, b = u.coeffs[support], i.coeffs[support]
+    block = np.triu(np.outer(a, b) - np.outer(b, a), 1)
+    lo, hi = np.nonzero(block)
+    planes = np.column_stack([support[lo], support[hi]])
+    return GeometricPower(u.dot(i), planes, block[lo, hi], u.layout)
 
 
 def apparent(mpower: GeometricPower) -> float:
     """Apparent power: the multivector norm, equal to ||u|| * ||i||."""
-    e = pow2_exponent([mpower.scalar, np.max(np.abs(mpower.bivector))])
-    s, block = math.ldexp(mpower.scalar, -e), np.ldexp(mpower.bivector, -e)
+    e = pow2_exponent(np.append(mpower.va, mpower.scalar))
+    s, va = math.ldexp(mpower.scalar, -e), np.ldexp(mpower.va, -e)
     # einsum sums in its own loop, so the bits do not depend on how many
     # threads BLAS (which np.vdot would call) runs with
-    squares = float(np.einsum("ij,ij->", block, block))
+    squares = float(np.einsum("i,i->", va, va))
     return float(np.ldexp(math.sqrt(s * s + squares), e))
 
 
@@ -162,19 +169,6 @@ def harmonic_pq(
 
 
 @dataclass(frozen=True, eq=False)
-class CrossTerms:
-    """Cross-frequency terms as arrays: the plane ``s_a s_b`` of row
-    ``blade_indices[n] = (a, b)`` (``a < b``, rows sorted by ``(a, b)``)
-    carries ``va[n]``.  ``len()`` is the number of terms."""
-
-    blade_indices: np.ndarray
-    va: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.va)
-
-
-@dataclass(frozen=True, eq=False)
 class PowerReport:
     """Summary of a geometric power computation: totals, per-order P/Q
     (the ``(orders, p, q)`` arrays of ``harmonic_pq``) and the
@@ -187,19 +181,20 @@ class PowerReport:
     apparent_va: float
     pf: float | None
     per_harmonic: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cross_terms: CrossTerms
+    cross_terms: GeometricPower
 
 
-def cross_frequency_terms(mpower: GeometricPower) -> CrossTerms:
-    """Bivector terms that do not lie in any single order's plane.
+def cross_frequency_terms(mpower: GeometricPower) -> GeometricPower:
+    """The planes of ``mpower`` that do not lie in any single order's
+    plane, with scalar 0.
 
     The order planes are exactly the slot pairs ``(2m - 1, 2m)``.
     """
-    block = mpower.bivector
-    lo, hi = np.nonzero(block)  # row-major, hence already sorted
+    lo, hi = mpower.blade_indices.T
     cross = (lo % 2 == 0) | (hi != lo + 1)
-    lo, hi = lo[cross], hi[cross]
-    return CrossTerms(np.column_stack([lo, hi]), block[lo, hi])
+    return GeometricPower(
+        0.0, mpower.blade_indices[cross], mpower.va[cross], mpower.layout
+    )
 
 
 def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:

@@ -331,11 +331,13 @@ def thd(s: SpectralSignal) -> float:
     # the harmonics are listed first, ascending: a fundamental is line 0
     if not len(s.orders) or s.orders[0] != 1.0:
         raise WaveformError("THD needs a fundamental component with rms > 0")
-    # squared after scaling by a power of two, so they stay in range
+    # squared after scaling by a power of two, so they stay in range, and
+    # added in order; ``**`` calls libm pow and 3.12's ``sum`` compensates
     h = s.rms[s.harmonic]
-    x = np.ldexp(h, -pow2_exponent(h)).tolist()
-    rest = sum(v**2 for v in x[1:])
-    return math.sqrt(rest) / x[0]
+    x = np.ldexp(h, -pow2_exponent(h))
+    squares = x * x
+    squares[0] = 0.0  # the fundamental's
+    return math.sqrt(np.cumsum(squares)[-1]) / float(x[0])
 
 
 def active_power(u: SampledWaveform, i: SampledWaveform) -> float:

@@ -74,10 +74,20 @@ def index_terms(p: GeometricPhasor) -> dict:
     return {(k,): c for k, c in enumerate(p.coeffs.tolist()) if c}
 
 
+def bivector_block(m: GeometricPower) -> np.ndarray:
+    """The power's planes scattered into a strictly upper ``(dim, dim)``
+    block: entry ``[a, b]`` is the coefficient of ``s_a s_b``, every other
+    entry 0."""
+    dim = m.layout.dimension
+    block = np.zeros((dim, dim))
+    lo, hi = m.blade_indices.T
+    block[lo, hi] = m.va
+    return block
+
+
 def power_terms(m: GeometricPower) -> dict:
     """The oracles' term map of a power: ``{(): scalar, (a, b): coefficient}``."""
-    lo, hi = np.nonzero(m.bivector)
-    terms = {(a, b): m.bivector[a, b] for a, b in zip(lo.tolist(), hi.tolist())}
+    terms = dict(zip(map(tuple, m.blade_indices.tolist()), m.va.tolist()))
     if m.scalar:
         terms[()] = m.scalar
     return terms

@@ -3,15 +3,17 @@
 Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
-complex phasor arithmetic, the recording CSV by plain string
-splitting, DFT bins by a full-length FFT, printed numbers one value
-at a time, and text tables and CSV one row at a time.
+complex phasor arithmetic, THD by a plain loop, the recording CSV by
+plain string splitting, DFT bins by a full-length FFT, printed numbers
+and blade sums one value at a time, and text tables and CSV one row at a
+time.
 """
 
 from __future__ import annotations
 
 import cmath
 import json
+import math
 
 import numpy as np
 
@@ -94,6 +96,15 @@ def pq_complex(
     return s.real, s.imag
 
 
+def thd_brute(harmonic_rms: list[float]) -> float:
+    """THD of harmonic rms values listed from the fundamental up: the
+    squares above the fundamental added one at a time in a Python loop."""
+    rest = 0.0
+    for v in harmonic_rms[1:]:
+        rest = rest + v * v
+    return math.sqrt(rest) / harmonic_rms[0]
+
+
 # -- recording CSV --------------------------------------------------------
 
 
@@ -138,6 +149,27 @@ def json6_brute(x: float) -> str:
     text parses back to, with -0.0 as 0.0."""
     v = float(fmt6_brute(x))
     return json.dumps(0.0 if v == 0 else v)
+
+
+def terms_text_brute(terms: dict[tuple[int, ...], float]) -> str:
+    """A term map as ``str()`` prints it: by ascending blade mask
+    ``sum(1 << k)``, each term its ``%g`` magnitude and blade label
+    (``s12``, or ``s(1,10)`` once an index passes 9), joined by its sign;
+    an empty map prints ``0``."""
+    text = ""
+    for idx in sorted(terms, key=lambda idx: sum(1 << k for k in idx)):
+        c = terms[idx]
+        body = f"{abs(c):g}"
+        if idx and max(idx) <= 9:
+            body += " s" + "".join(str(k) for k in idx)
+        elif idx:
+            body += " s(" + ",".join(str(k) for k in idx) + ")"
+        sign = "-" if c < 0 else "+"
+        if not text:
+            text = body if sign == "+" else "-" + body
+        else:
+            text += f" {sign} {body}"
+    return text or "0"
 
 
 # -- text layouts ---------------------------------------------------------

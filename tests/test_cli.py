@@ -278,8 +278,8 @@ def test_order_above_the_ceiling_is_an_input_error(
 def test_out_of_memory_is_a_computation_error(
     tmp_path, source_file, circuit_equal, fmt, monkeypatch, capsys
 ):
-    # stands in for the power block of a source at the order ceiling,
-    # which asks numpy for 32 TiB; no such request is made here
+    # stands in for an allocation numpy cannot meet; no such request is
+    # made here
     message = "Unable to allocate 32.0 TiB for an array with shape (2097153, 2097153)"
 
     def exhausted(u, i):
@@ -292,6 +292,35 @@ def test_out_of_memory_is_a_computation_error(
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: out of memory: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_solve_memory_follows_the_support(tmp_path, fmt):
+    # lines at orders 1 and 1000 span 2001 slots but occupy 4: a
+    # (dim, dim) power block would take 32 MB per temporary
+    src = write_json(tmp_path / "two_lines.json", {
+        "fundamental_hz": 50.0,
+        "harmonics": [{"order": 1, "rms": 230.0, "phase_rad": 0.3},
+                      {"order": 1000, "rms": 5.0, "phase_rad": -1.1}],
+    })
+    circuit = write_json(tmp_path / "rl.json", {"r_ohm": 1.0, "l_henry": 0.01})
+    out = tmp_path / "out"
+    argv = ["solve", "--circuit", circuit, "--source", src,
+            "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    text = out.read_text(encoding="utf-8")
+    planes = [[1, 1999], [1, 2000], [2, 1999], [2, 2000]]
+    if fmt == "json":
+        terms = json.loads(text)["power"]["cross_terms"]
+        assert [t["blade_indices"] for t in terms] == planes
+    else:
+        assert all(f"  s{a} s{b}  " in text for a, b in planes)
 
 
 def test_solve_dc_through_capacitor_is_computation_error(tmp_path, circuit_equal):

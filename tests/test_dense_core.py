@@ -1,8 +1,10 @@
-"""The dense phasor and power representation against the brute-force
-blade oracle, the term orders the reports rely on, and the constructors'
-storage rules."""
+"""The dense phasor and the power's list of non-zero planes against the
+brute-force blade oracle, the term orders the reports rely on, and the
+constructors' storage rules."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -18,8 +20,8 @@ from gapower.power import (
     geometric_power,
 )
 
-from conftest import index_terms, slots
-from oracles import mv_product_brute
+from conftest import bivector_block, index_terms, slots, vector
+from oracles import mv_product_brute, terms_text_brute
 
 coeff = st.floats(-50.0, 50.0, allow_nan=False).filter(lambda c: abs(c) > 1e-6)
 
@@ -48,6 +50,58 @@ def phasor_pairs(draw):
     return draw(phasors(layout)), draw(phasors(layout))
 
 
+SUPPORT_SHAPES = ["random", "zero-current", "disjoint", "dc-only-voltage", "full"]
+
+
+@st.composite
+def support_pairs(draw, shape: str):
+    """Two phasors on a layout of up to 21 slots whose non-zero slots
+    follow ``shape``: random masks, a zero current, disjoint supports, a
+    voltage with only DC, or every slot of both."""
+    inter = draw(st.lists(st.sampled_from([0.5, 1.5, 2.5, 4.5, 7.25]),
+                          unique=True, max_size=2))
+    layout = BasisLayout(n=draw(st.integers(0, 8)),
+                         interharmonic_orders=tuple(sorted(inter)))
+    dim = layout.dimension
+    values = np.array(draw(st.lists(coeff, min_size=2 * dim, max_size=2 * dim)))
+    keep = np.array(draw(st.lists(st.booleans(), min_size=2 * dim, max_size=2 * dim)))
+    values, keep = values.reshape(2, dim), keep.reshape(2, dim)
+    if shape == "zero-current":
+        keep[1] = False
+    elif shape == "disjoint":
+        keep[1] &= ~keep[0]
+    elif shape == "dc-only-voltage":
+        keep[0] = False
+        keep[0, 0] = True
+    elif shape == "full":
+        keep[:] = True
+    u, i = np.where(keep, values, 0.0)
+    return GeometricPhasor(u, layout, 50.0), GeometricPhasor(i, layout, 50.0)
+
+
+@pytest.mark.parametrize("shape", SUPPORT_SHAPES)
+@given(data=st.data())
+def test_planes_over_the_support_match_the_oracle(shape, data):
+    u, i = data.draw(support_pairs(shape))
+    m = geometric_power(u, i)
+    want = mv_product_brute(index_terms(u), index_terms(i))
+    planes = {idx: c for idx, c in want.items() if idx}
+    assert m.scalar == want.get((), 0.0)
+    rows = [tuple(r) for r in m.blade_indices.tolist()]
+    assert dict(zip(rows, m.va.tolist())) == planes
+    assert rows == sorted(set(rows))
+    # the cross-frequency terms are the planes off every (2m - 1, 2m)
+    cross = cross_frequency_terms(m)
+    rows = [tuple(r) for r in cross.blade_indices.tolist()]
+    assert cross.scalar == 0.0 and rows == sorted(set(rows))
+    assert dict(zip(rows, cross.va.tolist())) == {
+        (a, b): c for (a, b), c in planes.items() if not (a % 2 and b == a + 1)
+    }
+    assert str(m) == terms_text_brute(want)
+    norms = math.hypot(*u.coeffs.tolist()) * math.hypot(*i.coeffs.tolist())
+    assert apparent(m) == pytest.approx(norms, rel=1e-12, abs=0.0)
+
+
 @given(phasor_pairs())
 def test_dense_power_matches_brute_product(pair):
     u, i = pair
@@ -56,11 +110,12 @@ def test_dense_power_matches_brute_product(pair):
     assert all(len(idx) in (0, 2) for idx in want)
     assert m.scalar == pytest.approx(want.get((), 0.0), abs=1e-9, rel=1e-12)
     dim = u.layout.dimension
-    assert m.bivector.shape == (dim, dim)
-    assert not np.tril(m.bivector).any()
+    block = bivector_block(m)
+    assert block.shape == (dim, dim)
+    assert not np.tril(block).any()
     for a in range(dim):
         for b in range(a + 1, dim):
-            assert m.bivector[a, b] == pytest.approx(
+            assert block[a, b] == pytest.approx(
                 want.get((a, b), 0.0), abs=1e-9, rel=1e-12
             ), (a, b)
 
@@ -72,19 +127,22 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
     layout = u.layout
     planes = {slots(layout, o) for o in layout.orders().tolist()}
     terms = cross_frequency_terms(m)
-    assert terms.blade_indices.shape == (len(terms), 2)
+    n = len(terms.va)
+    assert terms.scalar == 0.0
+    assert terms.blade_indices.shape == (n, 2)
     assert terms.blade_indices.dtype.kind == "i"
-    assert terms.va.shape == (len(terms),) and terms.va.dtype == np.float64
+    assert terms.va.shape == (n,) and terms.va.dtype == np.float64
     idx = [tuple(t) for t in terms.blade_indices.tolist()]
     assert idx == sorted(idx) and len(set(idx)) == len(idx)
+    block = bivector_block(m)
     want = {
         (a, b)
-        for a, b in zip(*np.nonzero(m.bivector))
+        for a, b in zip(*np.nonzero(block))
         if (a, b) not in planes
     }
     assert set(idx) == want
     for (a, b), va in zip(idx, terms.va.tolist()):
-        assert va == m.bivector[a, b]
+        assert va == block[a, b]
 
 
 def test_norm_identity_at_dim_201():
@@ -94,7 +152,7 @@ def test_norm_identity_at_dim_201():
     u = GeometricPhasor(rng.normal(0.0, 100.0, 201), layout, 50.0)
     i = GeometricPhasor(rng.normal(0.0, 2.0, 201), layout, 50.0)
     m = geometric_power(u, i)
-    assert np.count_nonzero(m.bivector) == 201 * 200 // 2
+    assert np.count_nonzero(bivector_block(m)) == 201 * 200 // 2
     assert apparent(m) == pytest.approx(u.norm() * i.norm(), rel=1e-12)
 
 
@@ -104,8 +162,11 @@ def test_arrays_are_read_only(two_harmonic_phasor):
         u.coeffs[1] = 1.0
     with pytest.raises(ValueError):
         u.pairs[0, 0] = 1.0
+    m = geometric_power(u, vector(u.layout, {1: 1.0}, u.fundamental_hz))
     with pytest.raises(ValueError):
-        geometric_power(u, u).bivector[0, 1] = 1.0
+        m.va[0] = 1.0
+    with pytest.raises(ValueError):
+        m.blade_indices[0, 1] = 3
 
 
 def test_dense_constructors_store_exact_copies():
@@ -117,11 +178,11 @@ def test_dense_constructors_store_exact_copies():
     assert p.coeffs.tolist() == [5e-13, -3.0, 1e-300]
     coeffs[1] = 7.0
     assert p.coeffs[1] == -3.0
-    block = np.zeros((3, 3))
-    block[0, 1], block[1, 2] = 1e-13, 2.0
-    m = GeometricPower(-1e-13, block, layout)
-    block[1, 2] = 0.0
-    assert m.scalar == -1e-13 and m.bivector[0, 1] == 1e-13 and m.bivector[1, 2] == 2.0
+    planes, va = np.array([[0, 1], [1, 2]]), np.array([1e-13, 2.0])
+    m = GeometricPower(-1e-13, planes, va, layout)
+    planes[1], va[1] = (0, 2), 0.0
+    block = bivector_block(m)
+    assert m.scalar == -1e-13 and block[0, 1] == 1e-13 and block[1, 2] == 2.0
 
 
 def test_dense_constructors_check_shapes():
@@ -129,8 +190,12 @@ def test_dense_constructors_check_shapes():
     with pytest.raises(LayoutError):
         GeometricPhasor(np.zeros(5), layout, 50.0)
     with pytest.raises(LayoutError):
-        GeometricPower(0.0, np.zeros((5, 5)), layout)
-    lower = np.zeros((3, 3))
-    lower[2, 1] = 1.0
+        GeometricPower(0.0, [[3, 4]], [1.0], layout)
+    with pytest.raises(LayoutError):
+        GeometricPower(0.0, [[-1, 2]], [1.0], layout)
+    with pytest.raises(LayoutError):
+        GeometricPower(0.0, [[0, 1]], [1.0, 2.0], layout)
     with pytest.raises(PowerAnalysisError):
-        GeometricPower(0.0, lower, layout)
+        GeometricPower(0.0, [[2, 1]], [1.0], layout)
+    with pytest.raises(PowerAnalysisError):
+        GeometricPower(0.0, [[1, 2], [0, 2]], [1.0, 1.0], layout)

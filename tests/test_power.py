@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -21,8 +22,10 @@ from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import (
     BasisLayout,
     GeometricPhasor,
+    SpectralSignal,
     from_phasor,
     reconstruct,
+    to_phasor,
 )
 from gapower.power import (
     POWER_REPORT_SCHEMA,
@@ -34,9 +37,9 @@ from gapower.power import (
     power_factor,
     power_report,
 )
-from gapower.circuit import admittances_for, solve_current
+from gapower.circuit import SeriesRLC, admittances_for, solve_current
 
-from conftest import dense, vector
+from conftest import bivector_block, dense, vector
 from oracles import pq_complex
 
 
@@ -46,11 +49,12 @@ def phasor_of(terms: dict, dim: int, f0: float = 50.0) -> GeometricPhasor:
 
 def assert_power(m: GeometricPower, scalar: float, planes: dict) -> None:
     """``m`` is ``scalar`` plus the ``(a, b) -> coefficient`` planes."""
-    block = np.zeros_like(m.bivector)
+    got = bivector_block(m)
+    block = np.zeros_like(got)
     for ab, c in planes.items():
         block[ab] = c
     assert m.scalar == pytest.approx(scalar, abs=1e-9)
-    np.testing.assert_allclose(m.bivector, block, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(got, block, rtol=0.0, atol=1e-9)
 
 
 # -- fixtures ------------------------------------------------------------
@@ -64,7 +68,8 @@ def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
         (1, 2): -5000.0, (5, 6): 5000.0, (1, 6): -5000.0, (2, 5): -5000.0,
     })
     assert m.active == pytest.approx(10000.0)
-    assert np.any(m.bivector) and not np.any(np.tril(m.bivector))
+    block = bivector_block(m)
+    assert np.any(block) and not np.any(np.tril(block))
 
 
 def test_geometric_power_variant_fixture(two_harmonic_phasor, rlc_unequal_conductance):
@@ -95,12 +100,12 @@ def test_geometric_power_layout_mismatch():
 
 def test_geometric_power_type_guards_grades():
     # a power holds grades 0 and 2 only: a grade-1 coefficient vector is
-    # not a bivector block, and neither is a block with a lower triangle
+    # not a list of planes, and neither are the diagonal's (k, k) pairs
     layout = BasisLayout(n=1)
     with pytest.raises(LayoutError):
-        GeometricPower(0.0, dense(3, {1: 1.0}), layout)
+        GeometricPower(0.0, dense(3, {1: 1.0}), dense(3, {1: 1.0}), layout)
     with pytest.raises(PowerAnalysisError):
-        GeometricPower(0.0, np.eye(3), layout)
+        GeometricPower(0.0, [[0, 0], [1, 1], [2, 2]], np.ones(3), layout)
 
 
 def test_apparent_fixture(two_harmonic_phasor, rlc_equal_conductance,
@@ -201,7 +206,7 @@ def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conducta
     )
     m = geometric_power(two_harmonic_phasor, i)
     terms = cross_frequency_terms(m)
-    assert len(terms) == 3
+    assert len(terms.va) == 3
     assert terms.blade_indices.tolist() == [[1, 6], [2, 5], [2, 6]]
     assert terms.va.tolist() == pytest.approx([-3000.0, -3000.0, 8000.0])
 
@@ -233,6 +238,26 @@ def test_power_report_zero_pair_has_null_pf():
     doc = json.loads("".join(_json(_power_json(report))))
     assert doc["pf"] is None
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
+
+
+def test_power_report_memory_follows_the_support():
+    # lines at orders 1 and 1000 span 2001 slots but occupy 4: a
+    # (dim, dim) block would take 32 MB per temporary, 95 MB at peak
+    source = SpectralSignal(
+        50.0, orders=[1, 1000], rms=[230.0, 5.0], phase_rad=[0.3, -1.1]
+    )
+    u = to_phasor(source, BasisLayout.for_signals(source))
+    i = solve_current(u, admittances_for(SeriesRLC(r=1.0, l=0.01), u))
+    tracemalloc.start()
+    try:
+        report = power_report(u, i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
+    assert report.cross_terms.blade_indices.tolist() == [
+        [1, 1999], [1, 2000], [2, 1999], [2, 2000]
+    ]
 
 
 # -- random-instance properties ----------------------------------------------------
@@ -267,7 +292,7 @@ def test_norm_identity(pair):
 def test_decomposition_completeness(pair):
     u, i = pair
     m = geometric_power(u, i)
-    bivector_sq = float(np.sum(m.bivector**2))
+    bivector_sq = float(np.sum(bivector_block(m)**2))
     assert apparent(m) ** 2 == pytest.approx(
         m.active**2 + bivector_sq, abs=1e-9, rel=1e-12
     )

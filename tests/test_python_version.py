@@ -5,7 +5,9 @@ run on whatever interpreter is at hand.  This stdlib ``ast`` check stands
 in for a 3.10 run: ``ast.parse(..., feature_version=(3, 10))`` refuses
 grammar added later, such as ``except*`` (3.11) or generic parameter
 lists (3.12).  It checks grammar only, not library calls added after
-3.10.
+3.10.  One library change is checked too: from 3.12 the builtin ``sum``
+adds floats with compensation, so a package result summed by it would
+carry different bits on different versions; no package module calls it.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ OLDEST = (3, 10)
 SCANNED = sorted(
     p for d in ("src/gapower", "scripts") for p in (ROOT / d).glob("*.py")
 )
+PACKAGE = sorted((ROOT / "src/gapower").glob("*.py"))
 
 
 def test_oldest_version_is_the_promised_one():
@@ -41,3 +44,25 @@ def test_check_refuses_later_grammar(source):
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: str(p.relative_to(ROOT)))
 def test_parses_as_the_oldest_supported_python(path):
     ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=OLDEST)
+
+
+def builtin_sum_calls(tree: ast.AST) -> list[int]:
+    """Line numbers of the calls to the builtin ``sum`` in ``tree``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
+
+
+def test_sum_check_finds_the_builtin_only():
+    source = "x = sum(v * v for v in y)\nz = np.sum(y) + math.fsum(y)\nw = sum(y, 0.0)\n"
+    assert builtin_sum_calls(ast.parse(source)) == [1, 3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_calls_no_builtin_sum(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert builtin_sum_calls(tree) == []

@@ -41,7 +41,7 @@ from gapower.waveform import (
     sample_signal,
     thd,
 )
-from oracles import dft_bins_brute, parse_rows_brute, pq_complex
+from oracles import dft_bins_brute, parse_rows_brute, pq_complex, thd_brute
 
 
 def bench_waveforms() -> tuple[SampledWaveform, SampledWaveform]:
@@ -622,6 +622,17 @@ def test_thd_of_bench_voltage():
     expect = math.sqrt(sum(a**2 for k, a in amps.items() if k >= 2)) / amps[1]
     assert got == pytest.approx(expect, abs=1e-6)
     assert got == pytest.approx(0.0267, abs=5e-4)
+
+
+def test_thd_adds_its_squares_one_at_a_time():
+    # each 1e-16 square is under half an ulp of the running 1.0, so a
+    # sequential sum keeps 1.0 where a compensated one (Python 3.12's
+    # sum, math.fsum) reaches 1 + 1e-15
+    rms = [1.0, 1.0] + [1e-8] * 10
+    s = SpectralSignal(50.0, orders=range(1, 13), rms=rms)
+    assert math.sqrt(math.fsum(v * v for v in rms[1:])) != 1.0
+    assert thd(s) == thd_brute(rms) == 1.0
+    assert type(thd(s)) is float
 
 
 def test_thd_requires_fundamental():
