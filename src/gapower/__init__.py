@@ -15,13 +15,13 @@ from .circuit import (
     Admittances,
     SeriesRLC,
     admittances_for,
+    compensation_susceptances,
     invert,
     parallel_quadrature,
     solve_current,
 )
 from .decompose import (
     CurrentComponents,
-    compensation_susceptances,
     decompose_currents,
     estimate_admittances,
     fryze_split,

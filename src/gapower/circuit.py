@@ -5,11 +5,12 @@ At order k the series branch has reactance ``X_k = k*L*w - 1/(k*C*w)``
 scalar-plus-bivector element ``R + X_k * s_odd s_even`` on the order's
 plane.  Ohm's law is a left multiplication: ``i_k = Y_k u_k`` with the
 admittance ``G_k + B_k * s_odd s_even`` the spinor inverse of the
-impedance (``invert``).  A load is one ``Admittances`` table of per-order
-(G, B) arrays on the layout; the plane is always the order's own, and
-every order is computed at once.  ``parallel_quadrature`` is the one
-place where a table meets a voltage: it gives the product's G and B parts,
-and ``solve_current(u, admittances_for(net, u))`` is their sum.
+impedance (``invert``).  A load is one ``Admittances`` table of (G, B)
+arrays over the entries of ``phasor`` (DC, whose B is 0, then the
+layout's orders); the plane is always the order's own, and every order is
+computed at once.  ``parallel_quadrature`` is the one place where a table
+meets a voltage: it gives the product's G and B parts, and
+``solve_current(u, admittances_for(net, u))`` is their sum.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CircuitError, LayoutError, PowerAnalysisError
-from .phasor import BasisLayout, GeometricPhasor
+from .phasor import BasisLayout, GeometricPhasor, entry_slots
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,9 @@ class SeriesRLC:
 @dataclass(frozen=True, eq=False)
 class Admittances:
     """A load's admittance table: the element G + B * (the order's plane)
-    for DC and each order of ``layout``.
-
-    ``conductance`` has the DC entry followed by one entry per
-    ``layout.orders()``; ``susceptance`` has one entry per order, because
-    DC has no plane.  ``present`` marks, in the order of ``conductance``,
-    the entries the table holds; the others are 0.  The arrays are
-    read-only copies.
+    for DC and each order of ``layout``, as read-only arrays indexed like
+    ``GeometricPhasor.present()``.  ``present`` marks the entries the table
+    holds; the others are 0, and so is the DC susceptance (DC has no plane).
     """
 
     layout: BasisLayout
@@ -64,35 +61,26 @@ class Admittances:
     present: np.ndarray
 
     def __post_init__(self):
-        n = self.layout.orders().size
-        for name, dtype, size in (
-            ("conductance", np.float64, 1 + n),
-            ("susceptance", np.float64, n),
-            ("present", bool, 1 + n),
-        ):
-            a = np.array(getattr(self, name), dtype=dtype)
+        size = 1 + self.layout.orders().size
+        for name in ("conductance", "susceptance", "present"):
+            a = np.array(getattr(self, name), bool if name == "present" else float)
             if a.shape != (size,):
                 raise LayoutError(
                     f"{name} shape {a.shape} does not match the layout's {size}"
                 )
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        if self.susceptance[0] != 0.0:
+            raise LayoutError("DC has no plane: its susceptance must be 0")
 
     @classmethod
     def on(cls, u: GeometricPhasor, g_dc, g_k, b_k) -> Admittances:
-        """Table over the voltage's DC (``g_dc``, 0 when it has none) and
-        its occupied orders (``g_k``, ``b_k`` in layout order)."""
-        present = _entries(u)
-        g, b = np.zeros(len(present)), np.zeros(len(present) - 1)
-        g[0] = g_dc
-        g[1:][present[1:]], b[present[1:]] = g_k, b_k
+        """Table over the voltage's present entries: its DC (``g_dc``, 0
+        when it has none) and its orders (``g_k``, ``b_k``)."""
+        present = u.present()
+        g, b = np.zeros((2, len(present)))
+        g[0], g[1:][present[1:]], b[1:][present[1:]] = g_dc, g_k, b_k
         return cls(u.layout, g, b, present)
-
-
-def _entries(u: GeometricPhasor) -> np.ndarray:
-    """Mask over a table's entries (DC, then ``layout.orders()``) of those
-    the voltage needs: its DC and its occupied orders."""
-    return np.concatenate(([u.has_dc()], u.occupied()))
 
 
 def invert(r, x) -> tuple[np.ndarray, np.ndarray]:
@@ -109,18 +97,18 @@ def invert(r, x) -> tuple[np.ndarray, np.ndarray]:
 
 
 def admittances_for(net: SeriesRLC, u: GeometricPhasor) -> Admittances:
-    """Admittance table of the branch over the voltage's DC and occupied
-    orders.  A DC entry requires a resistive path.  Raises
-    ``CircuitError`` naming the first order, in layout order, whose
-    admittance has no float value."""
+    """Admittance table of the branch over the voltage's present entries;
+    DC requires a resistive path.  Raises ``CircuitError`` naming the first
+    order, in layout order, whose admittance has no float value."""
+    present = u.present()
     g_dc = 0.0
-    if u.has_dc():
+    if present[0]:
         if net.c is not None:
             raise CircuitError("series capacitor blocks DC excitation")
         if net.r == 0.0:
             raise CircuitError("DC excitation with zero resistance is unbounded")
         g_dc = 1.0 / net.r
-    orders = u.layout.orders()[u.occupied()]
+    orders = u.layout.orders()[present[1:]]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         kw = orders * u.omega
         x = net.l * kw
@@ -145,25 +133,20 @@ def parallel_quadrature(
 ) -> tuple[GeometricPhasor, GeometricPhasor]:
     """Admittance-driven split over the voltage's own slots:
     i_p = sum G_k u_k and i_q = sum B_k plane_k u_k.  Entries the voltage
-    does not need are not read."""
+    does not have are not read."""
     if y.layout != u.layout:
         raise LayoutError("admittance table and voltage use different layouts")
-    want = _entries(u)
+    want = u.present()
     missing = np.flatnonzero(want & ~y.present)
     if len(missing):
-        if missing[0] == 0:
-            raise PowerAnalysisError("missing admittance for the DC slot")
-        order = float(u.layout.orders()[missing[0] - 1])
-        raise PowerAnalysisError(f"missing admittance for order {order}")
-    g = np.where(want, y.conductance, 0.0)
-    b = np.where(want[1:], y.susceptance, 0.0)
+        k = missing[0]
+        what = f"order {float(u.layout.orders()[k - 1])}" if k else "the DC slot"
+        raise PowerAnalysisError(f"missing admittance for {what}")
+    g, b = np.where(want, (y.conductance, y.susceptance), 0.0)
     # B_k plane_k (a s_odd + c s_even) = B_k c s_odd - B_k a s_even
-    odd, even = u.pairs.T
-    iq = np.zeros(u.layout.dimension)
-    iq[1::2] = b * even
-    iq[2::2] = -(b * odd)
-    # the DC conductance once, then each order's on both of its slots
-    return u._like(np.repeat(g, 2)[1:] * u.coeffs), u._like(iq)
+    odd, even = u.pairs.T * b[1:]
+    i_q = u._like_pairs(0.0, np.column_stack((even, -odd)))
+    return u._like(entry_slots(g) * u.coeffs), i_q
 
 
 def solve_current(u: GeometricPhasor, y: Admittances) -> GeometricPhasor:
@@ -175,3 +158,11 @@ def solve_current(u: GeometricPhasor, y: Admittances) -> GeometricPhasor:
     if not math.isfinite(np.max(np.abs(i.coeffs))):
         raise CircuitError("current exceeds the float range")
     return i
+
+
+def compensation_susceptances(y: Admittances) -> tuple[np.ndarray, np.ndarray]:
+    """``(orders, siemens)`` over the entries the table holds, DC as order
+    0: the susceptance each order's passive compensator must add so that
+    the quadrature current vanishes, the negated load susceptance."""
+    orders = np.append(0.0, y.layout.orders())[y.present]
+    return orders, -y.susceptance[y.present] + 0.0

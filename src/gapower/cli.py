@@ -16,9 +16,11 @@ terms) is joined once by ``_rows`` from constant pieces and text
 columns.  ``json.dumps`` only writes keys, strings and the few irregular
 values.
 
-Output is a list of text chunks for ``writelines``, never one whole
-document; ``--timeseries`` is formatted ``_ROWS_PER_CALL`` rows at a
-time.  Everything that can fail runs before the first write.
+A command returns its outputs as ``(path, chunks)`` pairs (None is
+stdout): text chunks for ``writelines``, never one whole document;
+``--timeseries`` is formatted ``_ROWS_PER_CALL`` rows at a time.
+Everything that can fail, opening every output file too, runs before the
+first write.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
@@ -28,16 +30,21 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import SeriesRLC, admittances_for, solve_current
+from .circuit import (
+    SeriesRLC,
+    admittances_for,
+    compensation_susceptances,
+    solve_current,
+)
 from .decompose import (
     CSV_COLUMNS,
     CurrentComponents,
-    compensation_susceptances,
     decompose_currents,
     estimate_admittances,
 )
@@ -386,7 +393,7 @@ def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
 
 # -- subcommands -------------------------------------------------------
 
-def cmd_solve(args) -> list[str]:
+def cmd_solve(args) -> list[tuple]:
     source = _read_document(args.source, SpectralSignal.from_dict)
     net = _read_document(args.circuit, _circuit_from_dict)
     layout = BasisLayout.for_signals(source)
@@ -395,30 +402,28 @@ def cmd_solve(args) -> list[str]:
     i = solve_current(u, ys)
     cc = decompose_currents(u, i, ys)
     if args.format == "csv":
-        return _decomposition_csv(cc)
+        return [(args.out, _decomposition_csv(cc))]
     report = power_report(u, i)
     i_sig = from_phasor(i)
     if args.format == "json":
-        return _json(
-            {
-                "circuit": {"r_ohm": net.r, "l_henry": net.l, "c_farad": net.c},
-                "source": _spectrum_json(source),
-                "current_spectrum": _spectrum_json(i_sig),
-                "power": _power_json(report),
-                "currents": _currents_json(cc, ys),
-            }
-        ) + ["\n"]
-    return _spaced(
-        [
-            _spectrum_table(source, i_sig),
-            *_power_tables(report),
-            _decomposition_table(cc),
-            _compensation_table(ys),
-        ]
-    )
+        doc = {
+            "circuit": {"r_ohm": net.r, "l_henry": net.l, "c_farad": net.c},
+            "source": _spectrum_json(source),
+            "current_spectrum": _spectrum_json(i_sig),
+            "power": _power_json(report),
+            "currents": _currents_json(cc, ys),
+        }
+        return [(args.out, _json(doc) + ["\n"])]
+    tables = [
+        _spectrum_table(source, i_sig),
+        *_power_tables(report),
+        _decomposition_table(cc),
+        _compensation_table(ys),
+    ]
+    return [(args.out, _spaced(tables))]
 
 
-def cmd_analyze(args) -> list[str]:
+def cmd_analyze(args) -> list[tuple]:
     u_w, i_w = load_csv(args.input)
     u_sig = dft_extract(u_w, args.fundamental, args.orders, args.interharmonics)
     i_sig = dft_extract(i_w, args.fundamental, args.orders, args.interharmonics)
@@ -428,10 +433,9 @@ def cmd_analyze(args) -> list[str]:
     ys = estimate_admittances(u, i)
     cc = decompose_currents(u, i, ys)
     thd_u, thd_i = thd(u_sig), thd(i_sig)  # exit 2 without a fundamental
-    if args.timeseries:
-        _write_text(_timeseries_csv(u_w, i_w, cc), args.timeseries)
+    ts = [(args.timeseries, _timeseries_csv(u_w, i_w, cc))] if args.timeseries else []
     if args.format == "csv":
-        return _decomposition_csv(cc)
+        return ts + [(args.out, _decomposition_csv(cc))]
     report = power_report(u, i)
     waveform = {
         "rms_u": rms(u_w),
@@ -441,37 +445,35 @@ def cmd_analyze(args) -> list[str]:
         "active_power_w": active_power(u_w, i_w),
     }
     if args.format == "json":
-        return _json(
-            {
-                "input": {
-                    "path": args.input,
-                    "samples": u_w.n,
-                    "sample_rate_hz": u_w.sample_rate_hz,
-                    "duration_s": u_w.duration_s,
-                },
-                "waveform": waveform,
-                "voltage_spectrum": _spectrum_json(u_sig),
-                "current_spectrum": _spectrum_json(i_sig),
-                "power": _power_json(report),
-                "currents": _currents_json(cc, ys),
-            }
-        ) + ["\n"]
-    return _spaced(
-        [
-            _table(
-                "Waveform",
-                list(waveform),
-                [[cell] for cell in _g6(list(waveform.values()))],
-            ),
-            _spectrum_table(u_sig, i_sig),
-            *_power_tables(report),
-            _decomposition_table(cc),
-            _compensation_table(ys),
-        ]
-    )
+        doc = {
+            "input": {
+                "path": args.input,
+                "samples": u_w.n,
+                "sample_rate_hz": u_w.sample_rate_hz,
+                "duration_s": u_w.duration_s,
+            },
+            "waveform": waveform,
+            "voltage_spectrum": _spectrum_json(u_sig),
+            "current_spectrum": _spectrum_json(i_sig),
+            "power": _power_json(report),
+            "currents": _currents_json(cc, ys),
+        }
+        return ts + [(args.out, _json(doc) + ["\n"])]
+    tables = [
+        _table(
+            "Waveform",
+            list(waveform),
+            [[cell] for cell in _g6(list(waveform.values()))],
+        ),
+        _spectrum_table(u_sig, i_sig),
+        *_power_tables(report),
+        _decomposition_table(cc),
+        _compensation_table(ys),
+    ]
+    return ts + [(args.out, _spaced(tables))]
 
 
-def cmd_decompose(args) -> list[str]:
+def cmd_decompose(args) -> list[tuple]:
     u_sig = _read_document(args.voltage, SpectralSignal.from_dict)
     i_sig = _read_document(args.current, SpectralSignal.from_dict)
     if not math.isclose(
@@ -487,16 +489,16 @@ def cmd_decompose(args) -> list[str]:
     ys = estimate_admittances(u, i)
     cc = decompose_currents(u, i, ys)
     if args.format == "csv":
-        return _decomposition_csv(cc)
+        return [(args.out, _decomposition_csv(cc))]
     if args.format == "json":
-        return _json(
-            {
-                "voltage_spectrum": _spectrum_json(u_sig),
-                "current_spectrum": _spectrum_json(i_sig),
-                "currents": _currents_json(cc, ys),
-            }
-        ) + ["\n"]
-    return _spaced([_decomposition_table(cc), _compensation_table(ys)])
+        doc = {
+            "voltage_spectrum": _spectrum_json(u_sig),
+            "current_spectrum": _spectrum_json(i_sig),
+            "currents": _currents_json(cc, ys),
+        }
+        return [(args.out, _json(doc) + ["\n"])]
+    tables = [_decomposition_table(cc), _compensation_table(ys)]
+    return [(args.out, _spaced(tables))]
 
 
 def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
@@ -515,6 +517,21 @@ def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
             yield _g6_rows(np.column_stack(columns), row)
 
     return chunks()
+
+
+def _claim(paths) -> None:
+    """Open every output path, appending (an existing file keeps its bytes);
+    if one fails, remove the files this call created and raise."""
+    created = []
+    try:
+        for path in paths:
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            created += [path] * new
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
 
 
 def _write_text(chunks, out: str | None) -> None:
@@ -597,7 +614,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _write_text(args.run(args), args.out)
+        outputs = args.run(args)
+        _claim([path for path, _ in outputs if path])
+        for path, chunks in outputs:
+            _write_text(chunks, path)
     except (SchemaError, WaveformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,14 +6,14 @@ Two orthogonal splits of the same current:
   power, plus everything else.
 * ``i = i_p + i_q + i_G``: conductance-driven, susceptance-driven and
   voltage-free-frequency parts, computed from an ``Admittances`` table of
-  per-order (G, B) arrays (estimated from the signals themselves for
-  measured data).
+  (G, B) arrays over DC and the orders (estimated from the signals
+  themselves for measured data).
 
 The scattered current ``i_s = i_p - i_a`` links the two splits.
 
 Values are stored exactly.  The relative zero rule of ``algebra`` applies
-twice: an order or DC slot takes part only where the voltage has it
-(``GeometricPhasor.occupied``), and ``i_N`` and ``i_s`` entries that are
+twice: DC or an order takes part only where the voltage has it
+(``GeometricPhasor.present``), and ``i_N`` and ``i_s`` slots that are
 zero against ``||i||`` and ``||i_p||`` are stored as 0, so a current
 proportional to the voltage has no non-active or scattered part.
 """
@@ -28,7 +28,7 @@ import numpy as np
 from .algebra import negligible, pow2_exponent
 from .circuit import Admittances, parallel_quadrature
 from .errors import PowerAnalysisError
-from .phasor import GeometricPhasor
+from .phasor import GeometricPhasor, entry_slots
 
 CSV_COLUMNS = ("i_p", "i_a", "i_s", "i_q", "i_N", "i")
 
@@ -96,43 +96,29 @@ def scattered(i_p: GeometricPhasor, i_a: GeometricPhasor) -> GeometricPhasor:
 def generated_current(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPhasor:
     """Part of the current at frequencies the voltage does not contain.
 
-    A plane counts as present in the voltage if either of its two slots
-    is (``GeometricPhasor.occupied``), and the DC slot likewise.
-    """
+    An order counts as present in the voltage if either of its two slots
+    is, and DC if its slot is (``GeometricPhasor.present``)."""
     u._check_compatible(i)
-    free = ~u.occupied()[:, None]
-    coeffs = np.concatenate(
-        ([0.0 if u.has_dc() else i.dc], np.where(free, i.pairs, 0.0).ravel())
-    )
-    return u._like(coeffs)
-
-
-def compensation_susceptances(y: Admittances) -> tuple[np.ndarray, np.ndarray]:
-    """``(orders, siemens)`` over the entries the table holds, DC as order
-    0: the susceptance each order's passive compensator must add so that
-    the quadrature current vanishes (the negated load susceptance, 0 at
-    DC)."""
-    orders = np.append(0.0, y.layout.orders())[y.present]
-    return orders, -np.append(0.0, y.susceptance)[y.present] + 0.0
+    return u._like(np.where(entry_slots(~u.present()), i.coeffs, 0.0))
 
 
 def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
     """Per-order admittance Y_k = i_k u_k^{-1} seen from measured signals.
 
-    Only the voltage's DC and occupied orders get an entry; current on
-    other planes belongs to generated_current.  G comes from the in-plane
+    Only the voltage's present entries are filled; current on other
+    planes belongs to generated_current.  G comes from the in-plane
     dot product, B from the (negated) in-plane wedge, each over ||u_k||^2.
     Raises ``PowerAnalysisError`` naming the first entry (DC, then the
     orders in layout order) whose admittance exceeds the float range.
     """
     u._check_compatible(i)
-    occupied = u.occupied()
-    (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
+    present = u.present()
+    (au, bu), (ai, bi) = u.pairs[present[1:]].T, i.pairs[present[1:]].T
     # u_k / 2**e, exact per order, keeps ||u_k||^2 in range
     e = np.frexp(np.maximum(abs(au), abs(bu)))[1]
     au, bu = np.ldexp(au, -e), np.ldexp(bu, -e)
     n2 = au * au + bu * bu
-    g_dc = i.dc / u.dc if u.has_dc() else 0.0
+    g_dc = i.dc / u.dc if present[0] else 0.0
     if not math.isfinite(g_dc):
         raise PowerAnalysisError("conductance at DC exceeds the float range")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -140,7 +126,7 @@ def estimate_admittances(u: GeometricPhasor, i: GeometricPhasor) -> Admittances:
         b_k = np.ldexp(-(au * bi - bu * ai) / n2, -e)
     failed = ~(np.isfinite(g_k) & np.isfinite(b_k))
     if failed.any():
-        order = float(u.layout.orders()[occupied][np.argmax(failed)])
+        order = float(u.layout.orders()[present[1:]][np.argmax(failed)])
         raise PowerAnalysisError(f"admittance at order {order} exceeds the float range")
     return Admittances.on(u, g_dc, g_k, b_k)
 

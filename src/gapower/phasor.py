@@ -19,10 +19,13 @@ slot order, and ``to_phasor`` is the one place that maps an order to its
 slots.  A ``GeometricPhasor`` is a dense coefficient vector over that
 layout; per-order work runs on its ``(n_orders, 2)`` slot-pair view,
 whose row r belongs to ``layout.orders()[r]``.  It stores
-exact values.  Whether an order or the DC slot is present follows the
-relative zero rule of ``algebra``, against the phasor's own norm, and
-``to_phasor`` applies the same rule to each slot against the line's rms,
-so the phases 0, +-pi/2 and pi give exact zeros.
+exact values.  Every per-entry array (a presence mask, an admittance
+table) has entry 0 for DC and entry r + 1 for ``layout.orders()[r]``;
+``present()`` is the mask of the entries not zero by the relative rule
+of ``algebra`` against the phasor's norm.  ``to_phasor`` applies the same
+rule to each slot against the line's rms, so the phases 0, +-pi/2 and pi
+give exact zeros.  Only this module maps entries to slots: ``entry_slots``
+and ``GeometricPhasor._like_pairs``.
 
 ``MAX_ORDER`` is the largest order a layout holds.  A layout is dense up
 to its highest harmonic, so one stray order would set the size of every
@@ -51,10 +54,6 @@ def _normalize_phase(phase: float) -> float:
     """Wrap a phase into (-pi, pi]."""
     p = math.remainder(phase, _TWO_PI)
     return math.pi if p <= -math.pi else p
-
-
-def _is_integer_order(order: float) -> bool:
-    return float(order).is_integer()
 
 
 def _integer(orders: np.ndarray) -> np.ndarray:
@@ -191,7 +190,7 @@ class SpectralSignal:
                 if "order" not in item or "rms" not in item:
                     raise SchemaError(f"{where} needs 'order' and 'rms'")
                 order = number(item["order"], f"{where}.order")
-                if _is_integer_order(order) != integer:
+                if order.is_integer() != integer:
                     expected = "integer" if integer else "fractional"
                     raise SchemaError(
                         f"{where}.order must be {expected}, got {order}"
@@ -241,7 +240,7 @@ class BasisLayout:
         orders = tuple(float(x) for x in self.interharmonic_orders)
         last = 0.0
         for x in orders:
-            if not math.isfinite(x) or x <= 0 or _is_integer_order(x):
+            if not math.isfinite(x) or x <= 0 or x.is_integer():
                 raise LayoutError(f"interharmonic order must be fractional, got {x}")
             if x > MAX_ORDER:
                 raise LayoutError(
@@ -317,18 +316,11 @@ class GeometricPhasor:
     def dc(self) -> float:
         return float(self.coeffs[0])
 
-    def _present(self) -> np.ndarray:
-        """Boolean mask over ``coeffs``: entries that are not zero by the
-        rule of ``algebra``, relative to this phasor's norm."""
-        return ~negligible(self.coeffs, self.norm())
-
-    def has_dc(self) -> bool:
-        """Whether the DC slot is present."""
-        return bool(self._present()[0])
-
-    def occupied(self) -> np.ndarray:
-        """Boolean mask over ``layout.orders()``: either slot present."""
-        return self._present()[1:].reshape(-1, 2).any(axis=1)
+    def present(self) -> np.ndarray:
+        """Boolean mask over the entries (DC, then ``layout.orders()``) of
+        those with a slot not zero by ``algebra``'s rule against the norm."""
+        slot = ~negligible(self.coeffs, self.norm())
+        return np.append(slot[0], slot[1:].reshape(-1, 2).any(axis=1))
 
     def dot(self, other: "GeometricPhasor") -> float:
         """Scalar product, summed one slot at a time in ascending order
@@ -343,7 +335,7 @@ class GeometricPhasor:
     @cached_property
     def _norm(self) -> float:
         # coeffs is read-only, so the norm the zero rule asks for on every
-        # has_dc/occupied call is computed once per phasor
+        # present() call is computed once per phasor
         e = pow2_exponent(self.coeffs)
         c = np.ldexp(self.coeffs, -e)
         return float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e))
@@ -357,6 +349,10 @@ class GeometricPhasor:
 
     def _like(self, coeffs: np.ndarray) -> "GeometricPhasor":
         return GeometricPhasor(coeffs, self.layout, self.fundamental_hz)
+
+    def _like_pairs(self, dc: float, pairs: np.ndarray) -> "GeometricPhasor":
+        """A phasor on this layout from its DC and its ``pairs`` rows."""
+        return self._like(np.append(dc, pairs))
 
     def __add__(self, other: "GeometricPhasor") -> "GeometricPhasor":
         if not isinstance(other, GeometricPhasor):
@@ -420,6 +416,12 @@ def to_phasor(signal: SpectralSignal, layout: BasisLayout) -> GeometricPhasor:
         negligible(pairs, x[:, None]), 0.0, pairs
     )
     return GeometricPhasor(coeffs, layout, signal.fundamental_hz)
+
+
+def entry_slots(per_entry: np.ndarray) -> np.ndarray:
+    """A per-entry array (DC, then ``layout.orders()``) spread over the
+    slots: DC's value on s0, each order's on both slots of its pair."""
+    return np.repeat(per_entry, 2)[1:]
 
 
 def from_phasor(p: GeometricPhasor) -> SpectralSignal:

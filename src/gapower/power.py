@@ -160,7 +160,7 @@ def harmonic_pq(
     for a lagging (inductive) current.
     """
     u._check_compatible(i)
-    occupied = u.occupied() | i.occupied()
+    occupied = (u.present() | i.present())[1:]
     (au, bu), (ai, bi) = u.pairs[occupied].T, i.pairs[occupied].T
     orders = u.layout.orders()[occupied]
     by_frequency = np.argsort(orders)

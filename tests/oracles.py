@@ -105,6 +105,20 @@ def thd_brute(harmonic_rms: list[float]) -> float:
     return math.sqrt(rest) / harmonic_rms[0]
 
 
+# -- presence of entries ---------------------------------------------------
+
+
+def present_brute(coeffs: list[float], zero_rel: float) -> list[bool]:
+    """For DC and then each (odd, even) slot pair in turn: whether one of
+    its coefficients exceeds ``zero_rel`` times the Euclidean norm of all
+    of them, the norm taken by ``math.hypot``."""
+    limit = zero_rel * math.hypot(*coeffs)
+    present = [abs(coeffs[0]) > limit]
+    for k in range(1, len(coeffs), 2):
+        present.append(abs(coeffs[k]) > limit or abs(coeffs[k + 1]) > limit)
+    return present
+
+
 # -- recording CSV --------------------------------------------------------
 
 
@@ -191,3 +205,80 @@ def table_brute(title: str, header: list[str], columns: list[list[str]]) -> str:
 def csv_brute(header: list[str], rows: list[list[str]]) -> str:
     """CSV text: the header and each row, cells joined by commas."""
     return "".join(",".join(row) + "\n" for row in [header, *rows])
+
+
+# -- analyze, end to end --------------------------------------------------
+
+
+def ulp6(x: float) -> float:
+    """A unit in the 6th significant digit of ``x`` (0 for 0)."""
+    return 10.0 ** (math.floor(math.log10(abs(x))) - 5) if x else 0.0
+
+
+def close6(got: float, ref: float, scale: float, total: float) -> bool:
+    """Whether ``got``, printed at 6 significant digits, matches ``ref``:
+    within half a unit in the 6th digit of ``ref``, plus float slack of
+    1e-9 of the quantity's own scale and 1e-12 of the whole result's scale
+    (the rule of the benchmark's output gate)."""
+    return abs(got - ref) <= 0.51 * ulp6(ref) + 1e-9 * scale + 1e-12 * total
+
+
+def analyze_brute(u, i, fs_hz: float, f0_hz: float, orders: int,
+                  interharmonic: float) -> dict:
+    """What ``analyze --format json`` reports for a coherent recording,
+    from the complex rms phasors of the full-window ``np.fft.rfft``.
+
+    A line, or DC, of at most 1e-12 of its window's rms is dropped.  Per
+    entry k (DC as order 0, then orders 1..``orders``, then the
+    interharmonic) the admittance is Y_k = I_k / U_k where the voltage has
+    the entry: i_p holds G_k U_k and i_q holds j B_k U_k, and the
+    compensator adds -B_k.  Returns ``p_w``, ``apparent_va``, ``pf``,
+    ``per_order`` rows ``(order, p, q, |U||I|)`` by frequency over the
+    orders either side has, ``norms`` of ``i_a``, ``i_N``, ``i_p``,
+    ``i_q`` and ``i``, and ``compensation`` rows ``(order, siemens,
+    scale)``, where ``(||i|| + |Y| ||u||) / |U|`` scales the error that
+    errors of the size of ``||u||`` and ``||i||`` in U and I cause in Y."""
+    n = len(u)
+    m = round(n * f0_hz / fs_hz)
+    line_orders = [float(k) for k in range(1, orders + 1)] + [interharmonic]
+
+    def lines(x) -> dict[float, complex]:
+        x = np.asarray(x, dtype=float)
+        z = np.fft.rfft(x)
+        floor = 1e-12 * math.sqrt(np.mean(x * x))
+        out = {0.0: complex(z[0].real / n)}
+        for k in line_orders:
+            out[k] = complex(z[round(k * m)]) * math.sqrt(2.0) / n
+        return {k: (c if abs(c) > floor else 0j) for k, c in out.items()}
+
+    def norm(v) -> float:
+        return math.sqrt(sum(abs(c) ** 2 for c in v.values()))
+
+    U, I = lines(u), lines(i)
+    p = sum((U[k] * I[k].conjugate()).real for k in U)
+    s = norm(U) * norm(I)
+    lam = p / norm(U) ** 2
+    per_order = []
+    for k in sorted(line_orders):
+        if U[k] or I[k]:
+            w = U[k] * I[k].conjugate()
+            per_order.append((k, w.real, w.imag, abs(U[k]) * abs(I[k])))
+    held = [k for k in U if U[k]]
+    y = {k: I[k] / U[k] for k in held}
+    return {
+        "p_w": p,
+        "apparent_va": s,
+        "pf": p / s,
+        "per_order": per_order,
+        "norms": {
+            "i_a": abs(lam) * norm(U),
+            "i_N": norm({k: I[k] - lam * U[k] for k in U}),
+            "i_p": norm({k: y[k].real * abs(U[k]) for k in held}),
+            "i_q": norm({k: y[k].imag * abs(U[k]) for k in held}),
+            "i": norm(I),
+        },
+        "compensation": [
+            (k, -y[k].imag, (norm(I) + abs(y[k]) * norm(U)) / abs(U[k]))
+            for k in held
+        ],
+    }

@@ -53,7 +53,7 @@ def table_pairs(ys) -> list[tuple[float, float]]:
     """(G, B) of each order the table holds, in layout order."""
     held = ys.present[1:]
     return list(zip(ys.conductance[1:][held].tolist(),
-                    ys.susceptance[held].tolist()))
+                    ys.susceptance[1:][held].tolist()))
 
 
 # -- impedance / admittance ---------------------------------------------------
@@ -87,7 +87,7 @@ def test_admittance_fixture_values(two_harmonic_phasor, rlc_equal_conductance):
     assert (g3, b3) == pytest.approx((0.5, -0.5))
     # the entries the table does not hold are 0
     assert ys.conductance[[0, 2]].tolist() == [0.0, 0.0]
-    assert ys.susceptance[1] == 0.0
+    assert ys.susceptance[[0, 2]].tolist() == [0.0, 0.0]
 
 
 def test_admittance_scalar_case():
@@ -252,7 +252,7 @@ def sources(draw) -> GeometricPhasor:
 @given(sources(), nets)
 def test_solver_matches_complex_oracle(u, net):
     i = solve_current(u, admittances_for(net, u))
-    held = u.occupied()
+    held = u.present()[1:]
     for order, (u_odd, u_even), got in zip(
         u.layout.orders()[held].tolist(),
         u.pairs[held].tolist(),
@@ -296,7 +296,24 @@ def test_kvl_residual(u, net):
 @given(sources(), nets)
 def test_admittances_cover_source(u, net):
     ys = admittances_for(net, u)
-    assert ys.present.tolist() == [u.has_dc(), *u.occupied().tolist()]
+    assert ys.present.tolist() == u.present().tolist()
+
+
+@given(sources(), nets, st.sampled_from([0.0, 3.0, -1e-3]))
+def test_tables_are_indexed_by_the_voltage_entries(u, net, dc):
+    """The circuit's and the estimated table hold the voltage's present
+    entries, DC first, in arrays of one entry per DC and order each, with
+    no DC susceptance."""
+    u = GeometricPhasor(np.append(dc, u.coeffs[1:]), u.layout, u.fundamental_hz)
+    if dc:
+        net = SeriesRLC(r=net.r, l=net.l)  # a capacitor would block DC
+    ys = admittances_for(net, u)
+    size = 1 + u.layout.orders().size
+    for y in (ys, estimate_admittances(u, solve_current(u, ys))):
+        assert y.present.tolist() == u.present().tolist()
+        assert y.present[0] == bool(dc)
+        assert y.susceptance[0] == 0.0
+        assert y.conductance.shape == y.susceptance.shape == y.present.shape == (size,)
 
 
 @given(sources(), nets)
@@ -309,7 +326,7 @@ def test_estimated_table_matches_the_circuit(u, net):
     assert est.present.tolist() == ys.present.tolist()
     held = est.present[1:]
     orders = u.layout.orders()[held]
-    g, b = est.conductance[1:][held], est.susceptance[held]
+    g, b = est.conductance[1:][held], est.susceptance[1:][held]
     for k, gk, bk in zip(orders.tolist(), g.tolist(), b.tolist()):
         want = 1.0 / impedance_complex(net.r, net.l, net.c, k, u.omega)
         assert abs(gk - want.real) <= 1e-12 * abs(want)
@@ -322,4 +339,4 @@ def test_admittance_table_includes_dc_entry():
     ys = admittances_for(u=u, net=SeriesRLC(r=4.0))
     assert ys.present.tolist() == [True, True]
     assert ys.conductance[0] == 0.25
-    assert ys.susceptance.shape == (1,)  # one per order: DC has none
+    assert ys.susceptance.tolist() == [0.0, 0.0]  # DC has no plane

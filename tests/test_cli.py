@@ -384,6 +384,30 @@ def test_analyze_without_fundamental_exits_2(tmp_path, fmt, capsys):
     assert not out.exists() and not ts.exists()
 
 
+@pytest.mark.parametrize("bad", ["out", "timeseries"])
+def test_analyze_opens_every_output_before_writing(tmp_path, bench_csv, bad, capsys):
+    # a bad --out leaves no timeseries behind, and a bad --timeseries no
+    # report: both files are opened before the first byte is written
+    paths = {"out": tmp_path / "out.json", "timeseries": tmp_path / "ts.csv"}
+    paths[bad] = tmp_path / "missing" / paths[bad].name
+    rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
+               "--orders", "9", "--format", "json", "--out", str(paths["out"]),
+               "--timeseries", str(paths["timeseries"])])
+    assert rc == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not paths["out"].exists() and not paths["timeseries"].exists()
+
+
+def test_an_existing_output_keeps_its_bytes_when_another_fails(tmp_path, bench_csv):
+    out = tmp_path / "out.json"
+    out.write_text("earlier report")
+    rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
+               "--orders", "9", "--out", str(out),
+               "--timeseries", str(tmp_path / "missing" / "ts.csv")])
+    assert rc == 2
+    assert out.read_text() == "earlier report"
+
+
 def test_analyze_table_sections(capsys, bench_csv):
     rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
                "--orders", "9"])

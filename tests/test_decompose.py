@@ -11,11 +11,11 @@ from gapower.circuit import (
     Admittances,
     SeriesRLC,
     admittances_for,
+    compensation_susceptances,
     solve_current,
 )
 from gapower.decompose import (
     CSV_COLUMNS,
-    compensation_susceptances,
     decompose_currents,
     estimate_admittances,
     fryze_split,
@@ -134,6 +134,15 @@ def test_parallel_quadrature_rejects_a_table_on_another_layout(
         Admittances(BasisLayout(n=3), np.zeros(3), np.zeros(3), np.ones(4, bool))
 
 
+def test_admittance_table_has_one_entry_index_and_no_dc_susceptance():
+    layout, g, present = BasisLayout(n=3), np.zeros(4), np.ones(4, bool)
+    # a susceptance per order alone, without the DC entry, is refused
+    with pytest.raises(LayoutError, match="susceptance shape"):
+        Admittances(layout, g, np.zeros(3), present)
+    with pytest.raises(LayoutError, match="DC has no plane"):
+        Admittances(layout, g, [0.5, 0.0, 0.0, 0.0], present)
+
+
 def test_parallel_quadrature_dc_slot():
     s = SpectralSignal(50.0, dc=10.0, orders=[1], rms=[10.0])
     u = to_phasor(s, BasisLayout(n=1))
@@ -237,7 +246,7 @@ def test_compensated_load_draws_no_quadrature_current(
     ys = admittances_for(rlc_unequal_conductance, two_harmonic_phasor)
     orders, siemens = compensation_susceptances(ys)
     b = ys.susceptance.copy()
-    b[orders.astype(int) - 1] += siemens  # harmonic k is entry k - 1
+    b[ys.present] += siemens
     fixed = Admittances(ys.layout, ys.conductance, b, ys.present)
     _, i_q = parallel_quadrature(two_harmonic_phasor, fixed)
     assert is_zero(i_q)
@@ -263,7 +272,7 @@ def test_estimate_handles_dc():
     ys = estimate_admittances(u, i)
     assert ys.present.tolist() == [True, True]
     assert ys.conductance.tolist() == [0.5, 0.5]
-    assert ys.susceptance.tolist() == [0.0]
+    assert ys.susceptance.tolist() == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(

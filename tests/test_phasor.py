@@ -7,9 +7,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from gapower.algebra import ZERO_REL
 from gapower.errors import LayoutError, PowerAnalysisError, SchemaError
 from gapower.phasor import (
     MAX_ORDER,
@@ -22,6 +23,7 @@ from gapower.phasor import (
 )
 
 from conftest import OMEGA1_F0_HZ, dense, slots, vector
+from oracles import present_brute
 
 
 def phase_diff(a: float, b: float) -> float:
@@ -260,9 +262,44 @@ def test_phasor_requires_grade_one():
 def test_phasor_arithmetic_and_pairs(two_harmonic_phasor):
     u = two_harmonic_phasor
     assert u.pairs.tolist() == [[0.0, 100.0], [0.0, 0.0], [0.0, 100.0]]
-    assert u.layout.orders()[u.occupied()].tolist() == [1.0, 3.0]
+    assert u.layout.orders()[u.present()[1:]].tolist() == [1.0, 3.0]
     assert not (u - u).coeffs.any()
     assert (2 * u).norm() == pytest.approx(2 * u.norm())
+
+
+@st.composite
+def threshold_phasors(draw) -> GeometricPhasor:
+    """Phasors whose slots are 0, of order 1 (``+``), or just above (``>``)
+    or below (``<``) the zero threshold that the order-1 slots set, all
+    scaled by a drawn power of two."""
+    layout = BasisLayout(draw(st.integers(0, 4)), draw(st.sampled_from([(), (2.5,)])))
+    dim = layout.dimension
+    kinds = draw(st.lists(st.sampled_from("0+<>"), min_size=dim, max_size=dim))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+    big = np.array([draw(st.floats(0.5, 2.0)) if k == "+" else 0.0 for k in kinds])
+    limit = ZERO_REL * math.hypot(*big)
+    near = {"0": 0.0, "+": 0.0, ">": limit * (1 + 1e-6), "<": limit * (1 - 1e-6)}
+    coeffs = (big + [near[k] for k in kinds]) * signs
+    scale = 2.0 ** draw(st.integers(-900, 900))
+    return GeometricPhasor(coeffs * scale, layout, 50.0)
+
+
+@given(threshold_phasors())
+@example(GeometricPhasor(np.zeros(5), BasisLayout(n=2), 50.0))
+@example(GeometricPhasor(dense(5, {0: -3.0}), BasisLayout(n=2), 50.0))
+@example(GeometricPhasor(dense(1, {0: 1e-300}), BasisLayout(n=0), 50.0))
+def test_present_matches_the_brute_mask(p):
+    assert p.present().tolist() == present_brute(p.coeffs.tolist(), ZERO_REL)
+
+
+def test_present_at_the_zero_threshold():
+    # one mask over the entries: DC, order 1, order 2
+    layout = BasisLayout(n=2)
+    for factor, held in ((1 + 1e-6, True), (1 - 1e-6, False)):
+        p = vector(layout, {2: 1.0, 3: ZERO_REL * factor, 0: -ZERO_REL * factor})
+        assert p.present().tolist() == [held, True, held]
+    assert vector(layout, {}).present().tolist() == [False, False, False]
+    assert vector(layout, {0: 5.0}).present().tolist() == [True, False, False]
 
 
 def test_phasor_mixed_layout_rejected(two_harmonic_phasor):

@@ -302,7 +302,7 @@ def test_decomposition_completeness(pair):
 def test_pq_matches_complex_oracle(pair):
     u, i = pair
     pq = pq_by_order(u, i)
-    held = u.occupied() | i.occupied()
+    held = (u.present() | i.present())[1:]
     for order, (u_odd, u_even), (i_odd, i_even) in zip(
         u.layout.orders()[held].tolist(),
         u.pairs[held].tolist(),

@@ -8,6 +8,12 @@ lists (3.12).  It checks grammar only, not library calls added after
 3.10.  One library change is checked too: from 3.12 the builtin ``sum``
 adds floats with compensation, so a package result summed by it would
 carry different bits on different versions; no package module calls it.
+
+One design rule rides along on the same ``ast`` walk: only ``phasor.py``
+maps per-entry arrays (DC, then the layout's orders) to coefficient
+slots, so no other package module spreads an array over slot pairs
+(``np.repeat(x, 2)``), views slots as pairs (``.reshape(-1, 2)``) or
+slices every other slot (a constant step of 2).
 """
 
 from __future__ import annotations
@@ -66,3 +72,53 @@ def test_sum_check_finds_the_builtin_only():
 def test_package_calls_no_builtin_sum(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert builtin_sum_calls(tree) == []
+
+
+def _constant(node: ast.AST):
+    """The value of a literal number or tuple of numbers, else None."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return None
+
+
+def slot_indexing(tree: ast.AST) -> list[int]:
+    """Sorted line numbers of ``np.repeat(x, 2)`` (or ``x.repeat(2)``),
+    ``.reshape(-1, 2)`` and slices with a constant step of +-2 in ``tree``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Slice) and node.step is not None:
+            found = _constant(node.step) in (2, -2)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            args = [*node.args, *(k.value for k in node.keywords)]
+            shape = tuple(_constant(a) for a in args)
+            found = (
+                node.func.attr == "repeat" and 2 in shape
+                or node.func.attr == "reshape" and shape in ((-1, 2), ((-1, 2),))
+            )
+        else:
+            continue
+        if found:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_slot_check_finds_slot_indexing_only():
+    source = (
+        "a = np.repeat(g, 2)[1:] + np.repeat(g, repeats=2) + g.repeat(2)\n"
+        "b = x.reshape(-1, 2) + x.reshape((-1, 2))\n"
+        "c = y[1::2] + y[::-2]\n"
+        "d = np.repeat(g, 3) + x.reshape(2, -1) + x.reshape(n, 2)\n"
+        "e = y[::k] + y[1:2] + y[2 * j + 1::2 * k] + x.reshape(-1)\n"
+    )
+    assert slot_indexing(ast.parse(source)) == [1, 1, 1, 2, 2, 3, 3]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in PACKAGE if p.name != "phasor.py"],
+    ids=lambda p: str(p.relative_to(ROOT)),
+)
+def test_only_phasor_maps_entries_to_slots(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert slot_indexing(tree) == []
