@@ -33,8 +33,10 @@ def negligible(x, scale: float):
 
 def pow2_exponent(x) -> int:
     """Exponent ``e`` of the largest ``|x|``, so that ``x / 2**e`` is
-    exact and below 1 in magnitude (0 for zero or non-finite ``x``)."""
-    return int(np.frexp(np.max(np.abs(x)))[1])
+    exact and below 1 in magnitude (0 for zero or non-finite ``x``).
+    The largest magnitude is the larger of ``max(x)`` and ``-min(x)``
+    (NaN if either is), so no array of magnitudes is made."""
+    return int(np.frexp(np.maximum(np.max(x), -np.min(x)))[1])
 
 
 def _blade_label(indices: tuple[int, ...]) -> str:

@@ -25,7 +25,8 @@ table) has entry 0 for DC and entry r + 1 for ``layout.orders()[r]``;
 of ``algebra`` against the phasor's norm.  ``to_phasor`` applies the same
 rule to each slot against the line's rms, so the phases 0, +-pi/2 and pi
 give exact zeros.  Only this module maps entries to slots: ``entry_slots``
-and ``GeometricPhasor._like_pairs``.
+and ``GeometricPhasor._like_pairs``; ``order_planes`` tells which planes
+``(a, b)`` are an order's slot pair.
 
 ``MAX_ORDER`` is the largest order a layout holds.  A layout is dense up
 to its highest harmonic, so one stray order would set the size of every
@@ -422,6 +423,13 @@ def entry_slots(per_entry: np.ndarray) -> np.ndarray:
     """A per-entry array (DC, then ``layout.orders()``) spread over the
     slots: DC's value on s0, each order's on both slots of its pair."""
     return np.repeat(per_entry, 2)[1:]
+
+
+def order_planes(blades: np.ndarray) -> np.ndarray:
+    """Mask of the ``(a, b)`` rows of ``blades`` (``a < b``) that are an
+    order's plane: its slot pair ``(2m - 1, 2m)``."""
+    a, b = blades.T
+    return (a % 2 == 1) & (b == a + 1)
 
 
 def from_phasor(p: GeometricPhasor) -> SpectralSignal:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .algebra import format_terms, pow2_exponent
 from .errors import LayoutError, PowerAnalysisError
-from .phasor import BasisLayout, GeometricPhasor
+from .phasor import BasisLayout, GeometricPhasor, order_planes
 
 # Shape of the JSON report emitted for a voltage/current pair.
 POWER_REPORT_SCHEMA = {
@@ -186,12 +186,8 @@ class PowerReport:
 
 def cross_frequency_terms(mpower: GeometricPower) -> GeometricPower:
     """The planes of ``mpower`` that do not lie in any single order's
-    plane, with scalar 0.
-
-    The order planes are exactly the slot pairs ``(2m - 1, 2m)``.
-    """
-    lo, hi = mpower.blade_indices.T
-    cross = (lo % 2 == 0) | (hi != lo + 1)
+    plane (``phasor.order_planes``), with scalar 0."""
+    cross = ~order_planes(mpower.blade_indices)
     return GeometricPower(
         0.0, mpower.blade_indices[cross], mpower.va[cross], mpower.layout
     )

@@ -13,6 +13,12 @@ pipes and names that numpy would decompress or download, like every
 stream, to the row loop; numpy's ``u`` and ``i`` are read-only column
 views of one parsed block.  The DFT reads a handful of bins, all multiples
 of ``g``, so the window is folded to ``size / g`` samples before the FFT.
+
+No pass over the samples makes a float temporary longer than ``_CHUNK``
+samples, so a long recording peaks at the memory of its parsed block:
+the means behind ``rms`` and ``active_power`` take ``_CHUNK`` squares or
+products at a time and add them where numpy's pairwise sum would, with
+the same bits, and ``_fold`` folds the blocks in column slices.
 """
 
 from __future__ import annotations
@@ -211,17 +217,50 @@ def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:
     return u_vals, i_vals
 
 
+# samples per float temporary of a pass over a waveform's samples
+_CHUNK = 1 << 16
+
+
+def _pairwise_sum(terms, start: int, stop: int) -> float:
+    """The sum of the terms ``start:stop`` of a sequence, where
+    ``terms(a, b)`` makes the terms ``a:b`` as an array, with the bits of
+    ``np.add.reduce`` over the whole sequence: a range longer than
+    ``_CHUNK`` is split where numpy's pairwise sum splits it (its half,
+    rounded down to a multiple of 8), so no piece is longer."""
+    n = stop - start
+    if n <= _CHUNK:
+        return float(np.add.reduce(terms(start, stop)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(terms, start, start + half) + _pairwise_sum(
+        terms, start + half, stop
+    )
+
+
 def rms(w: SampledWaveform) -> float:
     """Root mean square of the samples.  Where the mean of their squares
     leaves the normal float range, it is taken again on the samples
-    scaled by a power of two, so the result does not depend on units."""
+    scaled by a power of two, so the result does not depend on units.
+
+    Both means equal ``np.mean`` of the whole array of squares bit for
+    bit, but square ``_CHUNK`` samples at a time (``_pairwise_sum``)."""
+    x = w.samples
+
+    def squares(a: int, b: int) -> np.ndarray:
+        return np.square(x[a:b])
+
     with np.errstate(over="ignore"):
-        ms = np.mean(w.samples**2)
+        ms = _pairwise_sum(squares, 0, x.size) / x.size
     if np.finfo(float).tiny <= ms < np.inf:
-        return float(np.sqrt(ms))
-    e = pow2_exponent(w.samples)
-    x = np.ldexp(w.samples, -e)
-    return float(np.ldexp(np.sqrt(np.mean(x * x)), e))
+        return math.sqrt(ms)
+    e = pow2_exponent(x)
+
+    def scaled_squares(a: int, b: int) -> np.ndarray:
+        y = np.ldexp(x[a:b], -e)
+        return np.multiply(y, y, out=y)
+
+    ms = _pairwise_sum(scaled_squares, 0, x.size) / x.size
+    return float(np.ldexp(math.sqrt(ms), e))
 
 
 def dft_extract(
@@ -314,15 +353,27 @@ def _fold(x: np.ndarray, g: int) -> np.ndarray:
     """The sum of the ``g`` equal blocks of ``x``, added pairwise: the
     rounding error then grows with log2(g).  Adding the blocks one after
     the other errs by up to about 10^-12 of the rms on a pure tone with
-    g near 1e5, as the partial sums grow."""
+    g near 1e5, as the partial sums grow.
+
+    Each column of the ``(g, size / g)`` blocks is added on its own, so
+    the columns are folded in slices of ``_CHUNK // g`` (at least one),
+    and no level of the fold holds more than ``_CHUNK / 2`` values while
+    ``g <= _CHUNK``.  One block is the window itself, returned uncopied."""
+    if g == 1:
+        return x
     blocks = x.reshape(g, x.size // g)
-    while len(blocks) > 1:
-        half = len(blocks) // 2
-        pairs = blocks[:half] + blocks[half : 2 * half]
-        if len(blocks) % 2:
-            pairs[0] += blocks[-1]
-        blocks = pairs
-    return blocks[0]
+    width = max(1, _CHUNK // g)
+    out = np.empty(blocks.shape[1])
+    for start in range(0, out.size, width):
+        part = blocks[:, start : start + width]
+        while len(part) > 1:
+            half = len(part) // 2
+            pairs = part[:half] + part[half : 2 * half]
+            if len(part) % 2:
+                pairs[0] += part[-1]
+            part = pairs
+        out[start : start + width] = part[0]
+    return out
 
 
 def thd(s: SpectralSignal) -> float:
@@ -346,7 +397,13 @@ def active_power(u: SampledWaveform, i: SampledWaveform) -> float:
         raise WaveformError(f"length mismatch: {u.n} voltage vs {i.n} current samples")
     if not math.isclose(u.sample_rate_hz, i.sample_rate_hz, rel_tol=1e-9):
         raise WaveformError("sample-rate mismatch between voltage and current")
-    return float(np.mean(u.samples * i.samples))
+    u, i = u.samples, i.samples
+
+    def products(a: int, b: int) -> np.ndarray:
+        return u[a:b] * i[a:b]
+
+    # np.mean(u * i) bit for bit, _CHUNK products at a time
+    return _pairwise_sum(products, 0, u.size) / u.size
 
 
 def sample_signal(

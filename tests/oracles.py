@@ -4,7 +4,8 @@ Everything here is deliberately naive and shares no code with the package:
 blade products are done by explicit index-list concatenation and
 bubble-sort sign counting, circuit and power quantities by classical
 complex phasor arithmetic, THD by a plain loop, the recording CSV by
-plain string splitting, DFT bins by a full-length FFT, printed numbers
+plain string splitting, DFT bins by a full-length FFT, sample means on
+the whole arrays, the block fold on all columns at once, printed numbers
 and blade sums one value at a time, and text tables and CSV one row at a
 time.
 """
@@ -146,6 +147,34 @@ def parse_rows_brute(text: str) -> tuple[float, list[float], list[float]]:
 def dft_bins_brute(x, bins) -> np.ndarray:
     """Bins ``bins`` of the real DFT of the whole window ``x``."""
     return np.fft.rfft(np.asarray(x, dtype=float))[list(bins)]
+
+
+# -- sample means and the block fold ---------------------------------------
+
+
+def mean_square_brute(x) -> float:
+    """Mean of the squares of the whole array ``x``, squared in one go."""
+    x = np.asarray(x, dtype=float)
+    return float(np.mean(x * x))
+
+
+def mean_product_brute(u, i) -> float:
+    """Mean of the products of the whole arrays ``u`` and ``i``."""
+    return float(np.mean(np.asarray(u, dtype=float) * np.asarray(i, dtype=float)))
+
+
+def fold_brute(x, g: int) -> np.ndarray:
+    """The ``g`` equal blocks of ``x`` added level by level over all
+    columns at once: each level adds its first half to its second, and
+    an odd block out is added to the level's first row."""
+    blocks = np.asarray(x, dtype=float).reshape(g, -1)
+    while blocks.shape[0] > 1:
+        half = blocks.shape[0] // 2
+        level = blocks[:half] + blocks[half : 2 * half]
+        if blocks.shape[0] > 2 * half:
+            level[0] = level[0] + blocks[2 * half]
+        blocks = level
+    return blocks[0].copy()
 
 
 # -- printed numbers ------------------------------------------------------

@@ -12,8 +12,10 @@ carry different bits on different versions; no package module calls it.
 One design rule rides along on the same ``ast`` walk: only ``phasor.py``
 maps per-entry arrays (DC, then the layout's orders) to coefficient
 slots, so no other package module spreads an array over slot pairs
-(``np.repeat(x, 2)``), views slots as pairs (``.reshape(-1, 2)``) or
-slices every other slot (a constant step of 2).
+(``np.repeat(x, 2)``), views slots as pairs (``.reshape(-1, 2)``),
+slices every other slot (a constant step of 2) or tells odd slots from
+even ones (``x % 2``, where only a length's parity, ``len(x) % 2``, is
+let through).
 """
 
 from __future__ import annotations
@@ -82,13 +84,24 @@ def _constant(node: ast.AST):
         return None
 
 
+def _is_len_call(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "len"
+    )
+
+
 def slot_indexing(tree: ast.AST) -> list[int]:
     """Sorted line numbers of ``np.repeat(x, 2)`` (or ``x.repeat(2)``),
-    ``.reshape(-1, 2)`` and slices with a constant step of +-2 in ``tree``."""
+    ``.reshape(-1, 2)``, slices with a constant step of +-2 and ``x % 2``
+    (unless ``x`` is a ``len(...)`` call) in ``tree``."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Slice) and node.step is not None:
             found = _constant(node.step) in (2, -2)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+            found = _constant(node.right) in (2, -2) and not _is_len_call(node.left)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             args = [*node.args, *(k.value for k in node.keywords)]
             shape = tuple(_constant(a) for a in args)
@@ -110,8 +123,10 @@ def test_slot_check_finds_slot_indexing_only():
         "c = y[1::2] + y[::-2]\n"
         "d = np.repeat(g, 3) + x.reshape(2, -1) + x.reshape(n, 2)\n"
         "e = y[::k] + y[1:2] + y[2 * j + 1::2 * k] + x.reshape(-1)\n"
+        "f = (lo % 2 == 0) | (a[:, 0] % 2 == 1) | ((k + 1) % -2)\n"
+        "h = len(blocks) % 2 + n % 3 + n // 2 + k % m\n"
     )
-    assert slot_indexing(ast.parse(source)) == [1, 1, 1, 2, 2, 3, 3]
+    assert slot_indexing(ast.parse(source)) == [1, 1, 1, 2, 2, 3, 3, 6, 6, 6]
 
 
 @pytest.mark.parametrize(

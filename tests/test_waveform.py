@@ -41,7 +41,15 @@ from gapower.waveform import (
     sample_signal,
     thd,
 )
-from oracles import dft_bins_brute, parse_rows_brute, pq_complex, thd_brute
+from oracles import (
+    dft_bins_brute,
+    fold_brute,
+    mean_product_brute,
+    mean_square_brute,
+    parse_rows_brute,
+    pq_complex,
+    thd_brute,
+)
 
 
 def bench_waveforms() -> tuple[SampledWaveform, SampledWaveform]:
@@ -601,6 +609,77 @@ def test_folded_extraction_matches_full_length_dft(window):
             assert abs(want) <= 1e-12 * total + tol, order
     dc = z[0].real / x.size
     assert abs(out.dc - dc) <= tol or (out.dc == 0.0 and abs(dc) <= 1e-12 * total + tol)
+
+
+# -- chunked passes over the samples ------------------------------------------------
+
+# around one chunk of 2**16 samples, numpy's 8-term blocks and the
+# analyze-long length
+CHUNKED_LENGTHS = (1, 7, 8, 129, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 8, 10**6)
+
+
+def column_block(rng, n: int, scale: float) -> np.ndarray:
+    """A read-only ``(n, 2)`` block of offset noise, column 0 at ``scale``
+    and column 1 at ``1 / scale``."""
+    block = (rng.standard_normal((n, 2)) + rng.uniform(-3.0, 3.0, 2)) * [
+        scale,
+        1.0 / scale,
+    ]
+    return frozen(block)
+
+
+@st.composite
+def chunked_inputs(draw):
+    """(read-only block, block count g dividing its length)."""
+    n = draw(st.sampled_from(CHUNKED_LENGTHS))
+    g = draw(st.sampled_from([g for g in (1, 2, 3, 1600, n) if n % g == 0]))
+    scale = draw(st.sampled_from([1.0, 1e155, 1e-200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return column_block(rng, n, scale), g
+
+
+def rms_brute(x: np.ndarray) -> float:
+    """The root of the mean square of the whole column, or, where that
+    leaves the normal range, of the column scaled by its largest power
+    of two."""
+    with np.errstate(over="ignore"):
+        ms = mean_square_brute(x)
+    if np.finfo(float).tiny <= ms < np.inf:
+        return math.sqrt(ms)
+    e = int(np.frexp(np.max(np.abs(x)))[1])
+    return float(np.ldexp(math.sqrt(mean_square_brute(np.ldexp(x, -e))), e))
+
+
+@given(chunked_inputs())
+def test_chunked_passes_keep_the_bits_of_whole_array_passes(sample):
+    block, g = sample
+    u, i = (SampledWaveform(block[:, k], 50.0) for k in (0, 1))
+    assert u.samples.base is block and i.samples.base is block  # strided views
+    assert active_power(u, i) == mean_product_brute(u.samples, i.samples)
+    for w in (u, i):
+        assert rms(w) == rms_brute(w.samples)
+        assert np.array_equal(waveform._fold(w.samples, g), fold_brute(w.samples, g))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e155])
+def test_passes_over_the_samples_stay_within_a_chunk(scale):
+    # one column of 2**20 samples squared at once is 8.4 MB, and the
+    # scaled fallback at 1e155 makes two such arrays
+    block = column_block(np.random.default_rng(29), 1 << 20, scale)
+    u, i = (SampledWaveform(block[:, k], 50.0 * 1024) for k in (0, 1))
+    calls = {
+        "rms": lambda: rms(u),
+        "active_power": lambda: active_power(u, i),
+        "dft_extract": lambda: dft_extract(u, 50.0, 9),  # g = 1024
+    }
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000, name
 
 
 # -- thd --------------------------------------------------------------------------
