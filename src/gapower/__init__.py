@@ -44,11 +44,9 @@ from .phasor import (
     to_phasor,
 )
 from .power import (
-    POWER_REPORT_SCHEMA,
     GeometricPower,
     PowerReport,
     apparent,
-    cross_frequency_terms,
     geometric_power,
     harmonic_pq,
     power_factor,

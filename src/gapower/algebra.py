@@ -1,4 +1,4 @@
-"""The zero rule and the blade notation of the dense phasor and power types.
+"""The zero rule, array storage and blade notation of the phasor and power types.
 
 A coefficient counts as zero when its magnitude is at most ``ZERO_REL``
 times the norm of the signal it belongs to.  The rule is relative, so
@@ -8,6 +8,9 @@ in A or in pA occupies the same orders.
 Sums of squares are taken on values scaled by a power of two
 (``pow2_exponent``), which is exact, so they neither overflow nor underflow
 at extreme scales and give the same bits as unscaled sums elsewhere.
+
+Arrays are stored read-only by ``read_only``, which copies only what a
+caller could still write to.
 
 Blades print in the notation of the paper: ``s3`` is a basis vector,
 ``s12`` the plane of s1 and s2, and ``s(1,10)`` a blade with an index
@@ -37,6 +40,18 @@ def pow2_exponent(x) -> int:
     The largest magnitude is the larger of ``max(x)`` and ``-min(x)``
     (NaN if either is), so no array of magnitudes is made."""
     return int(np.frexp(np.maximum(np.max(x), -np.min(x)))[1])
+
+
+def read_only(a, dtype) -> np.ndarray:
+    """``a`` as a read-only ``dtype`` array that no caller can write
+    through: ``a`` itself when it is an ndarray of that dtype read-only
+    down its ``.base`` chain to the data's owner, else a copy."""
+    owner = a
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable:
+        owner = owner.base
+    arr = (np.asarray if owner is None else np.array)(a, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
 
 
 def _blade_label(indices: tuple[int, ...]) -> str:

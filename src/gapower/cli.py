@@ -275,7 +275,7 @@ def _spectrum_json(sig: SpectralSignal) -> dict:
 
 
 def _power_json(report: PowerReport) -> dict:
-    terms = report.cross_terms
+    m, cross = report.m, report.cross
     return {
         "p_w": report.p_w,
         "apparent_va": report.apparent_va,
@@ -287,8 +287,8 @@ def _power_json(report: PowerReport) -> dict:
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
             (
-                *map(_ints, terms.blade_indices.T.tolist()),
-                _json6(terms.va),
+                *map(_ints, m.blade_indices[cross].T.tolist()),
+                _json6(m.va[cross]),
             ),
         ),
     }
@@ -349,13 +349,12 @@ def _power_tables(report: PowerReport) -> list[str]:
             [_orders(orders, _g6), _g6(p), _g6(q)],
         ),
     ]
-    terms = report.cross_terms
-    if len(terms.va):
-        indices = list(map(_ints, terms.blade_indices.T.tolist()))
+    m, cross = report.m, report.cross
+    if cross.any():
+        indices = list(map(_ints, m.blade_indices[cross].T.tolist()))
         blades = "".join(_rows(["s", " s", "\n"], indices)).split("\n")[:-1]
-        parts.append(
-            _table("Cross-frequency terms", ["blade", "va"], [blades, _g6(terms.va)])
-        )
+        va = _g6(m.va[cross])
+        parts.append(_table("Cross-frequency terms", ["blade", "va"], [blades, va]))
     return parts
 
 

@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import format_terms, negligible, pow2_exponent
+from .algebra import format_terms, negligible, pow2_exponent, read_only
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
@@ -279,11 +279,11 @@ class GeometricPhasor:
     """A grade-1 element tied to the layout and fundamental that give its
     coefficients physical meaning.
 
-    ``coeffs`` is a read-only float64 copy of the given vector, of length
-    ``layout.dimension``: entry ``k`` is the coefficient of basis vector
-    ``s_k``.  ``pairs`` views the per-order slots as an ``(n_orders, 2)``
-    array of (odd, even) columns in ``layout.orders()`` order.  ``str()``
-    prints the sum, e.g. ``50 s1 + 50 s2 - 50 s5 + 50 s6``.
+    ``coeffs`` is the given vector as read-only float64 (``read_only``),
+    of length ``layout.dimension``: entry ``k`` is the coefficient of
+    basis vector ``s_k``.  ``pairs`` views the per-order slots as an
+    ``(n_orders, 2)`` array of (odd, even) columns in ``layout.orders()``
+    order.  ``str()`` prints the sum, e.g. ``50 s1 + 50 s2 - 50 s5 + 50 s6``.
     """
 
     coeffs: np.ndarray
@@ -295,13 +295,12 @@ class GeometricPhasor:
             raise PowerAnalysisError(
                 f"fundamental frequency must be > 0 Hz, got {self.fundamental_hz}"
             )
-        coeffs = np.array(self.coeffs, dtype=np.float64)
+        coeffs = read_only(self.coeffs, np.float64)
         if coeffs.shape != (self.layout.dimension,):
             raise LayoutError(
                 f"coefficient shape {coeffs.shape} does not match "
                 f"layout dimension {self.layout.dimension}"
             )
-        coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
 
     @property

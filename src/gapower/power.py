@@ -10,8 +10,9 @@ Both phasors are grade 1, so ``M = u i = u.i + u^i`` and nothing else:
 ``u ^ i`` as ``(blade_indices, va)`` arrays, exact as computed; a noisy
 recording fills nearly all ``dim (dim - 1) / 2`` planes.  ``|M|`` is
 summed on values scaled by a power of two, so it stays finite and
-non-zero wherever ``|u||i|`` does.  ``PowerReport`` keeps the
-cross-frequency terms, which the CLI renders, as a power with scalar 0.
+non-zero wherever ``|u||i|`` does.  The cross-frequency terms, which
+the CLI renders, are a subset of ``M``'s planes: ``PowerReport`` keeps
+``M`` and the mask of its planes off every order's own plane.
 """
 
 from __future__ import annotations
@@ -21,53 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import format_terms, pow2_exponent
+from .algebra import format_terms, pow2_exponent, read_only
 from .errors import LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor, order_planes
-
-# Shape of the JSON report emitted for a voltage/current pair.
-POWER_REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "required": ["p_w", "apparent_va", "pf", "per_harmonic", "cross_terms"],
-    "additionalProperties": False,
-    "properties": {
-        "p_w": {"type": "number"},
-        "apparent_va": {"type": "number", "minimum": 0},
-        "pf": {"type": ["number", "null"], "minimum": -1, "maximum": 1},
-        "per_harmonic": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["order", "p_w", "q_var"],
-                "additionalProperties": False,
-                "properties": {
-                    "order": {"type": "number", "exclusiveMinimum": 0},
-                    "p_w": {"type": "number"},
-                    "q_var": {"type": "number"},
-                },
-            },
-        },
-        "cross_terms": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["blade_indices", "va"],
-                "additionalProperties": False,
-                "properties": {
-                    "blade_indices": {
-                        "type": "array",
-                        "items": {"type": "integer", "minimum": 0},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "va": {"type": "number"},
-                },
-            },
-        },
-    },
-}
-
 
 @dataclass(frozen=True, eq=False)
 class GeometricPower:
@@ -79,7 +36,7 @@ class GeometricPower:
     ``va[n]`` is the coefficient of the plane ``s_a s_b``.  ``str()``
     prints the sum, e.g. ``10000 - 5000 s12 - 5000 s25 - 5000 s16 +
     5000 s56``: the scalar first, then the planes in ascending blade mask,
-    i.e. by ``(b, a)``.
+    i.e. by ``(b, a)``.  Both arrays are stored by ``algebra.read_only``.
     """
 
     scalar: float
@@ -89,8 +46,8 @@ class GeometricPower:
 
     def __post_init__(self):
         dim = self.layout.dimension
-        idx = np.array(self.blade_indices, dtype=np.intp)
-        va = np.array(self.va, dtype=np.float64)
+        idx = read_only(self.blade_indices, np.intp)
+        va = read_only(self.va, np.float64)
         inside = ((idx >= 0) & (idx < dim)).all()
         if va.ndim != 1 or idx.shape != (len(va), 2) or not inside:
             raise LayoutError(f"{idx.shape} blade indices for {va.shape} "
@@ -100,7 +57,6 @@ class GeometricPower:
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
-        idx.flags.writeable = va.flags.writeable = False
         object.__setattr__(self, "blade_indices", idx)
         object.__setattr__(self, "va", va)
         object.__setattr__(self, "scalar", float(self.scalar))
@@ -126,8 +82,10 @@ def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     a, b = u.coeffs[support], i.coeffs[support]
     block = np.triu(np.outer(a, b) - np.outer(b, a), 1)
     lo, hi = np.nonzero(block)
-    planes = np.column_stack([support[lo], support[hi]])
-    return GeometricPower(u.dot(i), planes, block[lo, hi], u.layout)
+    planes, va = np.column_stack([support[lo], support[hi]]), block[lo, hi]
+    # frozen, these fresh arrays go into the power uncopied
+    planes.flags.writeable = va.flags.writeable = False
+    return GeometricPower(u.dot(i), planes, va, u.layout)
 
 
 def apparent(mpower: GeometricPower) -> float:
@@ -171,8 +129,10 @@ def harmonic_pq(
 @dataclass(frozen=True, eq=False)
 class PowerReport:
     """Summary of a geometric power computation: totals, per-order P/Q
-    (the ``(orders, p, q)`` arrays of ``harmonic_pq``) and the
-    cross-frequency terms.
+    (the ``(orders, p, q)`` arrays of ``harmonic_pq``), the power ``m``
+    and the cross-frequency terms as the boolean mask ``cross`` over
+    ``m``'s planes: ``m.blade_indices[cross]`` and ``m.va[cross]`` are
+    the planes off every order's own plane (``phasor.order_planes``).
 
     ``pf`` is None when the apparent power is zero.
     """
@@ -181,16 +141,8 @@ class PowerReport:
     apparent_va: float
     pf: float | None
     per_harmonic: tuple[np.ndarray, np.ndarray, np.ndarray]
-    cross_terms: GeometricPower
-
-
-def cross_frequency_terms(mpower: GeometricPower) -> GeometricPower:
-    """The planes of ``mpower`` that do not lie in any single order's
-    plane (``phasor.order_planes``), with scalar 0."""
-    cross = ~order_planes(mpower.blade_indices)
-    return GeometricPower(
-        0.0, mpower.blade_indices[cross], mpower.va[cross], mpower.layout
-    )
+    m: GeometricPower
+    cross: np.ndarray
 
 
 def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:
@@ -204,5 +156,6 @@ def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:
         apparent_va=s,
         pf=pf,
         per_harmonic=harmonic_pq(u, i),
-        cross_terms=cross_frequency_terms(m),
+        m=m,
+        cross=~order_planes(m.blade_indices),
     )

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import negligible, pow2_exponent
+from .algebra import negligible, pow2_exponent, read_only
 from .errors import WaveformError
 from .phasor import SpectralSignal, reconstruct
 
@@ -42,20 +42,18 @@ _HEADER_RE = re.compile(r"#\s*fs_hz\s*=\s*(\S+)")
 
 @dataclass(frozen=True, eq=False)
 class SampledWaveform:
-    """Uniformly sampled real signal, kept as read-only float64.  Samples
-    read-only down their whole ``.base`` chain are taken, others copied."""
+    """Uniformly sampled real signal, kept as read-only float64
+    (``algebra.read_only``)."""
 
     samples: np.ndarray
     sample_rate_hz: float
 
     def __post_init__(self):
-        take = np.asarray if _frozen(self.samples) else np.array
-        arr = take(self.samples, dtype=float)
+        arr = read_only(self.samples, np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise WaveformError("samples must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise WaveformError("samples must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
         if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
             raise WaveformError(
@@ -69,13 +67,6 @@ class SampledWaveform:
     @property
     def duration_s(self) -> float:
         return self.samples.size / self.sample_rate_hz
-
-
-def _frozen(a) -> bool:
-    """Whether ``a`` is an ndarray read-only down to its data's owner."""
-    while isinstance(a, np.ndarray) and not a.flags.writeable:
-        a = a.base
-    return a is None
 
 
 def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:

@@ -23,8 +23,8 @@ import gapower.cli
 from gapower.cli import FORMATS, main
 from gapower.decompose import decompose_currents
 from gapower.phasor import MAX_ORDER, BasisLayout, to_phasor
-from gapower.power import POWER_REPORT_SCHEMA
 from gapower.waveform import dft_extract, sample_signal
+from report_schema import POWER_REPORT_SCHEMA
 
 
 def write_json(path, obj) -> str:

@@ -11,14 +11,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import gapower.power
 from gapower.errors import LayoutError, PowerAnalysisError
 from gapower.phasor import BasisLayout, GeometricPhasor
-from gapower.power import (
-    GeometricPower,
-    apparent,
-    cross_frequency_terms,
-    geometric_power,
-)
+from gapower.power import GeometricPower, apparent, geometric_power, power_report
 
 from conftest import bivector_block, index_terms, slots, vector
 from oracles import mv_product_brute, terms_text_brute
@@ -83,18 +79,19 @@ def support_pairs(draw, shape: str):
 @given(data=st.data())
 def test_planes_over_the_support_match_the_oracle(shape, data):
     u, i = data.draw(support_pairs(shape))
-    m = geometric_power(u, i)
+    report = power_report(u, i)
+    m = report.m
     want = mv_product_brute(index_terms(u), index_terms(i))
     planes = {idx: c for idx, c in want.items() if idx}
-    assert m.scalar == want.get((), 0.0)
+    assert m.scalar == report.p_w == want.get((), 0.0)
     rows = [tuple(r) for r in m.blade_indices.tolist()]
     assert dict(zip(rows, m.va.tolist())) == planes
     assert rows == sorted(set(rows))
     # the cross-frequency terms are the planes off every (2m - 1, 2m)
-    cross = cross_frequency_terms(m)
-    rows = [tuple(r) for r in cross.blade_indices.tolist()]
-    assert cross.scalar == 0.0 and rows == sorted(set(rows))
-    assert dict(zip(rows, cross.va.tolist())) == {
+    cross = report.cross
+    rows = [tuple(r) for r in m.blade_indices[cross].tolist()]
+    assert cross.shape == m.va.shape and rows == sorted(set(rows))
+    assert dict(zip(rows, m.va[cross].tolist())) == {
         (a, b): c for (a, b), c in planes.items() if not (a % 2 and b == a + 1)
     }
     assert str(m) == terms_text_brute(want)
@@ -123,16 +120,17 @@ def test_dense_power_matches_brute_product(pair):
 @given(phasor_pairs())
 def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
     u, i = pair
-    m = geometric_power(u, i)
+    report = power_report(u, i)
+    m, cross = report.m, report.cross
     layout = u.layout
     planes = {slots(layout, o) for o in layout.orders().tolist()}
-    terms = cross_frequency_terms(m)
-    n = len(terms.va)
-    assert terms.scalar == 0.0
-    assert terms.blade_indices.shape == (n, 2)
-    assert terms.blade_indices.dtype.kind == "i"
-    assert terms.va.shape == (n,) and terms.va.dtype == np.float64
-    idx = [tuple(t) for t in terms.blade_indices.tolist()]
+    blade_indices, va = m.blade_indices[cross], m.va[cross]
+    n = len(va)
+    assert cross.dtype == bool and cross.shape == m.va.shape
+    assert blade_indices.shape == (n, 2)
+    assert blade_indices.dtype.kind == "i"
+    assert va.shape == (n,) and va.dtype == np.float64
+    idx = [tuple(t) for t in blade_indices.tolist()]
     assert idx == sorted(idx) and len(set(idx)) == len(idx)
     block = bivector_block(m)
     want = {
@@ -141,8 +139,8 @@ def test_cross_terms_are_row_major_and_exclude_order_planes(pair):
         if (a, b) not in planes
     }
     assert set(idx) == want
-    for (a, b), va in zip(idx, terms.va.tolist()):
-        assert va == block[a, b]
+    for (a, b), c in zip(idx, va.tolist()):
+        assert c == block[a, b]
 
 
 def test_norm_identity_at_dim_201():
@@ -185,17 +183,61 @@ def test_dense_constructors_store_exact_copies():
     assert m.scalar == -1e-13 and block[0, 1] == 1e-13 and block[1, 2] == 2.0
 
 
+def frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 def test_dense_constructors_check_shapes():
+    """Each bad input raises the same error as lists or writable arrays,
+    which are copied, and as read-only arrays, which are taken as they
+    are."""
     layout = BasisLayout(n=1)
-    with pytest.raises(LayoutError):
-        GeometricPhasor(np.zeros(5), layout, 50.0)
-    with pytest.raises(LayoutError):
-        GeometricPower(0.0, [[3, 4]], [1.0], layout)
-    with pytest.raises(LayoutError):
-        GeometricPower(0.0, [[-1, 2]], [1.0], layout)
-    with pytest.raises(LayoutError):
-        GeometricPower(0.0, [[0, 1]], [1.0, 2.0], layout)
-    with pytest.raises(PowerAnalysisError):
-        GeometricPower(0.0, [[2, 1]], [1.0], layout)
-    with pytest.raises(PowerAnalysisError):
-        GeometricPower(0.0, [[1, 2], [0, 2]], [1.0, 1.0], layout)
+    raised = []
+    for coeffs in (np.zeros(5), frozen(np.zeros(5), np.float64)):
+        with pytest.raises(LayoutError) as exc:
+            GeometricPhasor(coeffs, layout, 50.0)
+        raised.append(str(exc.value))
+    assert raised[0] == raised[1]
+    for planes, va, error in [
+        ([[3, 4]], [1.0], LayoutError),
+        ([[-1, 2]], [1.0], LayoutError),
+        ([[0, 1]], [1.0, 2.0], LayoutError),
+        ([[2, 1]], [1.0], PowerAnalysisError),
+        ([[1, 2], [0, 2]], [1.0, 1.0], PowerAnalysisError),
+    ]:
+        raised = []
+        for args in ((planes, va), (frozen(planes, np.intp), frozen(va, np.float64))):
+            with pytest.raises(error) as exc:
+                GeometricPower(0.0, *args, layout)
+            raised.append(str(exc.value))
+        assert raised[0] == raised[1]
+
+
+def test_dense_constructors_take_read_only_arrays_uncopied():
+    layout = BasisLayout(n=1)
+    coeffs = frozen([5e-13, -3.0, 1e-300], np.float64)
+    assert GeometricPhasor(coeffs, layout, 50.0).coeffs is coeffs
+    planes, va = frozen([[0, 1], [1, 2]], np.intp), frozen([1e-13, 2.0], np.float64)
+    m = GeometricPower(0.0, planes, va, layout)
+    assert m.blade_indices is planes and m.va is va
+
+
+def test_power_report_builds_one_power_on_the_arrays_it_formed(monkeypatch):
+    built = []
+
+    def spy(scalar, blade_indices, va, layout):
+        built.append((blade_indices, va))
+        return GeometricPower(scalar, blade_indices, va, layout)
+
+    monkeypatch.setattr(gapower.power, "GeometricPower", spy)
+    rng = np.random.default_rng(3)
+    layout = BasisLayout(n=4)
+    u = GeometricPhasor(rng.normal(size=layout.dimension), layout, 50.0)
+    i = GeometricPhasor(rng.normal(size=layout.dimension), layout, 50.0)
+    m = power_report(u, i).m
+    [(planes, va)] = built
+    assert len(m.va) == layout.dimension * (layout.dimension - 1) // 2
+    assert np.shares_memory(m.blade_indices, planes)
+    assert np.shares_memory(m.va, va)

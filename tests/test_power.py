@@ -28,10 +28,8 @@ from gapower.phasor import (
     to_phasor,
 )
 from gapower.power import (
-    POWER_REPORT_SCHEMA,
     GeometricPower,
     apparent,
-    cross_frequency_terms,
     geometric_power,
     harmonic_pq,
     power_factor,
@@ -41,6 +39,7 @@ from gapower.circuit import SeriesRLC, admittances_for, solve_current
 
 from conftest import bivector_block, dense, vector
 from oracles import pq_complex
+from report_schema import POWER_REPORT_SCHEMA
 
 
 def phasor_of(terms: dict, dim: int, f0: float = 50.0) -> GeometricPhasor:
@@ -204,11 +203,11 @@ def test_cross_frequency_terms_fixture(two_harmonic_phasor, rlc_unequal_conducta
         two_harmonic_phasor,
         admittances_for(rlc_unequal_conductance, two_harmonic_phasor),
     )
-    m = geometric_power(two_harmonic_phasor, i)
-    terms = cross_frequency_terms(m)
-    assert len(terms.va) == 3
-    assert terms.blade_indices.tolist() == [[1, 6], [2, 5], [2, 6]]
-    assert terms.va.tolist() == pytest.approx([-3000.0, -3000.0, 8000.0])
+    report = power_report(two_harmonic_phasor, i)
+    m, cross = report.m, report.cross
+    assert int(cross.sum()) == 3
+    assert m.blade_indices[cross].tolist() == [[1, 6], [2, 5], [2, 6]]
+    assert m.va[cross].tolist() == pytest.approx([-3000.0, -3000.0, 8000.0])
 
 
 # -- report ---------------------------------------------------------------------
@@ -255,7 +254,7 @@ def test_power_report_memory_follows_the_support():
     finally:
         tracemalloc.stop()
     assert peak < 2e6
-    assert report.cross_terms.blade_indices.tolist() == [
+    assert report.m.blade_indices[report.cross].tolist() == [
         [1, 1999], [1, 2000], [2, 1999], [2, 2000]
     ]
 
