@@ -7,10 +7,11 @@ a table, JSON document or the decomposition CSV; only what the chosen
 format prints is computed.
 
 Every number is printed with 6 significant digits, so identical inputs
-give identical bytes.  Numbers are rendered from arrays: one ``%``
-template formats a whole float array.  A JSON number is its ``%.6g``
-text, respelled only where a mask cannot rule out a form JSON writes
-differently (see the number-formatting comment).  Every block of rows
+give identical bytes.  Numbers are rendered from arrays: a long float
+array by a numpy kernel that writes the bytes of ``%.6g``, a short one
+by one ``%`` template.  A JSON number is its ``%.6g`` text, respelled
+only where a mask cannot rule out a form JSON writes differently (see
+the number-formatting comments).  Every block of rows
 (a table, the CSV, a JSON array of records such as the cross-frequency
 terms) is joined once by ``_rows`` from constant pieces and text
 columns.  ``json.dumps`` only writes keys, strings and the few irregular
@@ -76,19 +77,133 @@ FORMATS = ("table", "json", "csv")
 # prints either fixed with a "." (6 digits cannot round it to an
 # integer) or with an exponent from e-05 to e-300, and both are repr.
 
-_ROWS_PER_CALL = 1 << 16  # rows per ``%`` call and per written chunk
+# Arrays of ``_KERNEL_CUT`` values or more are formatted by a numpy kernel
+# that writes the bytes of ``%.6g`` itself, ``_PASS`` values at a time.
+# The 6 digits are rint(|x| 10^(5-e)), e the decimal exponent floor(log10
+# |x|); the scaled value errs by under 1e-9, so only a value within 1e-6
+# of a rounding tie is left undecided.  One step corrects e: 6 digits that
+# round up to 1000000 are 100000 at e + 1.  That step also covers log10's
+# own rounding, which can put e one off only within 1e-12 of a power of
+# 10, where the digits round to 100000 at either e.  Each value's text
+# and the separator after it fill a 16-byte slot (two little-endian uint64
+# words) that has NUL bytes as holes, and one select drops them.  The
+# values the kernel leaves to ``%``: those undecided ones, zeros, nan, inf
+# and |x| outside [1e-290, 1e290]; their texts are spliced into their
+# slots.  A shorter array goes through ``%`` whole: the kernel's fixed
+# numpy cost exceeds what it saves there.
+
+_ROWS_PER_CALL = 1 << 16  # rows per written chunk of the --timeseries CSV
+_KERNEL_CUT = 512  # fewer values than this are formatted by one ``%`` call
+_PASS = 1 << 14  # values per kernel pass: of 2**12..2**15, the lowest peak RSS
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _REPR_EXPONENTS = frozenset(
     ["e+%02d" % k for k in range(6, 16)] + ["e-%d" % k for k in range(308, 325)]
 )
+_U = np.uint64
+
+
+def _digit_words():
+    """Over k = 0..999, as uint64 words: the 3 ASCII digits of k, the first
+    in the low byte, and the mask of its bytes up to the last non-zero
+    digit; each as the high 3 of 6 digits and, shifted, as the low 3."""
+    k = np.arange(1000, dtype=_U)
+    ten, zero = _U(10), _U(ord("0"))
+    digits = (
+        (k // _U(100) + zero)
+        | (k // ten % ten + zero) << _U(8)
+        | (k % ten + zero) << _U(16)
+    )
+    kept = (
+        (k != _U(0)) * _U(0xFF)
+        | (k % _U(100) != _U(0)) * _U(0xFF00)
+        | (k % ten != _U(0)) * _U(0xFF0000)
+    )
+    # a non-zero low half keeps every high digit
+    low_kept = (k != _U(0)) * _U(0xFFFFFF) | kept << _U(24)
+    return np.stack([digits, digits << _U(24)]), np.stack([kept, low_kept])
+
+
+_DIGITS, _KEPT = _digit_words()
+
+
+def _exponent_words():
+    """Per decimal exponent e = -300..300, at index e + 300: 10^(5-e),
+    which scales |x| to 6 digits before the point; the bits of the digits
+    before the point (8 per digit) and their byte mask; the "0.0..." that
+    leads a fixed text below 1, and the mask that puts all 6 digits after
+    it; and the exponent text ("e+06")."""
+    e = np.arange(-300, 301)
+    fixed, below_one = (e >= 0) & (e <= 5), (e >= -4) & (e < 0)
+    point = np.where(fixed, e + 1, np.where(below_one, 6, 1)).astype(_U) * _U(8)
+    whole = np.where(below_one, _U(0), (_U(1) << point) - _U(1))
+    lead = np.zeros(len(e), dtype=_U)
+    lead[below_one] = [int.from_bytes(b"0.000"[:n], "little") for n in (5, 4, 3, 2)]
+    exponent = ~(fixed | below_one) * (
+        _U(ord("e"))
+        | np.where(e < 0, _U(ord("-")), _U(ord("+"))) << _U(8)
+        | _DIGITS[0][abs(e)] >> np.where(abs(e) < 100, _U(8), _U(0)) << _U(16)
+    )
+    return 10.0 ** (5 - e), point, whole, lead, below_one * ~_U(0), exponent
+
+
+_SCALE, _POINT, _WHOLE, _LEAD, _TAIL, _EXP = _exponent_words()
+
+
+def _slots(x, seps):
+    """The 16-byte slots, one row per value, of the 2-D float array ``x``:
+    each value's ``%.6g`` text and then its column's word of ``seps``, NUL
+    bytes as holes; and a flat mask of the values the kernel leaves to
+    ``%``."""
+    ax = np.abs(x)
+    odd = ~((ax >= 1e-290) & (ax <= 1e290))
+    ax[odd] = 1.0
+    e = (np.log10(ax) + 300.0).astype(np.intp)  # the index of the exponent
+    s = ax * _SCALE[e]
+    r = np.rint(s)
+    odd |= np.abs(s - r) > 0.5 - 1e-6
+    carry = r >= 1e6
+    if carry.any():
+        e += carry
+        r[carry] = 1e5
+    d = r.astype(np.intp)
+    hi = d // 1000
+    lo = d - 1000 * hi
+    full = _DIGITS[0][hi] | _DIGITS[1][lo]
+    cut = full & (_KEPT[0][hi] | _KEPT[1][lo])  # trailing zeros as NUL
+    point = _POINT[e]
+    fraction = cut >> point
+    # the point goes in where a fraction follows: every digit byte is above "."
+    head = (
+        full & _WHOLE[e]
+        | (fraction << _U(8) | np.minimum(fraction, _U(ord(".")))) << point
+        | _LEAD[e]
+    )
+    words = np.empty(x.shape + (2,), dtype="<u8")
+    words[..., 0] = (x < 0) * _U(ord("-")) | head << _U(8)
+    words[..., 1] = cut & _TAIL[e] | _EXP[e] | seps
+    return words.view(np.uint8).reshape(-1), odd.ravel()
 
 
 def _g6_rows(a, row: str) -> str:
     """``row % r`` for every row ``r`` of the 2-D float array ``a``,
-    concatenated; ``row`` holds one ``%.6g`` per column."""
+    concatenated; ``row`` is one ``%.6g`` per column, each followed by a
+    separator of at most 2 ASCII characters other than "%" and NUL."""
     a = np.asarray(a, dtype=np.float64) + 0.0
-    blocks = np.split(a, range(_ROWS_PER_CALL, len(a), _ROWS_PER_CALL))
-    return "".join(row * len(b) % tuple(b.ravel().tolist()) for b in blocks)
+    if a.size < _KERNEL_CUT:
+        return row * len(a) % tuple(a.ravel().tolist())
+    seps = [s.encode().rjust(8, b"\0") for s in row.split("%.6g")[1:]]
+    words = np.frombuffer(b"".join(seps), dtype="<u8")
+    step = max(1, _PASS // a.shape[1])
+    texts = []
+    for k in range(0, len(a), step):
+        x = a[k:k + step]
+        slots, odd = _slots(x, words)
+        if odd.any():
+            v = x.ravel()[odd].tolist()
+            text = ("%14.6g" * len(v) % tuple(v)).replace(" ", "\0").encode()
+            slots.reshape(-1, 16)[odd, :14] = np.frombuffer(text, np.uint8).reshape(-1, 14)
+        texts.append(slots.compress(slots != 0).tobytes())
+    return b"".join(texts).decode()
 
 
 def _g6(values) -> list[str]:

@@ -347,13 +347,13 @@ def _fold(x: np.ndarray, g: int) -> np.ndarray:
     g near 1e5, as the partial sums grow.
 
     Each column of the ``(g, size / g)`` blocks is added on its own, so
-    the columns are folded in slices of ``_CHUNK // g`` (at least one),
-    and no level of the fold holds more than ``_CHUNK / 2`` values while
-    ``g <= _CHUNK``.  One block is the window itself, returned uncopied."""
+    the columns are folded in slices of ``2 * _CHUNK // g`` (at least one),
+    and no level of the fold holds more than ``_CHUNK`` values while
+    ``g <= 2 * _CHUNK``.  One block is the window itself, returned uncopied."""
     if g == 1:
         return x
     blocks = x.reshape(g, x.size // g)
-    width = max(1, _CHUNK // g)
+    width = max(1, 2 * _CHUNK // g)
     out = np.empty(blocks.shape[1])
     for start in range(0, out.size, width):
         part = blocks[:, start : start + width]

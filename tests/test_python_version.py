@@ -16,12 +16,19 @@ slots, so no other package module spreads an array over slot pairs
 slices every other slot (a constant step of 2) or tells odd slots from
 even ones (``x % 2``, where only a length's parity, ``len(x) % 2``, is
 let through).
+
+A third rule keeps one float formatter in ``cli.py``: only ``_g6_rows``
+applies a ``%`` float conversion (``%e``, ``%f``, ``%g``) to numbers, and
+no f-string, ``format()`` call or ``str.format`` template in the module
+uses a float format spec, so every printed float goes through the
+renderer's ``%.6g`` rule.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import string
 from pathlib import Path
 
 import pytest
@@ -137,3 +144,82 @@ def test_slot_check_finds_slot_indexing_only():
 def test_only_phasor_maps_entries_to_slots(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert slot_indexing(tree) == []
+
+
+CLI = ROOT / "src/gapower/cli.py"
+PERCENT_FLOAT = re.compile(r"%[-+ #0]*(\d+|\*)?(\.(\d+|\*))?[eEfFgG]")
+FLOAT_SPEC = re.compile(r"[eEfFgG%]$")
+
+
+def _strings(node: ast.AST) -> list[str]:
+    """The string literals in ``node``."""
+    return [
+        n.value for n in ast.walk(node)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    ]
+
+
+def _float_specs(node: ast.AST) -> bool:
+    """Whether ``node`` formats with a float format spec: an f-string
+    field, ``format(x, spec)`` or a literal ``"...".format(...)``."""
+    if isinstance(node, ast.FormattedValue) and node.format_spec is not None:
+        return bool(FLOAT_SPEC.search("".join(_strings(node.format_spec))))
+    if not isinstance(node, ast.Call):
+        return False
+    if isinstance(node.func, ast.Name) and node.func.id == "format":
+        return len(node.args) > 1 and any(map(FLOAT_SPEC.search, _strings(node.args[1])))
+    if (
+        isinstance(node.func, ast.Attribute)
+        and node.func.attr == "format"
+        and isinstance(node.func.value, ast.Constant)
+        and isinstance(node.func.value.value, str)
+    ):
+        fields = string.Formatter().parse(node.func.value.value)
+        return any(spec and FLOAT_SPEC.search(spec) for _, _, spec, _ in fields)
+    return False
+
+
+def float_formatting(tree: ast.AST) -> list[int]:
+    """Sorted line numbers of float formatting in ``tree``: a ``%`` whose
+    left operand holds a literal with a float conversion, outside a
+    function named ``_g6_rows``, and anywhere a float format spec."""
+    lines = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and not inside:
+            if any(map(PERCENT_FLOAT.search, _strings(node.left))):
+                lines.append(node.lineno)
+        if _float_specs(node):
+            lines.append(node.lineno)
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "_g6_rows"
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(lines)
+
+
+def test_float_check_finds_float_formatting_only():
+    source = (
+        'a = "%.6g" % x + ("%-14.3e," * 2) % y + "%5.1f%%" % z\n'
+        'b = "e+%02d" % k + "e-%d" % k + "%s %r" % (s, t) + row % x\n'
+        'c = f"{x:.3f}" + f"{n:d}" + f"{s}" + f"{x!r:>{w}}" + f"{p:.1%}"\n'
+        'd = format(x, ".2e") + format(n, "d") + format(s)\n'
+        'e = "{:g}".format(x) + "{0} {1:>4}".format(x, y) + "{:d}".format(n)\n'
+        'def _g6_rows(a, row):\n'
+        '    return "%14.6g" % a + row % a\n'
+        'def _g6(values):\n'
+        '    return "%.6g" % values + f"{values:g}"\n'
+    )
+    assert float_formatting(ast.parse(source)) == [1, 1, 1, 3, 3, 4, 5, 9, 9]
+
+
+def test_cli_formats_floats_only_in_g6_rows():
+    tree = ast.parse(CLI.read_text(encoding="utf-8"), str(CLI))
+    assert float_formatting(tree) == []
+
+
+def test_float_check_fails_on_a_planted_percent_format():
+    source = CLI.read_text(encoding="utf-8")
+    planted = source + '\n\ndef _planted(x):\n    return "%.6g" % x\n'
+    assert float_formatting(ast.parse(planted)) == [source.count("\n") + 4]

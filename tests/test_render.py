@@ -54,15 +54,56 @@ TEXT_FORM_EDGES = [
 ]
 
 
-@given(st.lists(values, max_size=60))
+# 6-digit rounding ties, which the kernel leaves to ``%``, and their
+# neighbours just off the tie.  The float nearest 5.600225e-12 lies above
+# its tie and that of 6.690435e-12 below, but both scale to the tie
+# itself, where rint rounds to even.
+TIES = [123456.5, 1.0000005, 999999.5, 9.999995e-5, 0.0001234565,
+        5.600225e-12, 6.690435e-12, 123456.50000001, 1.00000049999]
+
+
+def background(n: int, seed: int) -> np.ndarray:
+    """``n`` seeded floats, in turn: normals over 10^-300..10^300 and over
+    10^-8..10^8, integers and halves."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=n) * 10.0 ** rng.uniform(-300, 300, n)
+    a[1::4] = rng.normal(size=len(a[1::4])) * 10.0 ** rng.uniform(-8, 8, len(a[1::4]))
+    a[2::4] = rng.integers(-10**7, 10**7, len(a[2::4]))
+    a[3::4] = rng.integers(-10**7, 10**7, len(a[3::4])) / 2
+    return a
+
+
+def spread(drawn: list[float], n: int, seed: int) -> list[float]:
+    """The drawn values at seeded places among ``n`` background floats."""
+    a = background(n, seed)
+    a[np.random.default_rng(seed).permutation(n)[:len(drawn)]] = drawn
+    return a.tolist()
+
+
+def long_lists(size: int):
+    """Lists of ``size`` to 3 ``size`` floats, as many as the kernel
+    formats: drawn values spread over a seeded background."""
+    return st.builds(spread, st.lists(values, max_size=60),
+                     st.integers(size, 3 * size), st.integers(0, 2**32 - 1))
+
+
+def long_rows(k: int, rows: int):
+    """Lists of ``rows`` to about 3 ``rows`` rows of ``k`` floats, as
+    ``long_lists`` draws them."""
+    return long_lists(k * rows).map(
+        lambda xs: np.reshape(xs[:len(xs) // k * k], (-1, k)).tolist())
+
+
+@given(st.one_of(st.lists(values, max_size=60), long_lists(cli._KERNEL_CUT)))
 def test_array_text_matches_per_value_rules(xs):
     a = np.array(xs, dtype=np.float64)
     assert _g6(a) == [fmt6_brute(x) for x in xs]
     assert _json6(a) == [json6_brute(x) for x in xs]
 
 
-@given(st.integers(1, 4).flatmap(
-    lambda k: st.lists(st.lists(values, min_size=k, max_size=k), max_size=20)))
+@given(st.integers(1, 4).flatmap(lambda k: st.one_of(
+    st.lists(st.lists(values, min_size=k, max_size=k), max_size=20),
+    long_rows(k, -(-cli._KERNEL_CUT // k)))))
 def test_row_template_matches_per_value_rules(rows):
     k = len(rows[0]) if rows else 1
     a = np.array(rows, dtype=np.float64).reshape(-1, k)
@@ -70,13 +111,38 @@ def test_row_template_matches_per_value_rules(rows):
     assert _g6_rows(a, ",".join(["%.6g"] * k) + "\n") == want
 
 
+def edges_at_pass_ends(k: int, seed: int) -> np.ndarray:
+    """Three kernel passes of rows of ``k`` background floats, with every
+    edge value and tie, and their negatives, at both ends of each pass."""
+    edges = EDGES + TEXT_FORM_EDGES + TIES
+    edges += [-x for x in edges]
+    step = cli._PASS // k * k  # values per pass
+    a = background(3 * step, seed)
+    ends = range(0, len(a) + 1, step)
+    for end in ends[1:]:
+        a[end - len(edges):end] = edges
+    for start in ends[:-1]:
+        a[start:start + len(edges)] = edges
+    return a.reshape(-1, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 6])
+def test_edges_at_both_ends_of_a_kernel_pass(k):
+    a = edges_at_pass_ends(k, 17)
+    want = "".join(",".join(map(fmt6_brute, r)) + "\n" for r in a.tolist())
+    assert _g6_rows(a, ",".join(["%.6g"] * k) + "\n") == want
+    if k == 1:
+        assert _json6(a) == [json6_brute(x) for x in a.ravel().tolist()]
+
+
 def test_rows_split_across_calls_print_the_same(monkeypatch):
-    a = np.random.default_rng(3).normal(0.0, 1e3, (10, 3))
+    a = edges_at_pass_ends(3, 3)[:700]
     row = "%.6g,%.6g,%.6g\n"
     whole = _g6_rows(a, row)
-    monkeypatch.setattr(cli, "_ROWS_PER_CALL", 3)
-    assert _g6_rows(a, row) == whole
-    assert whole.count("\n") == 10
+    assert whole == "".join(",".join(map(fmt6_brute, r)) + "\n" for r in a.tolist())
+    for pass_size in (1, 7, 500):  # a pass takes one row at least
+        monkeypatch.setattr(cli, "_PASS", pass_size)
+        assert _g6_rows(a, row) == whole
 
 
 @pytest.mark.parametrize("x", TEXT_FORM_EDGES + [-x for x in TEXT_FORM_EDGES])
@@ -189,7 +255,9 @@ class _Rows:
         return self.rows
 
 
-@given(st.lists(st.lists(values, min_size=6, max_size=6), min_size=1, max_size=12))
+@given(st.one_of(
+    st.lists(st.lists(values, min_size=6, max_size=6), min_size=1, max_size=12),
+    long_rows(6, cli._KERNEL_CUT)))
 def test_decomposition_csv_is_laid_out_like_the_oracle(rows):
     index = [str(k) for k in range(len(rows) - 1)] + ["norm"]
     want = csv_brute(
