@@ -10,7 +10,8 @@ Sums of squares are taken on values scaled by a power of two
 at extreme scales and give the same bits as unscaled sums elsewhere.
 
 Arrays are stored read-only by ``read_only``, which copies only what a
-caller could still write to.
+caller could still write to, and the objects that hold them are
+``Frozen``: their ``__init__`` sets each field once.
 
 Blades print in the notation of the paper: ``s3`` is a basis vector,
 ``s12`` the plane of s1 and s2, and ``s(1,10)`` a blade with an index
@@ -52,6 +53,28 @@ def read_only(a, dtype) -> np.ndarray:
     arr = (np.asarray if owner is None else np.array)(a, dtype=dtype)
     arr.flags.writeable = False
     return arr
+
+
+class Frozen:
+    """Base of the package's value classes.  A subclass lists its fields
+    in ``__slots__`` and sets them in ``__init__`` through ``_set``;
+    assigning or deleting a field afterwards raises ``AttributeError``.
+    Instances compare by identity unless the subclass says otherwise."""
+
+    __slots__ = ()
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # pickle and copy: (None, the set slots)
+        self._set(**state[1])
 
 
 def _blade_label(indices: tuple[int, ...]) -> str:

@@ -16,62 +16,59 @@ meets a voltage: it gives the product's G and B parts, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import Frozen
 from .errors import CircuitError, LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor, entry_slots
 
 
-@dataclass(frozen=True)
-class SeriesRLC:
+class SeriesRLC(Frozen):
     """Series resistor/inductor/capacitor branch.
 
     ``c`` is None when there is no capacitor (short circuit), because a
     zero capacitance would mean an open circuit instead.
     """
 
-    r: float = 0.0
-    l: float = 0.0
-    c: float | None = None
+    __slots__ = ("r", "l", "c")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.r) and self.r >= 0):
-            raise CircuitError(f"resistance must be >= 0 ohm, got {self.r}")
-        if not (math.isfinite(self.l) and self.l >= 0):
-            raise CircuitError(f"inductance must be >= 0 H, got {self.l}")
-        if self.c is not None and not (math.isfinite(self.c) and self.c > 0):
-            raise CircuitError(f"capacitance must be > 0 F, got {self.c}")
-        if self.r == 0 and self.l == 0 and self.c is None:
+    def __init__(self, r: float = 0.0, l: float = 0.0, c: float | None = None):
+        if not (math.isfinite(r) and r >= 0):
+            raise CircuitError(f"resistance must be >= 0 ohm, got {r}")
+        if not (math.isfinite(l) and l >= 0):
+            raise CircuitError(f"inductance must be >= 0 H, got {l}")
+        if c is not None and not (math.isfinite(c) and c > 0):
+            raise CircuitError(f"capacitance must be > 0 F, got {c}")
+        if r == 0 and l == 0 and c is None:
             raise CircuitError("circuit needs at least one of r, l, c")
+        self._set(r=r, l=l, c=c)
 
 
-@dataclass(frozen=True, eq=False)
-class Admittances:
+class Admittances(Frozen):
     """A load's admittance table: the element G + B * (the order's plane)
     for DC and each order of ``layout``, as read-only arrays indexed like
     ``GeometricPhasor.present()``.  ``present`` marks the entries the table
     holds; the others are 0, and so is the DC susceptance (DC has no plane).
     """
 
-    layout: BasisLayout
-    conductance: np.ndarray
-    susceptance: np.ndarray
-    present: np.ndarray
+    __slots__ = ("layout", "conductance", "susceptance", "present")
 
-    def __post_init__(self):
-        size = 1 + self.layout.orders().size
-        for name in ("conductance", "susceptance", "present"):
-            a = np.array(getattr(self, name), bool if name == "present" else float)
+    def __init__(self, layout: BasisLayout, conductance, susceptance, present):
+        size = 1 + layout.orders().size
+        arrays = {"conductance": conductance, "susceptance": susceptance,
+                  "present": present}
+        for name, given in arrays.items():
+            a = np.array(given, bool if name == "present" else float)
             if a.shape != (size,):
                 raise LayoutError(
                     f"{name} shape {a.shape} does not match the layout's {size}"
                 )
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        if self.susceptance[0] != 0.0:
+            arrays[name] = a
+        if arrays["susceptance"][0] != 0.0:
             raise LayoutError("DC has no plane: its susceptance must be 0")
+        self._set(layout=layout, **arrays)
 
     @classmethod
     def on(cls, u: GeometricPhasor, g_dc, g_k, b_k) -> Admittances:

@@ -33,10 +33,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
+from .algebra import Frozen
 from .circuit import (
     SeriesRLC,
     admittances_for,
@@ -86,11 +87,12 @@ FORMATS = ("table", "json", "csv")
 # own rounding, which can put e one off only within 1e-12 of a power of
 # 10, where the digits round to 100000 at either e.  Each value's text
 # and the separator after it fill a 16-byte slot (two little-endian uint64
-# words) that has NUL bytes as holes, and one select drops them.  The
-# values the kernel leaves to ``%``: those undecided ones, zeros, nan, inf
-# and |x| outside [1e-290, 1e290]; their texts are spliced into their
-# slots.  A shorter array goes through ``%`` whole: the kernel's fixed
-# numpy cost exceeds what it saves there.
+# words) that has NUL bytes as holes, and one select drops them.  A zero
+# is written as "0".  The values the kernel leaves to ``%``: those
+# undecided ones, nan, inf and |x| outside [1e-290, 1e290]; their texts
+# are spliced into their slots.  A shorter array goes through ``%``
+# whole: the kernel's fixed numpy cost exceeds what it saves there.  The
+# kernel's tables are built on its first call.
 
 _ROWS_PER_CALL = 1 << 16  # rows per written chunk of the --timeseries CSV
 _KERNEL_CUT = 512  # fewer values than this are formatted by one ``%`` call
@@ -102,6 +104,7 @@ _REPR_EXPONENTS = frozenset(
 _U = np.uint64
 
 
+@cache
 def _digit_words():
     """Over k = 0..999, as uint64 words: the 3 ASCII digits of k, the first
     in the low byte, and the mask of its bytes up to the last non-zero
@@ -123,9 +126,7 @@ def _digit_words():
     return np.stack([digits, digits << _U(24)]), np.stack([kept, low_kept])
 
 
-_DIGITS, _KEPT = _digit_words()
-
-
+@cache
 def _exponent_words():
     """Per decimal exponent e = -300..300, at index e + 300: 10^(5-e),
     which scales |x| to 6 digits before the point; the bits of the digits
@@ -133,6 +134,7 @@ def _exponent_words():
     leads a fixed text below 1, and the mask that puts all 6 digits after
     it; and the exponent text ("e+06")."""
     e = np.arange(-300, 301)
+    digits = _digit_words()[0][0]
     fixed, below_one = (e >= 0) & (e <= 5), (e >= -4) & (e < 0)
     point = np.where(fixed, e + 1, np.where(below_one, 6, 1)).astype(_U) * _U(8)
     whole = np.where(below_one, _U(0), (_U(1) << point) - _U(1))
@@ -141,12 +143,9 @@ def _exponent_words():
     exponent = ~(fixed | below_one) * (
         _U(ord("e"))
         | np.where(e < 0, _U(ord("-")), _U(ord("+"))) << _U(8)
-        | _DIGITS[0][abs(e)] >> np.where(abs(e) < 100, _U(8), _U(0)) << _U(16)
+        | digits[abs(e)] >> np.where(abs(e) < 100, _U(8), _U(0)) << _U(16)
     )
     return 10.0 ** (5 - e), point, whole, lead, below_one * ~_U(0), exponent
-
-
-_SCALE, _POINT, _WHOLE, _LEAD, _TAIL, _EXP = _exponent_words()
 
 
 def _slots(x, seps):
@@ -154,13 +153,18 @@ def _slots(x, seps):
     each value's ``%.6g`` text and then its column's word of ``seps``, NUL
     bytes as holes; and a flat mask of the values the kernel leaves to
     ``%``."""
+    digits, kept = _digit_words()
+    scale, points, whole, lead, tail, exponent = _exponent_words()
     ax = np.abs(x)
     odd = ~((ax >= 1e-290) & (ax <= 1e290))
     ax[odd] = 1.0
+    zero = x == 0.0
+    odd ^= zero  # a zero is written here: 1.0's exponent with 6 zero digits
     e = (np.log10(ax) + 300.0).astype(np.intp)  # the index of the exponent
-    s = ax * _SCALE[e]
+    s = ax * scale[e]
     r = np.rint(s)
     odd |= np.abs(s - r) > 0.5 - 1e-6
+    np.copyto(r, 0.0, where=zero)
     carry = r >= 1e6
     if carry.any():
         e += carry
@@ -168,19 +172,19 @@ def _slots(x, seps):
     d = r.astype(np.intp)
     hi = d // 1000
     lo = d - 1000 * hi
-    full = _DIGITS[0][hi] | _DIGITS[1][lo]
-    cut = full & (_KEPT[0][hi] | _KEPT[1][lo])  # trailing zeros as NUL
-    point = _POINT[e]
+    full = digits[0][hi] | digits[1][lo]
+    cut = full & (kept[0][hi] | kept[1][lo])  # trailing zeros as NUL
+    point = points[e]
     fraction = cut >> point
     # the point goes in where a fraction follows: every digit byte is above "."
     head = (
-        full & _WHOLE[e]
+        full & whole[e]
         | (fraction << _U(8) | np.minimum(fraction, _U(ord(".")))) << point
-        | _LEAD[e]
+        | lead[e]
     )
     words = np.empty(x.shape + (2,), dtype="<u8")
     words[..., 0] = (x < 0) * _U(ord("-")) | head << _U(8)
-    words[..., 1] = cut & _TAIL[e] | _EXP[e] | seps
+    words[..., 1] = cut & tail[e] | exponent[e] | seps
     return words.view(np.uint8).reshape(-1), odd.ravel()
 
 
@@ -215,11 +219,17 @@ def _json6(values) -> list[str]:
     """JSON number text of every element of a float array."""
     a = np.ravel(values)
     texts = _g6(a)
+    zero = a == 0.0
+    if zero.any():  # "0", the text of every zero, is JSON's 0.0
+        respelled = np.array(texts, dtype=object)
+        respelled[zero] = "0.0"
+        texts = respelled.tolist()
     # |x| capped at the cut, an integer, where nan and inf land too; every
-    # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway
+    # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway; the
+    # zeros are respelled already
     x = np.fmin(np.abs(a), 99999.0)
     unsure = (x < 1e-300) | (abs(x - np.rint(x)) <= 1e-5 * x)
-    for k in np.flatnonzero(unsure).tolist():
+    for k in np.flatnonzero(unsure & (x > 0)).tolist():
         t = texts[k]
         if "." not in t or t[-4:] in _REPR_EXPONENTS or t[-5:] in _REPR_EXPONENTS:
             texts[k] = _json_misfit(t)
@@ -281,14 +291,15 @@ _SLOT = "\0"
 _SLOT_TEXT = json.dumps(_SLOT)
 
 
-@dataclass(frozen=True)
-class _Records:
+class _Records(Frozen):
     """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
     values of ``proto`` take, in order, the entries of ``columns``: one
     list of JSON text per slot, one entry per record."""
 
-    proto: dict
-    columns: tuple[list[str], ...]
+    __slots__ = ("proto", "columns")
+
+    def __init__(self, proto: dict, columns: tuple[list[str], ...]):
+        self._set(proto=proto, columns=columns)
 
 
 def _record_block(block: _Records, pad: str) -> str:

@@ -21,11 +21,10 @@ proportional to the voltage has no non-active or scattered part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import negligible, pow2_exponent
+from .algebra import Frozen, negligible, pow2_exponent
 from .circuit import Admittances, parallel_quadrature
 from .errors import PowerAnalysisError
 from .phasor import GeometricPhasor, entry_slots
@@ -33,17 +32,15 @@ from .phasor import GeometricPhasor, entry_slots
 CSV_COLUMNS = ("i_p", "i_a", "i_s", "i_q", "i_N", "i")
 
 
-@dataclass(frozen=True)
-class CurrentComponents:
+class CurrentComponents(Frozen):
     """All decomposition products of one voltage/current pair."""
 
-    i_a: GeometricPhasor
-    i_N: GeometricPhasor
-    i_p: GeometricPhasor
-    i_q: GeometricPhasor
-    i_s: GeometricPhasor
-    i_G: GeometricPhasor
-    total: GeometricPhasor
+    __slots__ = ("i_a", "i_N", "i_p", "i_q", "i_s", "i_G", "total")
+
+    def __init__(self, i_a: GeometricPhasor, i_N: GeometricPhasor,
+                 i_p: GeometricPhasor, i_q: GeometricPhasor, i_s: GeometricPhasor,
+                 i_G: GeometricPhasor, total: GeometricPhasor):
+        self._set(i_a=i_a, i_N=i_N, i_p=i_p, i_q=i_q, i_s=i_s, i_G=i_G, total=total)
 
     def norms(self) -> dict[str, float]:
         """Component rms values keyed by the CSV column names: the norm

@@ -39,12 +39,10 @@ harmonic count or interharmonic order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .algebra import format_terms, negligible, pow2_exponent, read_only
+from .algebra import Frozen, format_terms, negligible, pow2_exponent, read_only
 from .errors import LayoutError, PowerAnalysisError, SchemaError
 
 _TWO_PI = 2.0 * math.pi
@@ -88,8 +86,7 @@ def _check_lines(orders: np.ndarray, rms: np.ndarray, phase: np.ndarray) -> None
             )
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSignal:
+class SpectralSignal(Frozen):
     """Frequency-domain description of one periodic waveform: a DC level
     and a table of spectral lines.
 
@@ -103,26 +100,21 @@ class SpectralSignal:
     dropped.
     """
 
-    fundamental_hz: float
-    dc: float = 0.0
-    orders: np.ndarray = ()
-    rms: np.ndarray = ()
-    phase_rad: np.ndarray | None = None
+    __slots__ = ("fundamental_hz", "dc", "orders", "rms", "phase_rad")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.fundamental_hz) and self.fundamental_hz > 0):
+    def __init__(self, fundamental_hz: float, dc: float = 0.0, orders=(), rms=(),
+                 phase_rad=None):
+        if not (math.isfinite(fundamental_hz) and fundamental_hz > 0):
             raise PowerAnalysisError(
-                f"fundamental frequency must be > 0 Hz, got {self.fundamental_hz}"
+                f"fundamental frequency must be > 0 Hz, got {fundamental_hz}"
             )
-        if not math.isfinite(self.dc):
+        if not math.isfinite(dc):
             raise PowerAnalysisError("dc level must be finite")
-        object.__setattr__(self, "fundamental_hz", float(self.fundamental_hz))
-        object.__setattr__(self, "dc", float(self.dc))
-        orders = np.array(self.orders, dtype=np.float64)
-        rms = np.array(self.rms, dtype=np.float64)
+        orders = np.array(orders, dtype=np.float64)
+        rms = np.array(rms, dtype=np.float64)
         phase = (
-            np.zeros(orders.shape) if self.phase_rad is None
-            else np.array(self.phase_rad, dtype=np.float64)
+            np.zeros(orders.shape) if phase_rad is None
+            else np.array(phase_rad, dtype=np.float64)
         )
         if not (orders.ndim == 1 and rms.shape == phase.shape == orders.shape):
             raise PowerAnalysisError(
@@ -132,13 +124,11 @@ class SpectralSignal:
         _check_lines(orders, rms, phase)
         kept = rms > 0.0
         wrapped = [_normalize_phase(p) for p in phase[kept].tolist()]
-        for name, a in (
-            ("orders", orders[kept]),
-            ("rms", rms[kept]),
-            ("phase_rad", np.array(wrapped, dtype=np.float64)),
-        ):
+        lines = orders[kept], rms[kept], np.array(wrapped, dtype=np.float64)
+        for a in lines:
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
+        self._set(fundamental_hz=float(fundamental_hz), dc=float(dc),
+                  orders=lines[0], rms=lines[1], phase_rad=lines[2])
 
     @property
     def omega(self) -> float:
@@ -217,28 +207,26 @@ class SpectralSignal:
             raise SchemaError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class BasisLayout:
+class BasisLayout(Frozen):
     """Assignment of frequencies to basis-vector slots.
 
     ``n`` integer harmonics and ``len(interharmonic_orders)`` interharmonics
     need ``1 + 2n + 2l`` basis vectors: s0 for DC, (s_{2k-1}, s_{2k}) for
     harmonic k, and the trailing pairs for the interharmonics in listed
-    order.
+    order.  Two layouts are equal, and hash alike, when both fields are.
     """
 
-    n: int
-    interharmonic_orders: tuple[float, ...] = ()
+    __slots__ = ("n", "interharmonic_orders")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise LayoutError(f"harmonic count must be >= 0, got {self.n}")
-        if self.n > MAX_ORDER:
+    def __init__(self, n: int, interharmonic_orders: tuple[float, ...] = ()):
+        if n < 0:
+            raise LayoutError(f"harmonic count must be >= 0, got {n}")
+        if n > MAX_ORDER:
             raise LayoutError(
-                f"harmonic count {self.n} exceeds the largest supported order "
+                f"harmonic count {n} exceeds the largest supported order "
                 f"{MAX_ORDER}"
             )
-        orders = tuple(float(x) for x in self.interharmonic_orders)
+        orders = tuple(float(x) for x in interharmonic_orders)
         last = 0.0
         for x in orders:
             if not math.isfinite(x) or x <= 0 or x.is_integer():
@@ -251,7 +239,16 @@ class BasisLayout:
             if x <= last:
                 raise LayoutError("interharmonic orders must be strictly increasing")
             last = x
-        object.__setattr__(self, "interharmonic_orders", orders)
+        self._set(n=n, interharmonic_orders=orders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.interharmonic_orders) == (
+            other.n, other.interharmonic_orders)
+
+    def __hash__(self):
+        return hash((self.n, self.interharmonic_orders))
 
     @classmethod
     def for_signals(cls, *signals: SpectralSignal) -> "BasisLayout":
@@ -274,8 +271,7 @@ class BasisLayout:
         return np.concatenate((np.arange(1.0, self.n + 1), self.interharmonic_orders))
 
 
-@dataclass(frozen=True, eq=False)
-class GeometricPhasor:
+class GeometricPhasor(Frozen):
     """A grade-1 element tied to the layout and fundamental that give its
     coefficients physical meaning.
 
@@ -286,22 +282,21 @@ class GeometricPhasor:
     order.  ``str()`` prints the sum, e.g. ``50 s1 + 50 s2 - 50 s5 + 50 s6``.
     """
 
-    coeffs: np.ndarray
-    layout: BasisLayout
-    fundamental_hz: float
+    __slots__ = ("coeffs", "layout", "fundamental_hz", "_norm")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.fundamental_hz) and self.fundamental_hz > 0):
+    def __init__(self, coeffs, layout: BasisLayout, fundamental_hz: float):
+        if not (math.isfinite(fundamental_hz) and fundamental_hz > 0):
             raise PowerAnalysisError(
-                f"fundamental frequency must be > 0 Hz, got {self.fundamental_hz}"
+                f"fundamental frequency must be > 0 Hz, got {fundamental_hz}"
             )
-        coeffs = read_only(self.coeffs, np.float64)
-        if coeffs.shape != (self.layout.dimension,):
+        coeffs = read_only(coeffs, np.float64)
+        if coeffs.shape != (layout.dimension,):
             raise LayoutError(
                 f"coefficient shape {coeffs.shape} does not match "
-                f"layout dimension {self.layout.dimension}"
+                f"layout dimension {layout.dimension}"
             )
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(coeffs=coeffs, layout=layout, fundamental_hz=fundamental_hz,
+                  _norm=None)
 
     @property
     def pairs(self) -> np.ndarray:
@@ -330,15 +325,13 @@ class GeometricPhasor:
     def norm(self) -> float:
         """Collective rms value of the signal the phasor represents, summed
         like ``dot`` on coefficients scaled by a power of two."""
+        if self._norm is None:
+            # coeffs is read-only, so the norm the zero rule asks for on
+            # every present() call is computed once per phasor
+            e = pow2_exponent(self.coeffs)
+            c = np.ldexp(self.coeffs, -e)
+            self._set(_norm=float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e)))
         return self._norm
-
-    @cached_property
-    def _norm(self) -> float:
-        # coeffs is read-only, so the norm the zero rule asks for on every
-        # present() call is computed once per phasor
-        e = pow2_exponent(self.coeffs)
-        c = np.ldexp(self.coeffs, -e)
-        return float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e))
 
     def _check_compatible(self, other: "GeometricPhasor") -> None:
         if self.layout != other.layout:

@@ -18,16 +18,14 @@ the CLI renders, are a subset of ``M``'s planes: ``PowerReport`` keeps
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import format_terms, pow2_exponent, read_only
+from .algebra import Frozen, format_terms, pow2_exponent, read_only
 from .errors import LayoutError, PowerAnalysisError
 from .phasor import BasisLayout, GeometricPhasor, order_planes
 
-@dataclass(frozen=True, eq=False)
-class GeometricPower:
+class GeometricPower(Frozen):
     """Product of a voltage and a current phasor (scalar + bivector).
 
     The bivector is kept as its non-zero planes: row ``n`` of the
@@ -39,15 +37,12 @@ class GeometricPower:
     i.e. by ``(b, a)``.  Both arrays are stored by ``algebra.read_only``.
     """
 
-    scalar: float
-    blade_indices: np.ndarray
-    va: np.ndarray
-    layout: BasisLayout
+    __slots__ = ("scalar", "blade_indices", "va", "layout")
 
-    def __post_init__(self):
-        dim = self.layout.dimension
-        idx = read_only(self.blade_indices, np.intp)
-        va = read_only(self.va, np.float64)
+    def __init__(self, scalar: float, blade_indices, va, layout: BasisLayout):
+        dim = layout.dimension
+        idx = read_only(blade_indices, np.intp)
+        va = read_only(va, np.float64)
         inside = ((idx >= 0) & (idx < dim)).all()
         if va.ndim != 1 or idx.shape != (len(va), 2) or not inside:
             raise LayoutError(f"{idx.shape} blade indices for {va.shape} "
@@ -57,9 +52,7 @@ class GeometricPower:
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
-        object.__setattr__(self, "blade_indices", idx)
-        object.__setattr__(self, "va", va)
-        object.__setattr__(self, "scalar", float(self.scalar))
+        self._set(scalar=float(scalar), blade_indices=idx, va=va, layout=layout)
 
     def __str__(self) -> str:
         a, b = self.blade_indices.T
@@ -126,8 +119,7 @@ def harmonic_pq(
     return orders[by_frequency], p[by_frequency], q[by_frequency]
 
 
-@dataclass(frozen=True, eq=False)
-class PowerReport:
+class PowerReport(Frozen):
     """Summary of a geometric power computation: totals, per-order P/Q
     (the ``(orders, p, q)`` arrays of ``harmonic_pq``), the power ``m``
     and the cross-frequency terms as the boolean mask ``cross`` over
@@ -137,12 +129,13 @@ class PowerReport:
     ``pf`` is None when the apparent power is zero.
     """
 
-    p_w: float
-    apparent_va: float
-    pf: float | None
-    per_harmonic: tuple[np.ndarray, np.ndarray, np.ndarray]
-    m: GeometricPower
-    cross: np.ndarray
+    __slots__ = ("p_w", "apparent_va", "pf", "per_harmonic", "m", "cross")
+
+    def __init__(self, p_w: float, apparent_va: float, pf: float | None,
+                 per_harmonic: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 m: GeometricPower, cross: np.ndarray):
+        self._set(p_w=p_w, apparent_va=apparent_va, pf=pf,
+                  per_harmonic=per_harmonic, m=m, cross=cross)
 
 
 def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:

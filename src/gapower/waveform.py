@@ -28,37 +28,34 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import negligible, pow2_exponent, read_only
+from .algebra import Frozen, negligible, pow2_exponent, read_only
 from .errors import WaveformError
 from .phasor import SpectralSignal, reconstruct
 
 _HEADER_RE = re.compile(r"#\s*fs_hz\s*=\s*(\S+)")
 
 
-@dataclass(frozen=True, eq=False)
-class SampledWaveform:
+class SampledWaveform(Frozen):
     """Uniformly sampled real signal, kept as read-only float64
     (``algebra.read_only``)."""
 
-    samples: np.ndarray
-    sample_rate_hz: float
+    __slots__ = ("samples", "sample_rate_hz")
 
-    def __post_init__(self):
-        arr = read_only(self.samples, np.float64)
+    def __init__(self, samples, sample_rate_hz: float):
+        arr = read_only(samples, np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise WaveformError("samples must form a non-empty 1-D sequence")
         if not np.all(np.isfinite(arr)):
             raise WaveformError("samples must be finite")
-        object.__setattr__(self, "samples", arr)
-        if not (math.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+        if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0):
             raise WaveformError(
-                f"sample rate must be > 0 Hz, got {self.sample_rate_hz}"
+                f"sample rate must be > 0 Hz, got {sample_rate_hz}"
             )
+        self._set(samples=arr, sample_rate_hz=sample_rate_hz)
 
     @property
     def n(self) -> int:

@@ -311,3 +311,62 @@ def analyze_brute(u, i, fs_hz: float, f0_hz: float, orders: int,
             for k in held
         ],
     }
+
+
+# -- solve, end to end ----------------------------------------------------
+
+
+def solve_brute(r: float, l: float, c, f0_hz: float, dc: float,
+                lines: dict[int, tuple[float, float]]) -> dict:
+    """What ``solve --format json`` reports for a series RLC branch under
+    a source of DC level ``dc`` and harmonic ``lines`` ``{order: (rms,
+    phase)}``, from complex rms phasors: U_k = rms e^{j phase}, Y_k =
+    1 / Z_k with ``impedance_complex`` and I_k = Y_k U_k; DC, order 0,
+    sees Y_0 = 1/R.
+
+    i_a is (P / ||U||^2) U, i_p holds G_k U_k, i_q holds j B_k U_k, and
+    the compensator adds -B_k.  Returns ``p_w``, ``apparent_va`` and
+    ``pf`` with their ``scale``, ``per_order`` rows ``(order, p, q,
+    scale)`` by order, ``norms`` of i_p, i_a, i_s, i_q, i_N and i with
+    their ``norm_scale``, and ``compensation`` rows ``(order, siemens,
+    scale)``, DC first.  A scale is the quantity's size times the largest
+    (R + |X_L| + |X_C|) / |Z_k| it depends on: the factor by which a
+    rounding of the reactance's two terms grows in Y_k."""
+    omega = 2.0 * math.pi * f0_hz
+    U, Y, grow = {}, {}, {}
+    if dc:
+        U[0], Y[0], grow[0] = complex(dc), complex(1.0 / r), 1.0
+    for k, (rms, phase) in sorted(lines.items()):
+        z = impedance_complex(r, l, c, k, omega)
+        terms = r + k * l * omega + (0.0 if c is None else 1.0 / (k * c * omega))
+        U[k], Y[k], grow[k] = phasor_complex(rms, phase), 1.0 / z, terms / abs(z)
+    I = {k: Y[k] * U[k] for k in U}
+
+    def norm(v) -> float:
+        return math.sqrt(sum(abs(x) ** 2 for x in v))
+
+    p = sum((U[k] * I[k].conjugate()).real for k in U)
+    s = norm(U.values()) * norm(I.values())
+    lam = p / norm(U.values()) ** 2
+    worst = max(grow.values())
+    per_order = []
+    for k in sorted(lines):
+        w = U[k] * I[k].conjugate()
+        per_order.append((k, w.real, w.imag, abs(w) * grow[k]))
+    return {
+        "p_w": p,
+        "apparent_va": s,
+        "pf": p / s,
+        "scale": s * worst,
+        "per_order": per_order,
+        "norms": {
+            "i_p": norm(Y[k].real * U[k] for k in U),
+            "i_a": abs(lam) * norm(U.values()),
+            "i_s": norm((Y[k].real - lam) * U[k] for k in U),
+            "i_q": norm(Y[k].imag * U[k] for k in U),
+            "i_N": norm(I[k] - lam * U[k] for k in U),
+            "i": norm(I.values()),
+        },
+        "norm_scale": norm(I.values()) * worst,
+        "compensation": [(k, -Y[k].imag, abs(Y[k]) * grow[k]) for k in U],
+    }

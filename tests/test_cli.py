@@ -5,7 +5,11 @@ from __future__ import annotations
 import collections
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -684,3 +688,45 @@ def test_analyze_deterministic(tmp_path, bench_csv):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+# -- cold start ------------------------------------------------------------
+
+# A fresh interpreter runs one command and reports what it imported and
+# whether it built the number kernel's tables (``cli._slots``).
+_FRESH_MAIN = """
+import json, sys
+from gapower import cli
+rc = cli.main(sys.argv[1:])
+tables = cli._digit_words.cache_info().currsize + cli._exponent_words.cache_info().currsize
+print(json.dumps({"rc": rc, "tables": tables,
+                  "modules": sorted({"dataclasses", "numpy.ma"} & set(sys.modules))}))
+"""
+
+
+@pytest.mark.parametrize("command, fmt", [
+    ("solve", "csv"), ("solve", "json"), ("analyze", "json"), ("analyze", "table"),
+    ("decompose", "json"),
+])
+def test_commands_import_no_dataclasses_or_numpy_ma(
+    tmp_path, source_file, circuit_equal, bench_csv, example_spectra, command, fmt
+):
+    """``dataclasses`` would cost every process its generated methods at
+    import, and numpy's set routines import ``numpy.ma`` (about 20 ms) on
+    first use; a short table never needs the kernel's tables."""
+    inputs = {
+        "solve": ["--circuit", circuit_equal, "--source", source_file],
+        "analyze": ["--input", bench_csv, "--fundamental", "50", "--orders", "9"],
+        "decompose": ["--voltage", example_spectra[0], "--current", example_spectra[1]],
+    }[command]
+    argv = [command, *inputs, "--format", fmt, "--out", str(tmp_path / "out")]
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout)
+    assert report["rc"] == 0
+    assert report["modules"] == []
+    if command == "analyze" and fmt == "table":
+        assert report["tables"] == 0

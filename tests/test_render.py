@@ -145,6 +145,32 @@ def test_rows_split_across_calls_print_the_same(monkeypatch):
         assert _g6_rows(a, row) == whole
 
 
+def zero_heavy(n: int, share: float, pass_size: int, seed: int) -> np.ndarray:
+    """``n`` background floats, about ``share`` of them zeros of either
+    sign, and a zero at both ends of every kernel pass of ``pass_size``
+    values."""
+    a = background(n, seed)
+    rng = np.random.default_rng(seed)
+    a[rng.random(n) < share] = 0.0
+    a[rng.random(n) < share / 2] = -0.0
+    starts = np.arange(0, n, pass_size)
+    a[starts], a[np.minimum(starts + pass_size, n) - 1] = 0.0, -0.0
+    return a
+
+
+@example(2 * cli._PASS + 3, 0.9, cli._PASS, 5)
+@given(st.integers(cli._KERNEL_CUT, 3000), st.floats(0.5, 1.0),
+       st.integers(64, 1024), st.integers(0, 2**32 - 1))
+def test_zero_heavy_arrays_match_per_value_rules(n, share, pass_size, seed):
+    a = zero_heavy(n, share, pass_size, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_PASS", pass_size)
+        g6, json6 = _g6(a), _json6(a)
+    xs = a.tolist()
+    assert g6 == [fmt6_brute(x) for x in xs]
+    assert json6 == [json6_brute(x) for x in xs]
+
+
 @pytest.mark.parametrize("x", TEXT_FORM_EDGES + [-x for x in TEXT_FORM_EDGES])
 def test_json_text_forms_at_their_edges(x):
     assert _json6([x]) == [json6_brute(x)]
