@@ -57,9 +57,10 @@ def read_only(a, dtype) -> np.ndarray:
 
 class Frozen:
     """Base of the package's value classes.  A subclass lists its fields
-    in ``__slots__`` and sets them in ``__init__`` through ``_set``;
-    assigning or deleting a field afterwards raises ``AttributeError``.
-    Instances compare by identity unless the subclass says otherwise."""
+    in ``__slots__`` and sets them in ``__init__`` through ``_set`` (the
+    often-built ones call ``object.__setattr__`` directly); assigning or
+    deleting a field afterwards raises ``AttributeError``.  Instances
+    compare by identity unless the subclass says otherwise."""
 
     __slots__ = ()
 
@@ -74,7 +75,10 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __setstate__(self, state):  # pickle and copy: (None, the set slots)
-        self._set(**state[1])
+        for name, value in state[1].items():
+            if isinstance(value, np.ndarray):
+                value = read_only(value, value.dtype)
+            object.__setattr__(self, name, value)
 
 
 def _blade_label(indices: tuple[int, ...]) -> str:

@@ -87,12 +87,12 @@ FORMATS = ("table", "json", "csv")
 # own rounding, which can put e one off only within 1e-12 of a power of
 # 10, where the digits round to 100000 at either e.  Each value's text
 # and the separator after it fill a 16-byte slot (two little-endian uint64
-# words) that has NUL bytes as holes, and one select drops them.  A zero
-# is written as "0".  The values the kernel leaves to ``%``: those
-# undecided ones, nan, inf and |x| outside [1e-290, 1e290]; their texts
-# are spliced into their slots.  A shorter array goes through ``%``
-# whole: the kernel's fixed numpy cost exceeds what it saves there.  The
-# kernel's tables are built on its first call.
+# words) that has NUL bytes as holes, and one select drops them.  The
+# values the kernel leaves to ``%``: those undecided ones, zeros, nan, inf
+# and |x| outside [1e-290, 1e290]; their texts are spliced into their
+# slots.  A shorter array goes through ``%`` whole: the kernel's fixed
+# numpy cost exceeds what it saves there.  The kernel's tables are built
+# on its first call.
 
 _ROWS_PER_CALL = 1 << 16  # rows per written chunk of the --timeseries CSV
 _KERNEL_CUT = 512  # fewer values than this are formatted by one ``%`` call
@@ -158,13 +158,10 @@ def _slots(x, seps):
     ax = np.abs(x)
     odd = ~((ax >= 1e-290) & (ax <= 1e290))
     ax[odd] = 1.0
-    zero = x == 0.0
-    odd ^= zero  # a zero is written here: 1.0's exponent with 6 zero digits
     e = (np.log10(ax) + 300.0).astype(np.intp)  # the index of the exponent
     s = ax * scale[e]
     r = np.rint(s)
     odd |= np.abs(s - r) > 0.5 - 1e-6
-    np.copyto(r, 0.0, where=zero)
     carry = r >= 1e6
     if carry.any():
         e += carry
@@ -219,17 +216,11 @@ def _json6(values) -> list[str]:
     """JSON number text of every element of a float array."""
     a = np.ravel(values)
     texts = _g6(a)
-    zero = a == 0.0
-    if zero.any():  # "0", the text of every zero, is JSON's 0.0
-        respelled = np.array(texts, dtype=object)
-        respelled[zero] = "0.0"
-        texts = respelled.tolist()
     # |x| capped at the cut, an integer, where nan and inf land too; every
-    # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway; the
-    # zeros are respelled already
+    # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway
     x = np.fmin(np.abs(a), 99999.0)
     unsure = (x < 1e-300) | (abs(x - np.rint(x)) <= 1e-5 * x)
-    for k in np.flatnonzero(unsure & (x > 0)).tolist():
+    for k in np.flatnonzero(unsure).tolist():
         t = texts[k]
         if "." not in t or t[-4:] in _REPR_EXPONENTS or t[-5:] in _REPR_EXPONENTS:
             texts[k] = _json_misfit(t)

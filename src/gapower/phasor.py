@@ -295,8 +295,10 @@ class GeometricPhasor(Frozen):
                 f"coefficient shape {coeffs.shape} does not match "
                 f"layout dimension {layout.dimension}"
             )
-        self._set(coeffs=coeffs, layout=layout, fundamental_hz=fundamental_hz,
-                  _norm=None)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "fundamental_hz", fundamental_hz)
+        object.__setattr__(self, "_norm", None)
 
     @property
     def pairs(self) -> np.ndarray:
@@ -330,7 +332,8 @@ class GeometricPhasor(Frozen):
             # every present() call is computed once per phasor
             e = pow2_exponent(self.coeffs)
             c = np.ldexp(self.coeffs, -e)
-            self._set(_norm=float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e)))
+            norm = float(np.ldexp(math.sqrt(np.cumsum(c * c)[-1]), e))
+            object.__setattr__(self, "_norm", norm)
         return self._norm
 
     def _check_compatible(self, other: "GeometricPhasor") -> None:

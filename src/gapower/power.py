@@ -52,7 +52,10 @@ class GeometricPower(Frozen):
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
-        self._set(scalar=float(scalar), blade_indices=idx, va=va, layout=layout)
+        object.__setattr__(self, "scalar", float(scalar))
+        object.__setattr__(self, "blade_indices", idx)
+        object.__setattr__(self, "va", va)
+        object.__setattr__(self, "layout", layout)
 
     def __str__(self) -> str:
         a, b = self.blade_indices.T

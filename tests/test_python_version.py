@@ -22,11 +22,6 @@ applies a ``%`` float conversion (``%e``, ``%f``, ``%g``) to numbers, and
 no f-string, ``format()`` call or ``str.format`` template in the module
 uses a float format spec, so every printed float goes through the
 renderer's ``%.6g`` rule.
-
-A fourth keeps the import of the package free of generated code: no
-package module imports ``dataclasses``, whose decorators ``exec`` one
-function per generated method at import.  Value classes derive from
-``algebra.Frozen`` instead.
 """
 
 from __future__ import annotations
@@ -228,45 +223,3 @@ def test_float_check_fails_on_a_planted_percent_format():
     source = CLI.read_text(encoding="utf-8")
     planted = source + '\n\ndef _planted(x):\n    return "%.6g" % x\n'
     assert float_formatting(ast.parse(planted)) == [source.count("\n") + 4]
-
-
-def dataclasses_imports(tree: ast.AST) -> list[int]:
-    """Sorted line numbers of the imports of ``dataclasses`` (or one of
-    its names) in ``tree``, at any depth."""
-    lines = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and not node.level:
-            names = [node.module or ""]
-        else:
-            continue
-        if any(name.split(".")[0] == "dataclasses" for name in names):
-            lines.append(node.lineno)
-    return sorted(lines)
-
-
-def test_dataclasses_check_finds_its_imports_only():
-    source = (
-        "import dataclasses\n"
-        "import os, dataclasses as dc\n"
-        "from dataclasses import dataclass, field\n"
-        "from . import dataclasses\n"
-        "from .dataclasses import x\n"
-        "import dataclasses_json, mydataclasses\n"
-        "def f():\n"
-        "    from dataclasses import replace\n"
-    )
-    assert dataclasses_imports(ast.parse(source)) == [1, 2, 3, 8]
-
-
-@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: str(p.relative_to(ROOT)))
-def test_package_imports_no_dataclasses(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-    assert dataclasses_imports(tree) == []
-
-
-def test_dataclasses_check_fails_on_a_planted_import():
-    source = (ROOT / "src/gapower/circuit.py").read_text(encoding="utf-8")
-    planted = source + "\n\ndef _planted():\n    from dataclasses import dataclass\n"
-    assert dataclasses_imports(ast.parse(planted)) == [source.count("\n") + 4]

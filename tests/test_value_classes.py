@@ -113,6 +113,9 @@ def test_copies_and_pickles_keep_the_fields(cls, kwargs, fields):
     obj = cls(**kwargs)
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert flat(twin) == flat(obj)
+        fields = [getattr(twin, name) for name in twin.__slots__]
+        # the storage rule holds for a copy too
+        assert not any(f.flags.writeable for f in fields if isinstance(f, np.ndarray))
         with pytest.raises(AttributeError, match="cannot assign"):
             twin.not_a_field = 1.0
 
