@@ -11,17 +11,20 @@ give identical bytes.  Numbers are rendered from arrays: a long float
 array by a numpy kernel that writes the bytes of ``%.6g``, a short one
 by one ``%`` template.  A JSON number is its ``%.6g`` text, respelled
 only where a mask cannot rule out a form JSON writes differently (see
-the number-formatting comments).  Every block of rows
-(a table, the CSV, a JSON array of records such as the cross-frequency
-terms) is joined once by ``_rows`` from constant pieces and text
-columns.  ``json.dumps`` only writes keys, strings and the few irregular
-values.
+the number-formatting comments).  ``_rows`` lays out every block of rows
+from constant pieces and text columns.  A table is laid out whole, as
+its column widths need every row; the decomposition CSV and every JSON
+array of records (such as the cross-frequency terms) are formatted, laid
+out and joined ``_RECORDS_PER_CHUNK`` rows at a time.  ``json.dumps``
+only writes keys, strings and the few irregular values.
 
 A command returns its outputs as ``(path, chunks)`` pairs (None is
-stdout): text chunks for ``writelines``, never one whole document;
-``--timeseries`` is formatted ``_ROWS_PER_CALL`` rows at a time.
-Everything that can fail, opening every output file too, runs before the
-first write.
+stdout), the chunks a lazy iterator for ``writelines``: the JSON report,
+the decomposition CSV and ``--timeseries`` (``_ROWS_PER_CALL`` rows at a
+time) are formatted chunk by chunk as they are written, so none of them
+is ever held whole, as text or encoded.  Everything but the
+formatting, opening every output file too, runs before the first write;
+if a write fails, the files this call created are removed.
 
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
@@ -33,7 +36,7 @@ import json
 import math
 import os
 import sys
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -95,6 +98,13 @@ FORMATS = ("table", "json", "csv")
 # on its first call.
 
 _ROWS_PER_CALL = 1 << 16  # rows per written chunk of the --timeseries CSV
+# Records per formatted chunk of a JSON record block, and rows per chunk of
+# the decomposition CSV.  On analyze --orders 100 --format json (20,100
+# cross terms; 2-vCPU guest, Python 3.11, numpy 2.4) 2**10 peaked 1.3 MB
+# lower than 2**12 but cost the warm call 2.7 ms, as every chunk pays the
+# kernel's fixed numpy cost again; 2**13 peaked 1.8 MB higher at the same
+# time, and 2**14 4.7 MB higher.
+_RECORDS_PER_CHUNK = 1 << 12
 _KERNEL_CUT = 512  # fewer values than this are formatted by one ``%`` call
 _PASS = 1 << 14  # values per kernel pass: of 2**12..2**15, the lowest peak RSS
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
@@ -236,10 +246,11 @@ def _json_misfit(text: str) -> str:
 
 
 def _ints(values) -> list[str]:
-    """Decimal text of every entry of a sequence of non-negative ints,
-    looked up in one table over ``range(max + 1)``."""
-    text = list(map(str, range(max(values, default=-1) + 1)))
-    return list(map(text.__getitem__, values))
+    """Decimal text of every entry of a 1-D array of non-negative ints,
+    looked up in one table over the range of its values."""
+    lo = int(values.min())
+    text = list(map(str, range(lo, int(values.max()) + 1)))
+    return list(map(text.__getitem__, (values - lo).tolist()))
 
 
 def _orders(orders, six) -> list[str]:
@@ -285,48 +296,64 @@ _SLOT_TEXT = json.dumps(_SLOT)
 class _Records(Frozen):
     """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
     values of ``proto`` take, in order, the entries of ``columns``: one
-    list of JSON text per slot, one entry per record."""
+    ``(values, text)`` pair per slot, ``values`` an array with one entry
+    per record and ``text`` the function that gives the JSON text of every
+    entry of a slice of it."""
 
     __slots__ = ("proto", "columns")
 
-    def __init__(self, proto: dict, columns: tuple[list[str], ...]):
+    def __init__(self, proto: dict, columns: tuple[tuple, ...]):
         self._set(proto=proto, columns=columns)
 
 
-def _record_block(block: _Records, pad: str) -> str:
-    """The JSON text of ``block``: its rows, whose k+1 pieces are the
-    proto's text cut at its k slots, indented and closed by a comma but
-    for the last."""
-    if not block.columns[0]:
-        return "[]"
+def _record_block(block: _Records, pad: str):
+    """Text chunks of the JSON text of ``block``, ``_RECORDS_PER_CHUNK``
+    records each: its rows, whose k+1 pieces are the proto's text cut at
+    its k slots, indented and closed by a comma but for the last."""
+    n, step = len(block.columns[0][0]), _RECORDS_PER_CHUNK
+    if not n:
+        yield "[]"
+        return
     inner = pad + "  "
-    pieces = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
-    cells = _rows([inner + pieces[0], *pieces[1:-1], pieces[-1] + ",\n"], block.columns)
-    cells[0], cells[-1] = "[\n" + cells[0], f"{pieces[-1]}\n{pad}]"
-    return "".join(cells)
+    first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
+    pieces = [inner + first, *middle, last + ",\n"]
+    yield "[\n"
+    for k in range(0, n, step):
+        cells = _rows(pieces, [text(values[k:k + step]) for values, text in block.columns])
+        if k + step >= n:
+            cells[-1] = f"{last}\n{pad}]"
+        yield "".join(cells)
 
 
-def _json(obj, pad: str = "") -> list[str]:
+def _json(obj, pad: str = ""):
     """Text chunks of ``obj`` laid out as ``json.dumps(obj, indent=2)``
-    lays it out, with every float at 6 significant digits; a
-    ``_Records`` block is one chunk."""
+    lays it out, with every float at 6 significant digits, as a lazy
+    iterator: a ``_Records`` block is formatted a chunk at a time."""
     if isinstance(obj, _Records):
-        return [_record_block(obj, pad)]
-    if isinstance(obj, float):
-        return _json6([obj])
-    if not obj or not isinstance(obj, (dict, list)):
-        return [json.dumps(obj)]
-    inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
-    items = (
-        [(f"{json.dumps(k)}: ", v) for k, v in obj.items()]
-        if isinstance(obj, dict) else [("", v) for v in obj]
-    )
-    chunks, sep = [ends[0]], "\n"
-    for key, value in items:
-        chunks += [sep + inner + key, *_json(value, inner)]
-        sep = ",\n"
-    chunks.append(f"\n{pad}{ends[1]}")
-    return chunks
+        yield from _record_block(obj, pad)
+    elif isinstance(obj, float):
+        yield from _json6([obj])
+    elif not obj or not isinstance(obj, (dict, list)):
+        yield json.dumps(obj)
+    else:
+        inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
+        items = (
+            [(f"{json.dumps(k)}: ", v) for k, v in obj.items()]
+            if isinstance(obj, dict) else [("", v) for v in obj]
+        )
+        yield ends[0]
+        sep = "\n"
+        for key, value in items:
+            yield sep + inner + key
+            yield from _json(value, inner)
+            sep = ",\n"
+        yield f"\n{pad}{ends[1]}"
+
+
+def _json_document(doc):
+    """Text chunks of the JSON document ``doc`` and its closing newline."""
+    yield from _json(doc)
+    yield "\n"
 
 
 # -- input documents ---------------------------------------------------
@@ -377,9 +404,9 @@ def _spectrum_json(sig: SpectralSignal) -> dict:
         return _Records(
             {"order": _SLOT, "rms": _SLOT, "phase_rad": _SLOT},
             (
-                _orders(sig.orders[mask], _json6),
-                _json6(sig.rms[mask]),
-                _json6(sig.phase_rad[mask]),
+                (sig.orders[mask], partial(_orders, six=_json6)),
+                (sig.rms[mask], _json6),
+                (sig.phase_rad[mask], _json6),
             ),
         )
 
@@ -393,61 +420,74 @@ def _spectrum_json(sig: SpectralSignal) -> dict:
 
 def _power_json(report: PowerReport) -> dict:
     m, cross = report.m, report.cross
+    planes = m.blade_indices[cross]
     return {
         "p_w": report.p_w,
         "apparent_va": report.apparent_va,
         "pf": report.pf,
         "per_harmonic": _Records(
             {"order": _SLOT, "p_w": _SLOT, "q_var": _SLOT},
-            tuple(map(_json6, report.per_harmonic)),
+            tuple((column, _json6) for column in report.per_harmonic),
         ),
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
-            (
-                *map(_ints, m.blade_indices[cross].T.tolist()),
-                _json6(m.va[cross]),
-            ),
+            ((planes[:, 0], _ints), (planes[:, 1], _ints), (m.va[cross], _json6)),
         ),
     }
 
 
 def _currents_json(cc: CurrentComponents, ys) -> dict:
-    table = cc.table_rows()
+    table = cc.table_rows()[:-1]
     orders, siemens = compensation_susceptances(ys)
     return {
         "norms": cc.norms(),
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
             (
-                _ints(range(len(table) - 1)),
-                *map(_json6, table[:-1].T),
+                (np.arange(len(table)), _ints),
+                *((column, _json6) for column in table.T),
             ),
         ),
         "compensation_susceptances": _Records(
             {"order": _SLOT, "siemens": _SLOT},
-            (_orders(orders, _json6), _json6(siemens)),
+            ((orders, partial(_orders, six=_json6)), (siemens, _json6)),
         ),
     }
 
 
-def _decomposition_columns(cc: CurrentComponents) -> list[list[str]]:
-    """The basis index, then each of CSV_COLUMNS; the last row holds the
-    norms."""
+def _decomposition_columns(table, start: int = 0, stop: int | None = None):
+    """Text columns of rows ``start:stop`` of ``table``, a
+    ``CurrentComponents.table_rows()``: the basis index, then each of
+    CSV_COLUMNS.  The table's last row holds the norms, indexed "norm"."""
+    rows = table[start:stop]
+    index = _ints(np.arange(start, start + len(rows)))
+    if start + len(rows) == len(table):
+        index[-1] = "norm"
+    return [index, *map(_g6, rows.T)]
+
+
+def _decomposition_csv(cc: CurrentComponents):
+    """The decomposition CSV as a lazy iterator of text chunks of
+    ``_RECORDS_PER_CHUNK`` rows; only formatting is left to the
+    iteration."""
     table = cc.table_rows()
-    return [_ints(range(len(table) - 1)) + ["norm"], *map(_g6, table.T)]
-
-
-def _decomposition_csv(cc: CurrentComponents) -> list[str]:
     header = ["index", *CSV_COLUMNS]
-    columns = [[h, *col] for h, col in zip(header, _decomposition_columns(cc))]
-    return ["".join(_rows([""] + [","] * (len(header) - 1) + ["\n"], columns))]
+    pieces = [""] + [","] * (len(header) - 1) + ["\n"]
+
+    def chunks():
+        yield ",".join(header) + "\n"
+        for k in range(0, len(table), _RECORDS_PER_CHUNK):
+            columns = _decomposition_columns(table, k, k + _RECORDS_PER_CHUNK)
+            yield "".join(_rows(pieces, columns))
+
+    return chunks()
 
 
 def _decomposition_table(cc: CurrentComponents) -> str:
     return _table(
         "Current decomposition (A)",
         ["index", *CSV_COLUMNS],
-        _decomposition_columns(cc),
+        _decomposition_columns(cc.table_rows()),
     )
 
 
@@ -468,7 +508,7 @@ def _power_tables(report: PowerReport) -> list[str]:
     ]
     m, cross = report.m, report.cross
     if cross.any():
-        indices = list(map(_ints, m.blade_indices[cross].T.tolist()))
+        indices = list(map(_ints, m.blade_indices[cross].T))
         blades = "".join(_rows(["s", " s", "\n"], indices)).split("\n")[:-1]
         va = _g6(m.va[cross])
         parts.append(_table("Cross-frequency terms", ["blade", "va"], [blades, va]))
@@ -529,7 +569,7 @@ def cmd_solve(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, _json(doc) + ["\n"])]
+        return [(args.out, _json_document(doc))]
     tables = [
         _spectrum_table(source, i_sig),
         *_power_tables(report),
@@ -574,7 +614,7 @@ def cmd_analyze(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return ts + [(args.out, _json(doc) + ["\n"])]
+        return ts + [(args.out, _json_document(doc))]
     tables = [
         _table(
             "Waveform",
@@ -612,7 +652,7 @@ def cmd_decompose(args) -> list[tuple]:
             "current_spectrum": _spectrum_json(i_sig),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, _json(doc) + ["\n"])]
+        return [(args.out, _json_document(doc))]
     tables = [_decomposition_table(cc), _compensation_table(ys)]
     return [(args.out, _spaced(tables))]
 
@@ -635,16 +675,20 @@ def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
     return chunks()
 
 
-def _claim(paths) -> None:
-    """Open every output path, appending (an existing file keeps its bytes);
-    if one fails, remove the files this call created and raise."""
+def _write_all(outputs) -> None:
+    """Open every output path, appending (an existing file keeps its bytes),
+    then write each output.  If any step fails, remove the files this call
+    created and raise: a file that existed is left as the failure left it."""
     created = []
     try:
-        for path in paths:
-            new = not os.path.exists(path)
-            open(path, "a").close()
-            created += [path] * new
-    except OSError:
+        for path, _ in outputs:
+            if path:
+                new = not os.path.exists(path)
+                open(path, "a").close()
+                created += [path] * new
+        for path, chunks in outputs:
+            _write_text(chunks, path)
+    except BaseException:
         for path in created:
             os.remove(path)
         raise
@@ -730,10 +774,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        outputs = args.run(args)
-        _claim([path for path, _ in outputs if path])
-        for path, chunks in outputs:
-            _write_text(chunks, path)
+        _write_all(args.run(args))
     except (SchemaError, WaveformError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,12 +73,15 @@ def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
     # u ^ i has planes only among the slots where u or i is non-zero, so
-    # the block is formed there; they are sorted, so its planes ascend
+    # its planes are formed there, row by row; the slots are sorted, so
+    # the planes ascend
     support = np.flatnonzero((u.coeffs != 0) | (i.coeffs != 0))
     a, b = u.coeffs[support], i.coeffs[support]
-    block = np.triu(np.outer(a, b) - np.outer(b, a), 1)
-    lo, hi = np.nonzero(block)
-    planes, va = np.column_stack([support[lo], support[hi]]), block[lo, hi]
+    lo, hi = np.triu_indices(len(support), 1)
+    va = a[lo] * b[hi] - b[lo] * a[hi]
+    kept = va != 0
+    lo, hi, va = lo[kept], hi[kept], va[kept]
+    planes = np.column_stack([support[lo], support[hi]])
     # frozen, these fresh arrays go into the power uncopied
     planes.flags.writeable = va.flags.writeable = False
     return GeometricPower(u.dot(i), planes, va, u.layout)

@@ -52,6 +52,20 @@ def mv_product_brute(a: dict[tuple[int, ...], float], b) -> dict:
     return {k: v for k, v in out.items() if v != 0.0}
 
 
+def wedge_planes_brute(u: list[float], i: list[float]):
+    """The non-zero planes of the wedge ``u ^ i`` of two coefficient
+    lists, one slot pair at a time in row-major order: ``([(a, b), ...],
+    [u[a] i[b] - i[a] u[b], ...])`` over every ``a < b``."""
+    planes, va = [], []
+    for a in range(len(u)):
+        for b in range(a + 1, len(u)):
+            c = u[a] * i[b] - i[a] * u[b]
+            if c != 0.0:
+                planes.append((a, b))
+                va.append(c)
+    return planes, va
+
+
 def reverse_brute(a: dict[tuple[int, ...], float]) -> dict:
     """Reversion by re-sorting each blade's reversed factor list."""
     out = {}

@@ -12,6 +12,7 @@ import tracemalloc
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from conftest import (
@@ -615,18 +616,66 @@ def test_decompose_admittance_beyond_float_range_exits_1(
 
 # -- chunked output ------------------------------------------------------------
 
-def test_small_chunks_write_the_same_bytes(tmp_path, bench_csv, monkeypatch):
+def test_small_chunks_write_the_same_bytes(
+    tmp_path, bench_csv, source_file, circuit_unequal, example_spectra, monkeypatch
+):
+    commands = {
+        "analyze": ["analyze", "--input", bench_csv, "--fundamental", "50",
+                    "--orders", "9"],
+        "solve": ["solve", "--circuit", circuit_unequal, "--source", source_file],
+        "decompose": ["decompose", "--voltage", example_spectra[0],
+                      "--current", example_spectra[1]],
+    }
+
     def run(tag):
-        out, ts = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
-        rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
-                   "--orders", "9", "--format", "json", "--out", str(out),
-                   "--timeseries", str(ts)])
-        assert rc == 0
-        return out.read_bytes(), ts.read_bytes()
+        outputs = {}
+        for name, argv in commands.items():
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{tag}-{name}.{fmt}"
+                ts = tmp_path / f"{tag}-{name}-{fmt}-ts.csv"
+                extra = ["--timeseries", str(ts)] if name == "analyze" else []
+                assert main([*argv, "--format", fmt, "--out", str(out), *extra]) == 0
+                outputs[name, fmt] = out.read_bytes()
+                if extra:
+                    outputs[name, fmt, "timeseries"] = ts.read_bytes()
+        return outputs
 
     whole = run("whole")
-    monkeypatch.setattr(gapower.cli, "_ROWS_PER_CALL", 3)
-    assert run("small") == whole
+    for size in (1, 2, 3):
+        monkeypatch.setattr(gapower.cli, "_ROWS_PER_CALL", size)
+        monkeypatch.setattr(gapower.cli, "_RECORDS_PER_CHUNK", size)
+        assert run(f"small{size}") == whole
+
+
+@pytest.mark.parametrize("stage", ["timeseries", "report"])
+def test_a_failed_streamed_write_leaves_no_file_it_created(
+    tmp_path, bench_csv, stage, monkeypatch, capsys
+):
+    # the timeseries fails after its header is written, with the report
+    # opened but empty; the report fails at its cross terms, after its
+    # spectra and the whole timeseries are written
+    g6_rows = gapower.cli._g6_rows
+
+    def g6_rows_exhausted(a, row):
+        if row.count("%.6g") == 6:
+            raise MemoryError("timeseries chunk")
+        return g6_rows(a, row)
+
+    def ints_exhausted(values):
+        raise MemoryError("cross-term chunk")
+
+    if stage == "timeseries":
+        monkeypatch.setattr(gapower.cli, "_g6_rows", g6_rows_exhausted)
+    else:
+        monkeypatch.setattr(gapower.cli, "_ints", ints_exhausted)
+    out, ts = tmp_path / "out.json", tmp_path / "ts.csv"
+    rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
+               "--orders", "9", "--format", "json", "--out", str(out),
+               "--timeseries", str(ts)])
+    assert rc == 1
+    message = {"timeseries": "timeseries chunk", "report": "cross-term chunk"}[stage]
+    assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.csv"]
 
 
 def test_timeseries_is_written_in_bounded_memory(tmp_path):
@@ -649,6 +698,49 @@ def test_timeseries_is_written_in_bounded_memory(tmp_path):
     assert peak < 35e6
     with open(path, encoding="utf-8") as fh:
         assert sum(1 for _ in fh) == 1 + 200_000
+
+
+def noisy_recording(path) -> str:
+    """A seeded noisy recording of the bench spectrum, 3,125 rows (ten
+    periods): the noise fills every order, so --orders N keeps N orders
+    and about 2 N**2 cross terms."""
+    rng = np.random.default_rng(12)
+    u, i = (
+        sample_signal(rows_to_signal(rows, BENCH_F0_HZ), BENCH_FS_HZ, BENCH_SAMPLES)
+        .samples + rng.normal(0.0, sigma, BENCH_SAMPLES)
+        for rows, sigma in ((BENCH_VOLTAGE_ROWS, 0.5), (BENCH_CURRENT_ROWS, 0.02))
+    )
+    np.savetxt(path, np.column_stack([u, i]), fmt="%.12g", delimiter=",",
+               header=f"fs_hz = {BENCH_FS_HZ}")
+    return str(path)
+
+
+def test_report_is_written_in_bounded_memory(tmp_path):
+    # --orders 100 writes 20,100 cross terms (2.3 MB of JSON): a traced
+    # peak of 5.9 MB when the whole report is built before the write,
+    # about 1.9 MB in chunks of _RECORDS_PER_CHUNK records
+    rec = noisy_recording(tmp_path / "rec.csv")
+    out = tmp_path / "out.json"
+
+    def traced(orders: int) -> tuple[int, int]:
+        """The traced peak of a warm call at ``orders``, and its output size."""
+        argv = ["analyze", "--input", rec, "--fundamental", "50",
+                "--orders", str(orders), "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak, out.stat().st_size
+
+    peak, _ = traced(100)
+    assert peak < 3e6
+    (low, low_size), (high, high_size) = traced(50), traced(150)
+    # the output grows by 4.4 MB; the peak only by what the larger power
+    # itself holds
+    assert high - low < (high_size - low_size) / 3
 
 
 # -- parser / determinism ----------------------------------------------------

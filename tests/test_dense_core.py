@@ -17,7 +17,7 @@ from gapower.phasor import BasisLayout, GeometricPhasor
 from gapower.power import GeometricPower, apparent, geometric_power, power_report
 
 from conftest import bivector_block, index_terms, slots, vector
-from oracles import mv_product_brute, terms_text_brute
+from oracles import mv_product_brute, terms_text_brute, wedge_planes_brute
 
 coeff = st.floats(-50.0, 50.0, allow_nan=False).filter(lambda c: abs(c) > 1e-6)
 
@@ -97,6 +97,34 @@ def test_planes_over_the_support_match_the_oracle(shape, data):
     assert str(m) == terms_text_brute(want)
     norms = math.hypot(*u.coeffs.tolist()) * math.hypot(*i.coeffs.tolist())
     assert apparent(m) == pytest.approx(norms, rel=1e-12, abs=0.0)
+
+
+@st.composite
+def wedge_pairs(draw):
+    """Two phasors on a layout of up to 41 slots with sparse supports of
+    any magnitudes, where the current is the voltage times a power of two
+    on a set of slots, so that every plane among them cancels exactly."""
+    layout = BasisLayout(n=draw(st.integers(0, 20)))
+    dim = layout.dimension
+    u, i = (
+        np.array(draw(st.lists(st.floats(-1e150, 1e150), min_size=dim, max_size=dim)))
+        for _ in range(2)
+    )
+    for x in (u, i):
+        zeros = draw(st.lists(st.integers(0, dim - 1), max_size=dim))
+        x[zeros] = 0.0
+    parallel = draw(st.lists(st.integers(0, dim - 1), max_size=dim))
+    i[parallel] = draw(st.sampled_from([1.0, -1.0, 2.0, -0.5])) * u[parallel]
+    return GeometricPhasor(u, layout, 50.0), GeometricPhasor(i, layout, 50.0)
+
+
+@given(wedge_pairs())
+def test_wedge_planes_match_the_oracle_bit_for_bit(pair):
+    u, i = pair
+    planes, va = wedge_planes_brute(u.coeffs.tolist(), i.coeffs.tolist())
+    m = geometric_power(u, i)
+    assert [tuple(p) for p in m.blade_indices.tolist()] == planes
+    assert m.va.tobytes() == np.array(va, dtype=np.float64).tobytes()
 
 
 @given(phasor_pairs())

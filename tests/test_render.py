@@ -21,6 +21,7 @@ from gapower.cli import (
     _decomposition_csv,
     _g6,
     _g6_rows,
+    _ints,
     _json,
     _json6,
     _table,
@@ -232,9 +233,9 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
     block = _Records(
         {"blade_indices": [_SLOT, _SLOT], "va %": _SLOT},
         (
-            [str(a) for a, _, _ in rows],
-            [str(b) for _, b, _ in rows],
-            _json6([v for _, _, v in rows]),
+            (np.array([a for a, _, _ in rows], dtype=np.intp), _ints),
+            (np.array([b for _, b, _ in rows], dtype=np.intp), _ints),
+            (np.array([v for _, _, v in rows]), _json6),
         ),
     )
     doc = {"power": {"x": x, "n": 3, "s": "a%sb", "none": None, "terms": block},
@@ -249,6 +250,25 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
         "empty": {},
     }
     assert "".join(_json(doc)) == json.dumps(want, indent=2)
+
+
+# One value of each form JSON spells differently from ``%.6g``: integral,
+# e+06 to e+15, subnormal, non-finite.
+MISFITS = [100.0, -7.0, 0.0, 1.23456789e8, -9.99999e14, 5e-324, -1e-310,
+           math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("step", [1, 3, 4096])
+def test_json_misfits_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
+    # 4096 puts every chunk but the last through the number kernel
+    monkeypatch.setattr(cli, "_RECORDS_PER_CHUNK", step)
+    boundary = -(-len(MISFITS) // step) * step  # the first at or past len(MISFITS)
+    a = background(3 * boundary + 1, 5)
+    for k in (boundary, 2 * boundary):
+        a[k - len(MISFITS):k + len(MISFITS)] = MISFITS + MISFITS[::-1]
+    block = _Records({"n": _SLOT, "va": _SLOT}, ((np.arange(len(a)), _ints), (a, _json6)))
+    want = [{"n": n, "va": json.loads(json6_brute(x))} for n, x in enumerate(a.tolist())]
+    assert "".join(_json({"terms": block})) == json.dumps({"terms": want}, indent=2)
 
 
 # Table cells: empty, or short texts that hold what a ``%`` template or a
