@@ -26,12 +26,26 @@ is ever held whole, as text or encoded.  Everything but the
 formatting, opening every output file too, runs before the first write;
 if a write fails, the files this call created are removed.
 
+The first ``main`` call in a process moves every object alive at that
+point, mostly the ~21,000 that numpy, argparse, json and this package
+create at import, into the collector's permanent generation with one
+``gc.freeze()``.  They live until exit anyway; frozen, the interpreter's
+shutdown collections, and any later full collection, skip them instead
+of walking them.  This happens once per process, behind an O(1)
+guard: a freeze per call would keep each call's own garbage, the
+parser's reference cycles, alive for good, and reading
+``gc.get_freeze_count()`` walks the permanent generation.  Importing the
+module freezes nothing.  An in-process caller should know that the
+objects it holds at its first ``main()`` are never examined by the
+collector again.
+
 Exit codes: 0 success, 1 computation error, 2 usage or input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -767,7 +781,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _freeze_imports() -> None:
+    gc.freeze()
+
+
 def main(argv=None) -> int:
+    _freeze_imports()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

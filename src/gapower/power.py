@@ -73,8 +73,9 @@ def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
     # u ^ i has planes only among the slots where u or i is non-zero, so
-    # its planes are formed there, row by row; the slots are sorted, so
-    # the planes ascend
+    # its planes are formed there, over the upper triangle of slot pairs
+    # at once; the slots are sorted and the pairs come in row-major order,
+    # so the planes ascend
     support = np.flatnonzero((u.coeffs != 0) | (i.coeffs != 0))
     a, b = u.coeffs[support], i.coeffs[support]
     lo, hi = np.triu_indices(len(support), 1)

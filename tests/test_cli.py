@@ -784,14 +784,23 @@ def test_analyze_deterministic(tmp_path, bench_csv):
 
 # -- cold start ------------------------------------------------------------
 
-# A fresh interpreter runs one command and reports what it imported and
-# whether it built the number kernel's tables (``cli._slots``).
+# A fresh interpreter runs one command six times and reports what it
+# imported, whether it built the number kernel's tables, how many objects
+# the collector holds frozen after each call, what a full collection finds
+# after the last one, and whether every call wrote the same bytes.
 _FRESH_MAIN = """
-import json, sys
+import gc, json, sys
+from pathlib import Path
 from gapower import cli
-rc = cli.main(sys.argv[1:])
+out = Path(sys.argv[sys.argv.index("--out") + 1])
+rcs, frozen, outputs = [], [], set()
+for _ in range(6):
+    rcs.append(cli.main(sys.argv[1:]))
+    frozen.append(gc.get_freeze_count())
+    outputs.add(out.read_bytes())
 tables = cli._digit_words.cache_info().currsize + cli._exponent_words.cache_info().currsize
-print(json.dumps({"rc": rc, "tables": tables,
+print(json.dumps({"rcs": rcs, "tables": tables, "frozen": frozen,
+                  "collected": gc.collect(), "outputs": len(outputs),
                   "modules": sorted({"dataclasses", "numpy.ma"} & set(sys.modules))}))
 """
 
@@ -805,7 +814,9 @@ def test_commands_import_no_dataclasses_or_numpy_ma(
 ):
     """``dataclasses`` would cost every process its generated methods at
     import, and numpy's set routines import ``numpy.ma`` (about 20 ms) on
-    first use; a short table never needs the kernel's tables."""
+    first use; a short table never needs the kernel's tables.  The
+    import-time heap is frozen once per process, so repeated calls give
+    the same bytes and freeze nothing more."""
     inputs = {
         "solve": ["--circuit", circuit_equal, "--source", source_file],
         "analyze": ["--input", bench_csv, "--fundamental", "50", "--orders", "9"],
@@ -818,7 +829,13 @@ def test_commands_import_no_dataclasses_or_numpy_ma(
     proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv],
                           capture_output=True, text=True, env=env, check=True)
     report = json.loads(proc.stdout)
-    assert report["rc"] == 0
+    assert report["rcs"] == [0] * 6
+    assert report["outputs"] == 1
     assert report["modules"] == []
     if command == "analyze" and fmt == "table":
         assert report["tables"] == 0
+    # the first call froze the import-time heap, and no later call froze
+    # more: each call's own garbage (the parser's cycles) stays collectable
+    assert report["frozen"][0] > 0
+    assert report["frozen"] == report["frozen"][:1] * 6
+    assert report["collected"] > 0

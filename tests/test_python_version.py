@@ -22,6 +22,12 @@ applies a ``%`` float conversion (``%e``, ``%f``, ``%g``) to numbers, and
 no f-string, ``format()`` call or ``str.format`` template in the module
 uses a float format spec, so every printed float goes through the
 renderer's ``%.6g`` rule.
+
+A fourth rule keeps the package's hands off the garbage collector: its
+one use of ``gc`` is the ``gc.freeze()`` that ``cli.main`` makes once per
+process.  Every other ``gc`` call, such as ``gc.collect``,
+``gc.get_objects`` or ``gc.get_freeze_count``, walks the heap, and would
+cost each call it sits in.
 """
 
 from __future__ import annotations
@@ -223,3 +229,52 @@ def test_float_check_fails_on_a_planted_percent_format():
     source = CLI.read_text(encoding="utf-8")
     planted = source + '\n\ndef _planted(x):\n    return "%.6g" % x\n'
     assert float_formatting(ast.parse(planted)) == [source.count("\n") + 4]
+
+
+def gc_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """Sorted ``(line, name)`` of every use of the ``gc`` module in
+    ``tree``: an attribute of a name ``import gc`` binds (under any
+    alias) and each name ``from gc import`` takes."""
+    aliases = {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for a in node.names if a.name == "gc"
+    }
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "gc":
+            uses += [(node.lineno, a.name) for a in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            uses.append((node.lineno, node.attr))
+    return sorted(uses)
+
+
+def test_gc_check_finds_every_use_of_gc():
+    source = (
+        "import gc\nimport gc as g\nfrom gc import collect as c, get_objects\n"
+        "gc.freeze()\ng.collect()\nx = gc.get_freeze_count\n"
+        "c()\nnp.gc.collect() + y.collect()\n"
+    )
+    assert gc_uses(ast.parse(source)) == [
+        (3, "collect"), (3, "get_objects"), (4, "freeze"), (5, "collect"),
+        (6, "get_freeze_count"),
+    ]
+
+
+def test_package_uses_gc_only_to_freeze_once():
+    uses = [
+        (path.name, name)
+        for path in PACKAGE
+        for _, name in gc_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    ]
+    assert uses == [("cli.py", "freeze")]
+
+
+def test_gc_check_fails_on_a_planted_call():
+    source = CLI.read_text(encoding="utf-8")
+    planted = source + "\n\ndef _planted():\n    return gc.get_freeze_count()\n"
+    assert (source.count("\n") + 4, "get_freeze_count") in gc_uses(ast.parse(planted))
