@@ -8,9 +8,7 @@ output of ``dft_extract`` feed straight into ``to_phasor``.
 
 Both layers do only the work the output needs.  A recording named by a
 path is parsed by numpy's chunked reader straight from the file, not line
-by line through Python; a whitespace-only or indented comment line sends
-numpy to the stripped lines of the open file instead, and only rows numpy
-rejects go to the row loop.  The guard in ``_numpy_reads_as_text`` sends
+by line through Python; the guard in ``_numpy_reads_as_text`` sends
 pipes and names that numpy would decompress or download, like every
 stream, to the row loop; numpy's ``u`` and ``i`` are read-only column
 views of one parsed block.  The DFT reads a handful of bins, all multiples
@@ -86,11 +84,9 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     chunks into one block, whose columns ``u`` and ``i`` are read-only
     views.  It takes ``u,i`` rows with surrounding spaces or tabs, CRLF
     endings, comments and empty lines.  A whitespace-only or indented
-    comment line makes that pass give up; numpy then reads the stripped
-    lines of the open file from just after the header, which gives the
-    same values.  A bad row or a header-only input fails both passes; the
-    rows are then read one by one from just after the header, which gives
-    the line-numbered error.  Every other
+    comment line, a bad row or a header-only input makes that pass give
+    up; the rows are then read one by one from just after the header,
+    which gives the same values or the line-numbered error.  Every other
     source (a stream, a pipe, a compressed or ``scheme://`` name) is read
     row by row.
     """
@@ -129,7 +125,7 @@ def _numpy_reads_as_text(fh, path: str) -> bool:
 
 def _read_recording(fh, path: str | None) -> tuple[SampledWaveform, SampledWaveform]:
     rate, lineno = _read_header(fh)
-    columns = _load_columns(fh, path, lineno) if path is not None else None
+    columns = _load_columns(path, lineno) if path is not None else None
     u, i = columns if columns is not None else _parse_rows(fh, lineno + 1)
     return SampledWaveform(u, rate), SampledWaveform(i, rate)
 
@@ -158,36 +154,16 @@ def _read_header(fh) -> tuple[float, int]:
     return rate, lineno
 
 
-def _load_columns(fh, path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The ``u`` and ``i`` columns of the file ``path``, whose first
-    ``skiprows`` lines (the header) ``fh`` has just read, or ``None``, with
-    ``fh`` back just after the header, when only the row loop can tell.
-
-    numpy reads the file by name first.  A whitespace-only or indented
-    comment line makes that pass give up; numpy then takes the stripped
-    lines of ``fh``, one line per item, still several times faster than
-    the row loop."""
-    start = fh.tell()
-    data = _loadtxt(path, skiprows)
-    if data is None:
-        data = _loadtxt((line.strip() for line in fh), 0)
-    if data is None or data.shape[0] == 0 or data.shape[1] != 2:
-        fh.seek(start)
-        return None
-    data.flags.writeable = False  # so SampledWaveform keeps the views
-    return data[:, 0], data[:, 1]
-
-
-def _loadtxt(source, skiprows: int) -> np.ndarray | None:
-    """The ``u,i`` rows of ``source`` (a file name or an iterable of lines)
-    after its first ``skiprows`` lines as one 2-D block, or ``None`` when
-    numpy rejects them."""
+def _load_columns(path: str, skiprows: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``u`` and ``i`` columns of the file ``path`` after its first
+    ``skiprows`` lines in one pass, or ``None`` when only the row loop can
+    tell."""
     with warnings.catch_warnings():
         # a header-only input is reported by the row loop
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            return np.loadtxt(
-                source,
+            data = np.loadtxt(
+                path,
                 delimiter=",",
                 dtype=float,
                 comments="#",
@@ -197,6 +173,10 @@ def _loadtxt(source, skiprows: int) -> np.ndarray | None:
             )
         except ValueError:
             return None
+    if data.shape[0] == 0 or data.shape[1] != 2:
+        return None
+    data.flags.writeable = False  # so SampledWaveform keeps the views
+    return data[:, 0], data[:, 1]
 
 
 def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:

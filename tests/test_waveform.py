@@ -306,32 +306,6 @@ def test_load_csv_hands_a_commented_file_to_numpy_once(tmp_path, monkeypatch):
     assert np.array_equal(u.samples, u_want) and np.array_equal(i.samples, i_want)
 
 
-def test_load_csv_hands_indented_comments_and_blank_lines_to_numpy(tmp_path, monkeypatch):
-    # an indented comment and a whitespace-only line make numpy's named
-    # pass give up; its pass over the stripped lines of the open file
-    # still reads them, so the recording never reaches the row loop
-    rng = np.random.default_rng(23)
-    rows = ["%r,%r\n" % tuple(r) for r in rng.normal(size=(3000, 2)).tolist()]
-    plain = tmp_path / "plain.csv"
-    plain.write_text("# fs_hz = 100\n" + "".join(rows))
-    rows[1500:1500] = ["   # operator note\n", " \t \n"]
-    marked = tmp_path / "marked.csv"
-    marked.write_text("# fs_hz = 100\n" + "".join(rows))
-    want = load_csv(plain)
-    seen = loadtxt_sources(monkeypatch)
-
-    def no_row_loop(*args):
-        raise AssertionError("the row loop read a file numpy can read")
-
-    monkeypatch.setattr(waveform, "_parse_rows", no_row_loop)
-    got = load_csv(marked)
-    assert len(seen) == 2 and seen[0] == str(marked)
-    for w, g in zip(want, got):
-        assert g.sample_rate_hz == w.sample_rate_hz
-        assert np.array_equal(g.samples, w.samples)
-        assert not g.samples.flags.writeable
-
-
 def test_compressed_suffixes_cover_numpys_openers():
     # numpy's datasource picks a decompressor by suffix (a private table);
     # one it learns later must join the guard before a plain recording
@@ -382,11 +356,6 @@ def good_rows(n: int) -> str:
             "# fs_hz = 100\n" + good_rows(1000) + "1,2,3\n",
             "line 1002: expected 2",
             id="3-columns-after-1000-rows",
-        ),
-        pytest.param(
-            "# fs_hz = 100\n  # note\n" + good_rows(1000) + "1,x\n",
-            "line 1003: non-numeric",
-            id="indented-comment-then-bad-row",
         ),
         pytest.param("# fs_hz = 100\n1,2\nnan,3\n", "samples must be finite", id="nan"),
     ],
