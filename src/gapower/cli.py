@@ -7,22 +7,15 @@ a table, JSON document or the decomposition CSV; only what the chosen
 format prints is computed.
 
 Every number is printed with 6 significant digits, so identical inputs
-give identical bytes.  Numbers are rendered from arrays: a long float
-array by a numpy kernel that writes the bytes of ``%.6g``, a short one
-by one ``%`` template.  A JSON number is its ``%.6g`` text, respelled
-only where a mask cannot rule out a form JSON writes differently (see
-the number-formatting comments).  ``_rows`` lays out every block of rows
-from constant pieces and text columns.  A table is laid out whole, as
-its column widths need every row; the decomposition CSV and every JSON
-array of records (such as the cross-frequency terms) are formatted, laid
-out and joined ``_RECORDS_PER_CHUNK`` rows at a time.  ``json.dumps``
-only writes keys, strings and the few irregular values.
-
-A command returns its outputs as ``(path, chunks)`` pairs (None is
-stdout), the chunks a lazy iterator for ``writelines``: the JSON report,
-the decomposition CSV and ``--timeseries`` (``_ROWS_PER_CALL`` rows at a
-time) are formatted chunk by chunk as they are written, so none of them
-is ever held whole, as text or encoded.  Everything but the
+give identical bytes.  An output is a run of blocks of rows (a table, a
+CSV, a JSON array of records such as the cross-frequency terms), each
+formatted ``_CHUNK`` rows at a time (``_chunks``) and laid out by one
+routine (``_layout``) from constant texts and columns of numbers (see
+the comments on number formatting and layout); ``json.dumps`` only
+writes keys, strings and the few irregular values.  A command returns
+its outputs as ``(path, chunks)`` pairs (None is stdout), the chunks a
+lazy iterator for ``writelines`` that formats as it is written, so no
+output is ever held whole, as text or encoded.  Everything but the
 formatting, opening every output file too, runs before the first write;
 if a write fails, the files this call created are removed.
 
@@ -50,7 +43,8 @@ import json
 import math
 import os
 import sys
-from functools import cache, partial
+from functools import cache
+from itertools import chain, islice
 
 import numpy as np
 
@@ -72,6 +66,7 @@ from .phasor import (
     BasisLayout,
     SpectralSignal,
     from_phasor,
+    json_number,
     reconstruct,
     to_phasor,
 )
@@ -81,46 +76,46 @@ from .waveform import active_power, dft_extract, load_csv, rms, thd
 FORMATS = ("table", "json", "csv")
 
 
-# -- number formatting ------------------------------------------------
+# -- number formatting and layout ---------------------------------------
 # One rule for every number, applied to whole arrays: ``%.6g`` of the
-# value plus 0.0, which turns -0.0 (the only source of "-0") into 0.0.
-# JSON prints the repr of the float that text parses back to.  That repr
-# is the text itself except in four forms, each told by the text: an
-# integral fixed value ("100") gains ".0"; exponents e+06 to e+15 are
-# spelled out (1.23457e+08 is 123457000.0); from e-308 down lie the
-# subnormals, whose precision falls below 6 digits, so repr may be
-# shorter (4.94066e-324 is 5e-324); and nan, inf and -inf take json's
-# spellings.  Only values a mask cannot rule out are checked: a finite
-# 1e-300 <= |x| < 99999 that lies more than 1e-5*|x| from every integer
-# prints either fixed with a "." (6 digits cannot round it to an
-# integer) or with an exponent from e-05 to e-300, and both are repr.
+# value plus 0.0, which turns -0.0 (the only source of "-0") into 0.0; an
+# integral entry of an integer or order column from 10**6 up, where
+# ``%.6g`` switches to an exponent, prints as ``%d``.  JSON prints the
+# repr of the float a ``%.6g`` text parses back to.  That repr is the
+# text itself except in four forms, each told by the text: an integral
+# fixed value ("100") gains ".0"; exponents e+06 to e+15 are spelled out
+# (1.23457e+08 is 123457000.0); from e-308 down lie the subnormals, whose
+# precision falls below 6 digits, so repr may be shorter (4.94066e-324 is
+# 5e-324); and nan, inf and -inf take json's spellings.  Only values a
+# mask cannot rule out are checked: a finite 1e-300 <= |x| < 99999 that
+# lies more than 1e-5*|x| from every integer prints either fixed with a
+# "." (6 digits cannot round it to an integer) or with an exponent from
+# e-05 to e-300, and both are repr.
 
-# Arrays of ``_KERNEL_CUT`` values or more are formatted by a numpy kernel
-# that writes the bytes of ``%.6g`` itself, ``_PASS`` values at a time.
-# The 6 digits are rint(|x| 10^(5-e)), e the decimal exponent floor(log10
-# |x|); the scaled value errs by under 1e-9, so only a value within 1e-6
-# of a rounding tie is left undecided.  One step corrects e: 6 digits that
-# round up to 1000000 are 100000 at e + 1.  That step also covers log10's
-# own rounding, which can put e one off only within 1e-12 of a power of
-# 10, where the digits round to 100000 at either e.  Each value's text
-# and the separator after it fill a 16-byte slot (two little-endian uint64
-# words) that has NUL bytes as holes, and one select drops them.  The
-# values the kernel leaves to ``%``: those undecided ones, zeros, nan, inf
-# and |x| outside [1e-290, 1e290]; their texts are spliced into their
-# slots.  A shorter array goes through ``%`` whole: the kernel's fixed
-# numpy cost exceeds what it saves there.  The kernel's tables are built
-# on its first call.
+# A chunk of ``_KERNEL_CUT`` numbers or more is formatted by a numpy
+# kernel that writes the bytes of ``%.6g`` itself.  The 6 digits are
+# rint(|x| 10^(5-e)), e the decimal exponent floor(log10 |x|); the scaled
+# value errs by under 1e-9, so only a value within 1e-6 of a rounding tie
+# is left undecided.  One step corrects e: 6 digits that round up to
+# 1000000 are 100000 at e + 1.  That step also covers log10's own
+# rounding, which can put e one off only within 1e-12 of a power of 10,
+# where the digits round to 100000 at either e.  Each value's text fills
+# a 16-byte slot (two little-endian uint64 words) that has NUL bytes as
+# holes.  The values the kernel leaves to ``%``: those undecided ones,
+# zeros, nan, inf and |x| outside [1e-290, 1e290]; their texts are
+# spliced into their slots.  A smaller chunk goes through ``%`` whole:
+# the kernel's fixed numpy cost exceeds what it saves there.  The
+# kernel's tables are built on its first call.
 
-_ROWS_PER_CALL = 1 << 16  # rows per written chunk of the --timeseries CSV
-# Records per formatted chunk of a JSON record block, and rows per chunk of
-# the decomposition CSV.  On analyze --orders 100 --format json (20,100
-# cross terms; 2-vCPU guest, Python 3.11, numpy 2.4) 2**10 peaked 1.3 MB
-# lower than 2**12 but cost the warm call 2.7 ms, as every chunk pays the
-# kernel's fixed numpy cost again; 2**13 peaked 1.8 MB higher at the same
-# time, and 2**14 4.7 MB higher.
-_RECORDS_PER_CHUNK = 1 << 12
-_KERNEL_CUT = 512  # fewer values than this are formatted by one ``%`` call
-_PASS = 1 << 14  # values per kernel pass: of 2**12..2**15, the lowest peak RSS
+# A block of rows is laid out ``_CHUNK`` rows at a time: each part of a
+# row, a constant or a column's slots, fills a fixed run of bytes of one
+# ``(rows, width)`` uint8 array, whose NUL holes one pass drops.  On a
+# 2-vCPU guest (Python 3.11, numpy 2.4), 2**11 rows per chunk cost a
+# 10**6-row --timeseries 13 % and the analyze --orders 100 table 1.5 ms;
+# 2**13 peaked 1.4 MB higher on its JSON, 2**12 0.7 MB above 2**11.
+
+_CHUNK = 1 << 12
+_KERNEL_CUT = 512
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 _REPR_EXPONENTS = frozenset(
     ["e+%02d" % k for k in range(6, 16)] + ["e-%d" % k for k in range(308, 325)]
@@ -172,11 +167,12 @@ def _exponent_words():
     return 10.0 ** (5 - e), point, whole, lead, below_one * ~_U(0), exponent
 
 
-def _slots(x, seps):
-    """The 16-byte slots, one row per value, of the 2-D float array ``x``:
-    each value's ``%.6g`` text and then its column's word of ``seps``, NUL
-    bytes as holes; and a flat mask of the values the kernel leaves to
-    ``%``."""
+def _slots(x):
+    """The 16-byte slots of the float array ``x``, as an ``x.shape +
+    (16,)`` uint8 array: each value's ``%.6g`` text, NUL bytes as holes;
+    and the mask of the values the kernel leaves to ``%``: all of a short one."""
+    if len(x) < _KERNEL_CUT:
+        return np.zeros(x.shape + (16,), np.uint8), slice(None)
     digits, kept = _digit_words()
     scale, points, whole, lead, tail, exponent = _exponent_words()
     ax = np.abs(x)
@@ -205,101 +201,153 @@ def _slots(x, seps):
     )
     words = np.empty(x.shape + (2,), dtype="<u8")
     words[..., 0] = (x < 0) * _U(ord("-")) | head << _U(8)
-    words[..., 1] = cut & tail[e] | exponent[e] | seps
-    return words.view(np.uint8).reshape(-1), odd.ravel()
+    words[..., 1] = cut & tail[e] | exponent[e]
+    return words.view(np.uint8).reshape(x.shape + (16,)), odd
 
 
-def _g6_rows(a, row: str) -> str:
-    """``row % r`` for every row ``r`` of the 2-D float array ``a``,
-    concatenated; ``row`` is one ``%.6g`` per column, each followed by a
-    separator of at most 2 ASCII characters other than "%" and NUL."""
-    a = np.asarray(a, dtype=np.float64) + 0.0
-    if a.size < _KERNEL_CUT:
-        return row * len(a) % tuple(a.ravel().tolist())
-    seps = [s.encode().rjust(8, b"\0") for s in row.split("%.6g")[1:]]
-    words = np.frombuffer(b"".join(seps), dtype="<u8")
-    step = max(1, _PASS // a.shape[1])
-    texts = []
-    for k in range(0, len(a), step):
-        x = a[k:k + step]
-        slots, odd = _slots(x, words)
-        if odd.any():
-            v = x.ravel()[odd].tolist()
-            text = ("%14.6g" * len(v) % tuple(v)).replace(" ", "\0").encode()
-            slots.reshape(-1, 16)[odd, :14] = np.frombuffer(text, np.uint8).reshape(-1, 14)
-        texts.append(slots.compress(slots != 0).tobytes())
-    return b"".join(texts).decode()
-
-
-def _g6(values) -> list[str]:
-    """6-significant-digit text of every element of a float array."""
-    return _g6_rows(np.reshape(values, (-1, 1)), "%.6g\n").split("\n")[:-1]
-
-
-def _json6(values) -> list[str]:
-    """JSON number text of every element of a float array."""
-    a = np.ravel(values)
-    texts = _g6(a)
+def _numbers(x, whole: bool, json: bool):
+    """The texts of the float array ``x`` as ``(len(x), width)`` uint8
+    rows, NUL bytes as holes: ``%.6g``, ``%d`` for an integral entry if
+    ``whole``, and with ``json`` the JSON number of either."""
+    x = np.asarray(x, dtype=np.float64) + 0.0
+    ints = whole and np.isfinite(x) & (np.rint(x) == x)
+    if len(x) >= _KERNEL_CUT and np.all(ints) and 0 <= x.min() <= x.max() < 1e6:
+        # 6 digits from the kernel's table, less their leading zeros
+        d, digits = x.astype(np.intp), _digit_words()[0]
+        text = digits[0][d // 1000] | digits[1][d % 1000]
+        zeros = 5 - np.searchsorted(10 ** np.arange(1, 6), d, side="right")
+        return (text >> (8 * zeros).astype(_U)).view(np.uint8).reshape(-1, 8)
+    slots, odd = _slots(x)
+    v = x[odd].tolist()
+    slots[odd] = _ascii("%16.6g" * len(v) % tuple(v), 16)
+    if whole:
+        big = ints & (np.abs(x) >= 1e6)
+        v = x[big].tolist()
+        slots[big] = _ascii("%16d" * len(v) % tuple(v), 16)
+    if not json:
+        return slots
     # |x| capped at the cut, an integer, where nan and inf land too; every
     # finite |x| >= 50000 lies within 1e-5*|x| of an integer anyway
-    x = np.fmin(np.abs(a), 99999.0)
-    unsure = (x < 1e-300) | (abs(x - np.rint(x)) <= 1e-5 * x)
-    for k in np.flatnonzero(unsure).tolist():
-        t = texts[k]
-        if "." not in t or t[-4:] in _REPR_EXPONENTS or t[-5:] in _REPR_EXPONENTS:
-            texts[k] = _json_misfit(t)
-    return texts
+    a = np.fmin(np.abs(x), 99999.0)
+    unsure = ((a < 1e-300) | (abs(a - np.rint(a)) <= 1e-5 * a)) & np.logical_not(ints)
+    v = x[unsure].tolist()
+    texts = [_json_number(t) for t in ("%.6g " * len(v) % tuple(v)).split()]
+    width = max(16, max(map(len, texts), default=0))
+    if width > 16:  # a spelled-out exponent
+        slots = np.pad(slots, ((0, 0), (width - 16, 0)))
+    slots[unsure] = _ascii("".join(t.rjust(width) for t in texts), width)
+    return slots
 
 
-def _json_misfit(text: str) -> str:
-    """JSON text of a ``%.6g`` text in one of the forms JSON spells
-    differently."""
-    if "e" in text:
-        return repr(float(text))
-    return _JSON_NONFINITE.get(text) or text + ".0"
+def _ascii(text: str, width: int):
+    """``text`` as rows of ``width`` bytes, its spaces as NUL bytes."""
+    ascii = bytearray(text.replace(" ", "\0"), "ascii")
+    return np.frombuffer(ascii, np.uint8).reshape(-1, width)
 
 
-def _ints(values) -> list[str]:
-    """Decimal text of every entry of a 1-D array of non-negative ints,
-    looked up in one table over the range of its values."""
-    lo = int(values.min())
-    text = list(map(str, range(lo, int(values.max()) + 1)))
-    return list(map(text.__getitem__, (values - lo).tolist()))
+def _json_number(text: str) -> str:
+    """The JSON number of a ``%.6g`` text."""
+    fits = "." in text and not {text[-4:], text[-5:]} & _REPR_EXPONENTS
+    return text if fits else _JSON_NONFINITE.get(text) or repr(float(text))
 
 
-def _orders(orders, six) -> list[str]:
-    """Integer orders print as integers, the others through ``six``."""
-    return [
-        str(int(o)) if float(o).is_integer() else t
-        for o, t in zip(orders, six(orders))
-    ]
+class _Column(Frozen):
+    """A column of numbers, one per row of a block: ``values``, whose
+    integral entries print as integers if ``whole`` (all below 10**15);
+    where ``shown`` is False an entry prints ``instead``."""
+
+    __slots__ = ("values", "whole", "shown", "instead")
+
+    def __init__(self, values, whole: bool = False, shown=None, instead: str = ""):
+        self._set(values=values, whole=whole, shown=shown, instead=instead)
 
 
-def _rows(pieces: list[str], columns: list[list[str]]) -> list[str]:
-    """The cells of the rows ``pieces[0] col0[m] pieces[1] ... col_{k-1}[m]
-    pieces[k]``, m = 0, 1, ..., as one flat list to join: the one way a
-    block of rows is laid out."""
-    k, n = len(columns), len(columns[0])
-    cells = [pieces[0]] * ((2 * k + 1) * n)
-    for j, col in enumerate(columns):
-        cells[2 * j + 1::2 * k + 1] = col
-        cells[2 * j + 2::2 * k + 1] = [pieces[j + 1]] * n
-    return cells
+def _fields(cells, json: bool, start: int, stop: int) -> list:
+    """Rows ``start:stop`` of each cell of a block as ``(rows, width)`` uint8
+    arrays, NUL bytes as holes.  A cell is a list of parts: a str, the same
+    in every row, or a column of numbers (floats, integers or a ``_Column``)."""
+    def text(part):
+        if isinstance(part, str):
+            return part
+        c = part if isinstance(part, _Column) else _Column(part, part.dtype.kind in "iu")
+        slots = _numbers(c.values[start:stop], c.whole, json)
+        if c.shown is not None:
+            instead = c.instead.rjust(slots.shape[1], "\0").encode()
+            slots[~c.shown[start:stop]] = np.frombuffer(instead, np.uint8)
+        return slots
+
+    return [_join(list(map(text, cell)), stop - start) for cell in cells]
 
 
-def _table(title: str, header: list[str], columns: list[list[str]]) -> str:
-    """An aligned text table of the given text columns.  A row that ends
-    in empty cells loses its trailing spaces."""
-    columns = [[h, *col] for h, col in zip(header, columns)]
-    widths = [max(map(len, col)) for col in columns[:-1]]  # the last is unpadded
-    padded = [[c.ljust(w) for c in col] for col, w in zip(columns, widths)]
-    text = "".join(_rows(["  "] * len(columns) + ["\n"], [*padded, columns[-1]]))
-    return "\n".join([title, *map(str.rstrip, text.split("\n"))])
+def _lengths(field):
+    """The non-NUL bytes in each row of a ``(rows, width)`` uint8 array."""
+    return np.einsum("ij->i", (field != 0).view(np.uint8), dtype=np.intp)
 
 
-def _spaced(tables: list[str]) -> list[str]:
+def _join(parts, m: int):
+    """The ``(m, width)`` uint8 array of ``parts`` side by side, each a str,
+    the same in every row, or an ``(m, w)`` uint8 array."""
+    if len(parts) == 1 and not isinstance(parts[0], str):
+        return parts[0]
+    parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str) else p
+             for p in parts]
+    ends = np.cumsum([p.shape[-1] for p in parts])
+    rows = np.empty((m, ends[-1]), np.uint8)
+    for part, end in zip(parts, ends.tolist()):
+        rows[:, end - part.shape[-1]:end] = part
+    return rows
+
+
+def _layout(fields, widths=None) -> str:
+    """The text of the rows of a chunk's cell ``fields``: each row its
+    cells' texts side by side.  With ``widths`` (a table) two spaces lead
+    each row and part its cells, every cell but the last is padded with
+    spaces to its width, and a row loses its trailing spaces."""
+    if widths is None:
+        rows = _join(fields, len(fields[0]))
+    else:
+        parts = ["  "]
+        for field, width in zip(fields[:-1], widths):
+            fill = width - _lengths(field)
+            parts += [field, (np.arange(width) < fill[:, None]) * np.uint8(32), "  "]
+        last = fields[-1]
+        rows = _join([*parts, last, "\n"], len(last))
+        # a row whose last cell is empty or ends in a space loses every
+        # byte after its last one that is neither a space nor a hole
+        tail = rows[:, -3 - last.shape[1]:-1]
+        bare = tail[np.arange(len(tail)), -1 - np.argmax(tail[:, ::-1] != 0, 1)] == 32
+        body = rows[bare, :-1]
+        rows[bare, :-1] = body * np.logical_or.accumulate(body[:, ::-1] > 32, 1)[:, ::-1]
+    return rows.tobytes().translate(None, b"\0").decode()
+
+
+def _chunks(cells, json: bool = False):
+    """The cell fields of the block ``cells``, ``_CHUNK`` rows at a time."""
+    columns = [p for cell in cells for p in cell if not isinstance(p, str)]
+    n = len(getattr(columns[0], "values", columns[0])) if columns else 1
+    for k in range(0, n, _CHUNK):
+        yield _fields(cells, json, k, min(k + _CHUNK, n))
+
+
+def _table(title: str, header: list[str], *blocks):
+    """Text chunks of an aligned table: ``title``, a row of the ``header``
+    names and the rows of each block of cells.  A column is as wide as
+    its widest text, which a first pass over the chunks finds."""
+    blocks = [[[name] for name in header], *blocks]
+    chunks = (fields for block in blocks for fields in _chunks(block))
+    widths = np.max([[_lengths(f).max() for f in fields] for fields in chunks], axis=0)
+    yield title + "\n"
+    yield from (_layout(fields, widths) for block in blocks for fields in _chunks(block))
+
+
+def _spaced(tables):
     """Text chunks of ``tables`` with a blank line between each two."""
-    return [c for t in tables for c in ("\n", t)][1:]
+    return islice(chain.from_iterable(chain("\n", table) for table in tables), 1, None)
+
+
+def _csv(columns) -> list:
+    """A CSV row's cell: ``columns`` with commas between, a newline after."""
+    return [p for column in columns for p in (column, ",")][:-1] + ["\n"]
 
 
 # A value slot of a JSON record template.
@@ -310,33 +358,30 @@ _SLOT_TEXT = json.dumps(_SLOT)
 class _Records(Frozen):
     """A JSON array of objects shaped like ``proto``.  The ``_SLOT``
     values of ``proto`` take, in order, the entries of ``columns``: one
-    ``(values, text)`` pair per slot, ``values`` an array with one entry
-    per record and ``text`` the function that gives the JSON text of every
-    entry of a slice of it."""
+    column (see ``_fields``) per slot, with one entry per record."""
 
     __slots__ = ("proto", "columns")
 
-    def __init__(self, proto: dict, columns: tuple[tuple, ...]):
+    def __init__(self, proto: dict, columns: tuple):
         self._set(proto=proto, columns=columns)
 
 
 def _record_block(block: _Records, pad: str):
-    """Text chunks of the JSON text of ``block``, ``_RECORDS_PER_CHUNK``
-    records each: its rows, whose k+1 pieces are the proto's text cut at
-    its k slots, indented and closed by a comma but for the last."""
-    n, step = len(block.columns[0][0]), _RECORDS_PER_CHUNK
+    """Text chunks of the JSON text of ``block``: its rows, whose k+1
+    pieces are the proto's text cut at its k slots, indented and closed
+    by a comma but for the last."""
+    inner = pad + "  "
+    first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
+    cell = [inner + first, *chain(*zip(block.columns, [*middle, last + ",\n"]))]
+    n = len(getattr(block.columns[0], "values", block.columns[0]))
     if not n:
         yield "[]"
         return
-    inner = pad + "  "
-    first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
-    pieces = [inner + first, *middle, last + ",\n"]
     yield "[\n"
-    for k in range(0, n, step):
-        cells = _rows(pieces, [text(values[k:k + step]) for values, text in block.columns])
-        if k + step >= n:
-            cells[-1] = f"{last}\n{pad}]"
-        yield "".join(cells)
+    chunks = map(_layout, _chunks([cell], json=True))
+    for _ in range(_CHUNK, n, _CHUNK):  # every chunk but the last
+        yield next(chunks)
+    yield f"{next(chunks)[:-2]}\n{pad}]"
 
 
 def _json(obj, pad: str = ""):
@@ -346,7 +391,7 @@ def _json(obj, pad: str = ""):
     if isinstance(obj, _Records):
         yield from _record_block(obj, pad)
     elif isinstance(obj, float):
-        yield from _json6([obj])
+        yield _layout([_numbers([obj], False, True)])
     elif not obj or not isinstance(obj, (dict, list)):
         yield json.dumps(obj)
     else:
@@ -364,12 +409,6 @@ def _json(obj, pad: str = ""):
         yield f"\n{pad}{ends[1]}"
 
 
-def _json_document(doc):
-    """Text chunks of the JSON document ``doc`` and its closing newline."""
-    yield from _json(doc)
-    yield "\n"
-
-
 # -- input documents ---------------------------------------------------
 
 def _read_document(path: str, parse):
@@ -382,6 +421,8 @@ def _read_document(path: str, parse):
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
         except UnicodeDecodeError as exc:
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: invalid JSON: nested too deeply") from None
     try:
         return parse(data)
     except SchemaError as exc:
@@ -395,16 +436,9 @@ def _circuit_from_dict(data) -> SeriesRLC:
     for key in data:
         if key not in known:
             raise SchemaError(f"unknown circuit field {key!r}")
-
-    def number(key):
-        value = data.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{key} must be a number")
-        return float(value)
-
-    r, l = number("r_ohm"), number("l_henry")
+    r, l = (json_number(data.get(key, 0.0), key) for key in ("r_ohm", "l_henry"))
     # only the capacitor may be null: no capacitor is a short circuit
-    c = None if data.get("c_farad") is None else number("c_farad")
+    c = None if data.get("c_farad") is None else json_number(data["c_farad"], "c_farad")
     try:
         return SeriesRLC(r=r, l=l, c=c)
     except PowerAnalysisError as exc:
@@ -417,11 +451,7 @@ def _spectrum_json(sig: SpectralSignal) -> dict:
     def lines(mask) -> _Records:
         return _Records(
             {"order": _SLOT, "rms": _SLOT, "phase_rad": _SLOT},
-            (
-                (sig.orders[mask], partial(_orders, six=_json6)),
-                (sig.rms[mask], _json6),
-                (sig.phase_rad[mask], _json6),
-            ),
+            (_Column(sig.orders[mask], whole=True), sig.rms[mask], sig.phase_rad[mask]),
         )
 
     return {
@@ -434,18 +464,16 @@ def _spectrum_json(sig: SpectralSignal) -> dict:
 
 def _power_json(report: PowerReport) -> dict:
     m, cross = report.m, report.cross
-    planes = m.blade_indices[cross]
     return {
         "p_w": report.p_w,
         "apparent_va": report.apparent_va,
         "pf": report.pf,
         "per_harmonic": _Records(
-            {"order": _SLOT, "p_w": _SLOT, "q_var": _SLOT},
-            tuple((column, _json6) for column in report.per_harmonic),
+            {"order": _SLOT, "p_w": _SLOT, "q_var": _SLOT}, report.per_harmonic
         ),
         "cross_terms": _Records(
             {"blade_indices": [_SLOT, _SLOT], "va": _SLOT},
-            ((planes[:, 0], _ints), (planes[:, 1], _ints), (m.va[cross], _json6)),
+            (*m.blade_indices[cross].T, m.va[cross]),
         ),
     }
 
@@ -457,108 +485,85 @@ def _currents_json(cc: CurrentComponents, ys) -> dict:
         "norms": cc.norms(),
         "rows": _Records(
             {"index": _SLOT, **dict.fromkeys(CSV_COLUMNS, _SLOT)},
-            (
-                (np.arange(len(table)), _ints),
-                *((column, _json6) for column in table.T),
-            ),
+            (np.arange(len(table)), *table.T),
         ),
         "compensation_susceptances": _Records(
             {"order": _SLOT, "siemens": _SLOT},
-            ((orders, partial(_orders, six=_json6)), (siemens, _json6)),
+            (_Column(orders, whole=True), siemens),
         ),
     }
 
 
-def _decomposition_columns(table, start: int = 0, stop: int | None = None):
-    """Text columns of rows ``start:stop`` of ``table``, a
-    ``CurrentComponents.table_rows()``: the basis index, then each of
-    CSV_COLUMNS.  The table's last row holds the norms, indexed "norm"."""
-    rows = table[start:stop]
-    index = _ints(np.arange(start, start + len(rows)))
-    if start + len(rows) == len(table):
-        index[-1] = "norm"
-    return [index, *map(_g6, rows.T)]
+def _decomposition_cells(cc: CurrentComponents) -> list:
+    """The basis index and CSV_COLUMNS cells of a ``CurrentComponents``;
+    the last row holds the norms, indexed "norm"."""
+    table = cc.table_rows()
+    index = np.arange(len(table))
+    norm = _Column(index, whole=True, shown=index < len(table) - 1, instead="norm")
+    return [[norm], *([c] for c in table.T)]
 
 
 def _decomposition_csv(cc: CurrentComponents):
-    """The decomposition CSV as a lazy iterator of text chunks of
-    ``_RECORDS_PER_CHUNK`` rows; only formatting is left to the
-    iteration."""
-    table = cc.table_rows()
-    header = ["index", *CSV_COLUMNS]
-    pieces = [""] + [","] * (len(header) - 1) + ["\n"]
-
-    def chunks():
-        yield ",".join(header) + "\n"
-        for k in range(0, len(table), _RECORDS_PER_CHUNK):
-            columns = _decomposition_columns(table, k, k + _RECORDS_PER_CHUNK)
-            yield "".join(_rows(pieces, columns))
-
-    return chunks()
+    """The decomposition CSV as a lazy iterator of text chunks."""
+    yield ",".join(["index", *CSV_COLUMNS]) + "\n"
+    yield from map(_layout, _chunks([_csv([c for c, in _decomposition_cells(cc)])]))
 
 
-def _decomposition_table(cc: CurrentComponents) -> str:
-    return _table(
-        "Current decomposition (A)",
-        ["index", *CSV_COLUMNS],
-        _decomposition_columns(cc.table_rows()),
-    )
+def _currents_tables(cc: CurrentComponents, ys) -> list:
+    """The tables of the current decomposition and its compensation."""
+    orders, siemens = compensation_susceptances(ys)
+    cells = _decomposition_cells(cc)
+    return [
+        _table("Current decomposition (A)", ["index", *CSV_COLUMNS], cells),
+        _table(
+            "Compensation susceptances (S)",
+            ["order", "siemens"],
+            [[_Column(orders, whole=True)], [siemens]],
+        ),
+    ]
 
 
-def _power_tables(report: PowerReport) -> list[str]:
+def _power_tables(report: PowerReport) -> list:
     orders, p, q = report.per_harmonic
-    pf = "n/a" if report.pf is None else _g6([report.pf])[0]
+    pf = "n/a" if report.pf is None else np.array([report.pf])
     parts = [
         _table(
             "Power summary",
             ["p_w", "apparent_va", "pf"],
-            [[cell] for cell in _g6([report.p_w, report.apparent_va])] + [[pf]],
+            [[np.array([report.p_w])], [np.array([report.apparent_va])], [pf]],
         ),
         _table(
             "Per-harmonic P/Q",
             ["order", "p_w", "q_var"],
-            [_orders(orders, _g6), _g6(p), _g6(q)],
+            [[_Column(orders, whole=True)], [p], [q]],
         ),
     ]
     m, cross = report.m, report.cross
     if cross.any():
-        indices = list(map(_ints, m.blade_indices[cross].T))
-        blades = "".join(_rows(["s", " s", "\n"], indices)).split("\n")[:-1]
-        va = _g6(m.va[cross])
-        parts.append(_table("Cross-frequency terms", ["blade", "va"], [blades, va]))
+        a, b = m.blade_indices[cross].T
+        blade, va = ["s", a, " s", b], [m.va[cross]]
+        parts.append(_table("Cross-frequency terms", ["blade", "va"], [blade, va]))
     return parts
 
 
-def _compensation_table(ys) -> str:
-    orders, siemens = compensation_susceptances(ys)
-    return _table(
-        "Compensation susceptances (S)",
-        ["order", "siemens"],
-        [_orders(orders, _g6), _g6(siemens)],
-    )
-
-
-def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal) -> str:
+def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal):
     # a set, not np.union1d: numpy's set routines import numpy.ma on first
     # use, which costs a cold CLI call about 20 ms
     orders = np.array(sorted(set(u_sig.orders.tolist()) | set(i_sig.orders.tolist())))
 
-    def side(sig: SpectralSignal) -> list[list[str]]:
-        """rms and phase columns; a missing order has rms 0 and no phase."""
+    def side(sig: SpectralSignal) -> list:
+        """rms and phase cells; a missing order has rms 0 and no phase."""
         rows = np.searchsorted(orders, sig.orders)
         rms, phase = np.zeros(len(orders)), np.zeros(len(orders))
         have = np.zeros(len(orders), dtype=bool)
         rms[rows], phase[rows], have[rows] = sig.rms, sig.phase_rad, True
-        return [_g6(rms), np.where(have, _g6(phase), "").tolist()]
+        return [[rms], [_Column(phase, shown=have)]]
 
-    columns = [_orders(orders, _g6), *side(u_sig), *side(i_sig)]
-    if u_sig.dc or i_sig.dc:
-        u_dc, i_dc = _g6([u_sig.dc, i_sig.dc])
-        for col, cell in zip(columns, ["dc", u_dc, "", i_dc, ""]):
-            col.insert(0, cell)
-    return _table(
-        "Spectra", ["order", "u_rms", "u_phase", "i_rms", "i_phase"], columns
-    )
+    blocks = [[[_Column(orders, whole=True)], *side(u_sig), *side(i_sig)]]
+    if u_sig.dc or i_sig.dc:  # a first row of DC levels
+        dc = [np.array([u_sig.dc])], [""], [np.array([i_sig.dc])], [""]
+        blocks.insert(0, [["dc"], *dc])
+    return _table("Spectra", ["order", "u_rms", "u_phase", "i_rms", "i_phase"], *blocks)
 
 
 # -- subcommands -------------------------------------------------------
@@ -583,12 +588,11 @@ def cmd_solve(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, _json_document(doc))]
+        return [(args.out, chain(_json(doc), "\n"))]
     tables = [
         _spectrum_table(source, i_sig),
         *_power_tables(report),
-        _decomposition_table(cc),
-        _compensation_table(ys),
+        *_currents_tables(cc, ys),
     ]
     return [(args.out, _spaced(tables))]
 
@@ -628,17 +632,12 @@ def cmd_analyze(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return ts + [(args.out, _json_document(doc))]
+        return ts + [(args.out, chain(_json(doc), "\n"))]
     tables = [
-        _table(
-            "Waveform",
-            list(waveform),
-            [[cell] for cell in _g6(list(waveform.values()))],
-        ),
+        _table("Waveform", list(waveform), [[np.array([v])] for v in waveform.values()]),
         _spectrum_table(u_sig, i_sig),
         *_power_tables(report),
-        _decomposition_table(cc),
-        _compensation_table(ys),
+        *_currents_tables(cc, ys),
     ]
     return ts + [(args.out, _spaced(tables))]
 
@@ -666,25 +665,23 @@ def cmd_decompose(args) -> list[tuple]:
             "current_spectrum": _spectrum_json(i_sig),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, _json_document(doc))]
-    tables = [_decomposition_table(cc), _compensation_table(ys)]
-    return [(args.out, _spaced(tables))]
+        return [(args.out, chain(_json(doc), "\n"))]
+    return [(args.out, _spaced(_currents_tables(cc, ys)))]
 
 
 def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
     """The t,u,i,p,i_a,i_N CSV as a lazy iterator of text chunks of
-    ``_ROWS_PER_CALL`` rows; only formatting is left to the iteration.
+    ``_CHUNK`` rows; only formatting is left to the iteration.
     Every step is elementwise, so a chunk has the bits of the whole."""
     i_a, i_n = from_phasor(cc.i_a), from_phasor(cc.i_N)
-    row = ",".join(["%.6g"] * 6) + "\n"
 
     def chunks():
         yield "t_s,u,i,p,i_a,i_N\n"
-        for k in range(0, u_w.n, _ROWS_PER_CALL):
-            t = np.arange(k, min(k + _ROWS_PER_CALL, u_w.n)) / u_w.sample_rate_hz
+        for k in range(0, u_w.n, _CHUNK):
+            t = np.arange(k, min(k + _CHUNK, u_w.n)) / u_w.sample_rate_hz
             u, i = u_w.samples[k:k + len(t)], i_w.samples[k:k + len(t)]
             columns = [t, u, i, u * i, reconstruct(i_a, t), reconstruct(i_n, t)]
-            yield _g6_rows(np.column_stack(columns), row)
+            yield _layout(_fields([_csv(columns)], False, 0, len(t)))
 
     return chunks()
 
@@ -809,3 +806,4 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
+

@@ -60,6 +60,18 @@ def _integer(orders: np.ndarray) -> np.ndarray:
     return orders == np.floor(orders)
 
 
+def json_number(value, path: str) -> float:
+    """The number ``value`` of a JSON document as a float; a value that is
+    no number, or an integer beyond the float range, raises
+    ``SchemaError`` with its field ``path``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path} lies beyond the float range") from None
+
+
 def _check_lines(orders: np.ndarray, rms: np.ndarray, phase: np.ndarray) -> None:
     """Raise ``PowerAnalysisError`` for the first of the rules below that
     a line breaks, naming the first line that breaks it."""
@@ -157,13 +169,8 @@ class SpectralSignal(Frozen):
         if "fundamental_hz" not in data:
             raise SchemaError("signal document missing 'fundamental_hz'")
 
-        def number(value, path: str) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise SchemaError(f"{path} must be a number")
-            return float(value)
-
-        fundamental_hz = number(data["fundamental_hz"], "fundamental_hz")
-        dc = number(data.get("dc", 0.0), "dc")
+        fundamental_hz = json_number(data["fundamental_hz"], "fundamental_hz")
+        dc = json_number(data.get("dc", 0.0), "dc")
         orders, rms, phase = [], [], []  # both lists' lines, in listed order
         for path, integer in (("harmonics", True), ("interharmonics", False)):
             value = data.get(path)
@@ -180,7 +187,7 @@ class SpectralSignal(Frozen):
                         raise SchemaError(f"unknown field {key!r} in {where}")
                 if "order" not in item or "rms" not in item:
                     raise SchemaError(f"{where} needs 'order' and 'rms'")
-                order = number(item["order"], f"{where}.order")
+                order = json_number(item["order"], f"{where}.order")
                 if order.is_integer() != integer:
                     expected = "integer" if integer else "fractional"
                     raise SchemaError(
@@ -192,8 +199,8 @@ class SpectralSignal(Frozen):
                         f"order {MAX_ORDER}"
                     )
                 orders.append(order)
-                rms.append(number(item["rms"], f"{where}.rms"))
-                phase.append(number(item.get("phase_rad", 0.0), f"{where}.phase_rad"))
+                rms.append(json_number(item["rms"], f"{where}.rms"))
+                phase.append(json_number(item.get("phase_rad", 0.0), f"{where}.phase_rad"))
 
         try:
             return cls(

@@ -384,3 +384,54 @@ def solve_brute(r: float, l: float, c, f0_hz: float, dc: float,
         "norm_scale": norm(I.values()) * worst,
         "compensation": [(k, -Y[k].imag, abs(Y[k]) * grow[k]) for k in U],
     }
+
+
+# -- decompose, end to end ------------------------------------------------
+
+
+def decompose_brute(u_dc: float, u_lines: dict[float, tuple[float, float]],
+                    i_dc: float, i_lines: dict[float, tuple[float, float]]) -> dict:
+    """What ``decompose --format json`` reports for a voltage and a
+    current of DC level ``u_dc`` / ``i_dc`` and lines ``{order: (rms,
+    phase)}``, from complex rms phasors U_k = rms e^{j phase} (DC real).
+
+    The basis is DC, then per harmonic 1..n (n the highest integer order
+    of either side) and per interharmonic, ascending, a pair of slots
+    holding the imaginary and then the real part.  i_a is (P / ||U||^2) U
+    and i_N = I - i_a; where the voltage has an entry, Y_k = I_k / U_k,
+    i_p holds G_k U_k, i_q holds j B_k U_k and the compensator adds -B_k;
+    i_s = i_p - i_a.  Returns ``norms`` of i_p, i_a, i_s, i_q, i_N and i,
+    ``rows``, per slot those components' coefficients, ``compensation``
+    rows ``(order, siemens, |Y_k|)``, DC first, and ``scale``, ||i||."""
+    U = {0.0: complex(u_dc), **{k: phasor_complex(*v) for k, v in u_lines.items()}}
+    I = {0.0: complex(i_dc), **{k: phasor_complex(*v) for k, v in i_lines.items()}}
+    harmonics = [k for k in {*U, *I} if k.is_integer()]
+    entries = [float(k) for k in range(int(max(harmonics)) + 1)]
+    entries += sorted(k for k in {*U, *I} if not k.is_integer())
+    U = {k: U.get(k, 0j) for k in entries}
+    I = {k: I.get(k, 0j) for k in entries}
+
+    def norm(v) -> float:
+        return math.sqrt(sum(abs(c) ** 2 for c in v.values()))
+
+    lam = sum((U[k] * I[k].conjugate()).real for k in entries) / norm(U) ** 2
+    Y = {k: I[k] / U[k] for k in entries if U[k]}
+    parts = {
+        "i_p": {k: Y[k].real * U[k] if k in Y else 0j for k in entries},
+        "i_a": {k: lam * U[k] for k in entries},
+        "i_q": {k: 1j * Y[k].imag * U[k] if k in Y else 0j for k in entries},
+        "i_N": {k: I[k] - lam * U[k] for k in entries},
+        "i": I,
+    }
+    parts["i_s"] = {k: parts["i_p"][k] - parts["i_a"][k] for k in entries}
+    names = ("i_p", "i_a", "i_s", "i_q", "i_N", "i")
+    rows = [[parts[n][0.0].real for n in names]]
+    for k in entries[1:]:
+        rows.append([parts[n][k].imag for n in names])
+        rows.append([parts[n][k].real for n in names])
+    return {
+        "norms": {n: norm(parts[n]) for n in names},
+        "rows": rows,
+        "compensation": [(k, -Y[k].imag, abs(Y[k])) for k in entries if k in Y],
+        "scale": norm(I),
+    }

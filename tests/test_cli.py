@@ -25,7 +25,7 @@ from conftest import (
     rows_to_signal,
 )
 import gapower.cli
-from gapower.cli import FORMATS, main
+from gapower.cli import FORMATS, build_parser, main
 from gapower.decompose import decompose_currents
 from gapower.phasor import MAX_ORDER, BasisLayout, to_phasor
 from gapower.waveform import dft_extract, sample_signal
@@ -229,6 +229,42 @@ def test_solve_null_circuit_field(tmp_path, source_file, doc, message, capsys):
     path = write_json(tmp_path / "c.json", doc)
     assert main(["solve", "--circuit", str(path), "--source", source_file]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "circuit, line, message",
+    [
+        ({"r_ohm": 10**400}, None, "r_ohm lies beyond the float range"),
+        ({"r_ohm": 1.0, "c_farad": -10**400}, None, "c_farad lies beyond the float range"),
+        (None, {"order": 1, "rms": 10**400}, "harmonics[0].rms lies beyond the float range"),
+        (None, {"order": 10**400, "rms": 1.0},
+         "harmonics[0].order lies beyond the float range"),
+    ],
+)
+def test_integer_beyond_the_float_range_is_an_input_error(
+    tmp_path, circuit_equal, source_file, circuit, line, message, capsys
+):
+    # a JSON integer literal of 401 digits parses to a Python int that no
+    # float holds
+    bad = write_json(
+        tmp_path / "bad.json",
+        circuit or {"fundamental_hz": 50.0, "harmonics": [line]},
+    )
+    argv = ["--circuit", bad, "--source", source_file] if circuit else [
+        "--circuit", circuit_equal, "--source", bad]
+    assert main(["solve", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("document", ["circuit", "source"])
+def test_deeply_nested_document_is_an_input_error(
+    tmp_path, circuit_equal, source_file, document, capsys
+):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    paths = {"circuit": circuit_equal, "source": source_file, document: str(deep)}
+    assert main(["solve", "--circuit", paths["circuit"], "--source", paths["source"]]) == 2
+    assert capsys.readouterr().err == f"error: {deep}: invalid JSON: nested too deeply\n"
 
 
 @pytest.mark.parametrize(
@@ -630,7 +666,7 @@ def test_small_chunks_write_the_same_bytes(
     def run(tag):
         outputs = {}
         for name, argv in commands.items():
-            for fmt in ("json", "csv"):
+            for fmt in FORMATS:
                 out = tmp_path / f"{tag}-{name}.{fmt}"
                 ts = tmp_path / f"{tag}-{name}-{fmt}-ts.csv"
                 extra = ["--timeseries", str(ts)] if name == "analyze" else []
@@ -642,8 +678,7 @@ def test_small_chunks_write_the_same_bytes(
 
     whole = run("whole")
     for size in (1, 2, 3):
-        monkeypatch.setattr(gapower.cli, "_ROWS_PER_CALL", size)
-        monkeypatch.setattr(gapower.cli, "_RECORDS_PER_CHUNK", size)
+        monkeypatch.setattr(gapower.cli, "_CHUNK", size)
         assert run(f"small{size}") == whole
 
 
@@ -654,20 +689,17 @@ def test_a_failed_streamed_write_leaves_no_file_it_created(
     # the timeseries fails after its header is written, with the report
     # opened but empty; the report fails at its cross terms, after its
     # spectra and the whole timeseries are written
-    g6_rows = gapower.cli._g6_rows
+    fields = gapower.cli._fields
 
-    def g6_rows_exhausted(a, row):
-        if row.count("%.6g") == 6:
+    def fields_exhausted(cells, json, start, stop):
+        parts = cells[0]
+        if stage == "timeseries" and len(parts) == 12:  # six columns
             raise MemoryError("timeseries chunk")
-        return g6_rows(a, row)
+        if stage == "report" and '"blade_indices"' in str(parts[0]):
+            raise MemoryError("cross-term chunk")
+        return fields(cells, json, start, stop)
 
-    def ints_exhausted(values):
-        raise MemoryError("cross-term chunk")
-
-    if stage == "timeseries":
-        monkeypatch.setattr(gapower.cli, "_g6_rows", g6_rows_exhausted)
-    else:
-        monkeypatch.setattr(gapower.cli, "_ints", ints_exhausted)
+    monkeypatch.setattr(gapower.cli, "_fields", fields_exhausted)
     out, ts = tmp_path / "out.json", tmp_path / "ts.csv"
     rc = main(["analyze", "--input", bench_csv, "--fundamental", "50",
                "--orders", "9", "--format", "json", "--out", str(out),
@@ -680,7 +712,8 @@ def test_a_failed_streamed_write_leaves_no_file_it_created(
 
 def test_timeseries_is_written_in_bounded_memory(tmp_path):
     # 200,000 rows: about 46 MB traced peak when the whole CSV text is
-    # built before the write, about 26 MB in chunks of _ROWS_PER_CALL rows
+    # built before the write, 15 MB in chunks of 65,536 rows and 1.5 MB
+    # in chunks of _CHUNK rows
     u_w, i_w = (
         sample_signal(rows_to_signal(rows, BENCH_F0_HZ), BENCH_FS_HZ, 200_000)
         for rows in (BENCH_VOLTAGE_ROWS, BENCH_CURRENT_ROWS)
@@ -718,7 +751,7 @@ def noisy_recording(path) -> str:
 def test_report_is_written_in_bounded_memory(tmp_path):
     # --orders 100 writes 20,100 cross terms (2.3 MB of JSON): a traced
     # peak of 5.9 MB when the whole report is built before the write,
-    # about 1.9 MB in chunks of _RECORDS_PER_CHUNK records
+    # about 2.1 MB in chunks of _CHUNK records
     rec = noisy_recording(tmp_path / "rec.csv")
     out = tmp_path / "out.json"
 
@@ -741,6 +774,41 @@ def test_report_is_written_in_bounded_memory(tmp_path):
     # the output grows by 4.4 MB; the peak only by what the larger power
     # itself holds
     assert high - low < (high_size - low_size) / 3
+
+
+def test_table_is_written_in_bounded_memory(tmp_path):
+    # --orders 100 prints 20,100 cross terms (0.54 MB of table): a traced
+    # peak of 7.7 MB when every table is built whole before the write,
+    # about 1.4 MB in chunks of _CHUNK rows
+    rec = noisy_recording(tmp_path / "rec.csv")
+    out = tmp_path / "out.table"
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def traced(orders: int) -> tuple[int, int, int]:
+        """The traced peaks of a warm call at ``orders`` and of its
+        computation alone (the command, whose outputs are lazy), and the
+        size of its output."""
+        argv = ["analyze", "--input", rec, "--fundamental", "50",
+                "--orders", str(orders), "--format", "table", "--out", str(out)]
+        assert main(argv) == 0
+        args = build_parser().parse_args(argv)
+        compute, whole = peak(lambda: args.run(args)), peak(lambda: main(argv))
+        return whole, compute, out.stat().st_size
+
+    assert traced(100)[0] < 3e6
+    # from --orders 50 to 150 the computation's own peak grows by 2.3 MB,
+    # the power's 45,150 planes and their products, more than the table
+    # does (1 MB); what printing the table adds above it stays below a
+    # third of the table, 0.8 MB when each table is joined whole
+    high, high_compute, high_size = traced(150)
+    assert high - high_compute < high_size / 3
 
 
 # -- parser / determinism ----------------------------------------------------

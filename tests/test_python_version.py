@@ -17,7 +17,7 @@ slices every other slot (a constant step of 2) or tells odd slots from
 even ones (``x % 2``, where only a length's parity, ``len(x) % 2``, is
 let through).
 
-A third rule keeps one float formatter in ``cli.py``: only ``_g6_rows``
+A third rule keeps one float formatter in ``cli.py``: only ``_numbers``
 applies a ``%`` float conversion (``%e``, ``%f``, ``%g``) to numbers, and
 no f-string, ``format()`` call or ``str.format`` template in the module
 uses a float format spec, so every printed float goes through the
@@ -188,7 +188,7 @@ def _float_specs(node: ast.AST) -> bool:
 def float_formatting(tree: ast.AST) -> list[int]:
     """Sorted line numbers of float formatting in ``tree``: a ``%`` whose
     left operand holds a literal with a float conversion, outside a
-    function named ``_g6_rows``, and anywhere a float format spec."""
+    function named ``_numbers``, and anywhere a float format spec."""
     lines = []
 
     def visit(node: ast.AST, inside: bool) -> None:
@@ -197,7 +197,7 @@ def float_formatting(tree: ast.AST) -> list[int]:
                 lines.append(node.lineno)
         if _float_specs(node):
             lines.append(node.lineno)
-        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "_g6_rows"
+        inside = inside or isinstance(node, ast.FunctionDef) and node.name == "_numbers"
         for child in ast.iter_child_nodes(node):
             visit(child, inside)
 
@@ -212,15 +212,15 @@ def test_float_check_finds_float_formatting_only():
         'c = f"{x:.3f}" + f"{n:d}" + f"{s}" + f"{x!r:>{w}}" + f"{p:.1%}"\n'
         'd = format(x, ".2e") + format(n, "d") + format(s)\n'
         'e = "{:g}".format(x) + "{0} {1:>4}".format(x, y) + "{:d}".format(n)\n'
-        'def _g6_rows(a, row):\n'
-        '    return "%14.6g" % a + row % a\n'
+        'def _numbers(x, whole, json):\n'
+        '    return "%16.6g" % x + row % x\n'
         'def _g6(values):\n'
         '    return "%.6g" % values + f"{values:g}"\n'
     )
     assert float_formatting(ast.parse(source)) == [1, 1, 1, 3, 3, 4, 5, 9, 9]
 
 
-def test_cli_formats_floats_only_in_g6_rows():
+def test_cli_formats_floats_only_in_numbers():
     tree = ast.parse(CLI.read_text(encoding="utf-8"), str(CLI))
     assert float_formatting(tree) == []
 

@@ -1,8 +1,9 @@
-"""The CLI's array renderer against the per-value rules of
-``tests/oracles.py``: every element of an array of arbitrary floats prints
-as the oracle prints it alone, record blocks are laid out as
+"""The CLI's block renderer against the per-value rules of
+``tests/oracles.py``: every element of a column of arbitrary floats
+prints as the oracle prints it alone, record blocks are laid out as
 ``json.dumps(..., indent=2)`` lays out the same records, and tables and
-the decomposition CSV as the row-at-a-time oracles lay them out."""
+the decomposition CSV as the row-at-a-time oracles lay them out, whatever
+the number of rows per chunk."""
 
 from __future__ import annotations
 
@@ -17,18 +18,46 @@ from hypothesis import strategies as st
 from gapower import cli
 from gapower.cli import (
     _SLOT,
+    _Column,
     _Records,
+    _chunks,
+    _csv,
     _decomposition_csv,
-    _g6,
-    _g6_rows,
-    _ints,
     _json,
-    _json6,
+    _layout,
     _table,
 )
 from gapower.decompose import CSV_COLUMNS
 
 from oracles import csv_brute, fmt6_brute, json6_brute, table_brute
+from test_golden import CASES, HASHED, run_case, write_inputs
+
+
+def rows(cells, json: bool = False) -> str:
+    """The text of the block of rows ``cells``, laid out a chunk at a
+    time."""
+    return "".join(map(_layout, _chunks(cells, json)))
+
+
+def texts(column, json: bool = False) -> list[str]:
+    """The text of every entry of ``column`` as the renderer lays out a
+    block of one column per row."""
+    return rows([[column, "\n"]], json=json).split("\n")[:-1]
+
+
+def g6(values) -> list[str]:
+    return texts(np.asarray(values, dtype=np.float64))
+
+
+def json6(values) -> list[str]:
+    return texts(np.asarray(values, dtype=np.float64), json=True)
+
+
+def csv_rows(a) -> str:
+    """The rows of the 2-D float array ``a`` as the renderer lays out a
+    CSV block of its columns."""
+    return rows([_csv(list(np.asarray(a).T))])
+
 
 # Values at the edges of the format: signed zeros, non-finite values,
 # subnormals, the extremes of the range and 6-digit rounding ties.
@@ -41,7 +70,7 @@ EDGES = [
 ]
 values = st.one_of(st.floats(), st.sampled_from(EDGES))
 
-# The edges of each text form ``_json6`` tells apart: an exponent from
+# The edges of each text form ``_numbers`` tells apart: an exponent from
 # e+06 to e+15 (spelled out), one at e-308 and below (subnormals, where
 # repr can be shorter than 6 digits: 1e-318 prints as 9.99999e-319), an
 # integral fixed value (".0" appended), a non-finite value, and the
@@ -98,8 +127,8 @@ def long_rows(k: int, rows: int):
 @given(st.one_of(st.lists(values, max_size=60), long_lists(cli._KERNEL_CUT)))
 def test_array_text_matches_per_value_rules(xs):
     a = np.array(xs, dtype=np.float64)
-    assert _g6(a) == [fmt6_brute(x) for x in xs]
-    assert _json6(a) == [json6_brute(x) for x in xs]
+    assert g6(a) == [fmt6_brute(x) for x in xs]
+    assert json6(a) == [json6_brute(x) for x in xs]
 
 
 @given(st.integers(1, 4).flatmap(lambda k: st.one_of(
@@ -109,15 +138,15 @@ def test_row_template_matches_per_value_rules(rows):
     k = len(rows[0]) if rows else 1
     a = np.array(rows, dtype=np.float64).reshape(-1, k)
     want = "".join(",".join(map(fmt6_brute, r)) + "\n" for r in rows)
-    assert _g6_rows(a, ",".join(["%.6g"] * k) + "\n") == want
+    assert csv_rows(a) == want
 
 
 def edges_at_pass_ends(k: int, seed: int) -> np.ndarray:
-    """Three kernel passes of rows of ``k`` background floats, with every
-    edge value and tie, and their negatives, at both ends of each pass."""
+    """Three chunks of rows of ``k`` background floats, with every edge
+    value and tie, and their negatives, at both ends of each chunk."""
     edges = EDGES + TEXT_FORM_EDGES + TIES
     edges += [-x for x in edges]
-    step = cli._PASS // k * k  # values per pass
+    step = cli._CHUNK * k  # values per chunk
     a = background(3 * step, seed)
     ends = range(0, len(a) + 1, step)
     for end in ends[1:]:
@@ -131,24 +160,23 @@ def edges_at_pass_ends(k: int, seed: int) -> np.ndarray:
 def test_edges_at_both_ends_of_a_kernel_pass(k):
     a = edges_at_pass_ends(k, 17)
     want = "".join(",".join(map(fmt6_brute, r)) + "\n" for r in a.tolist())
-    assert _g6_rows(a, ",".join(["%.6g"] * k) + "\n") == want
+    assert csv_rows(a) == want
     if k == 1:
-        assert _json6(a) == [json6_brute(x) for x in a.ravel().tolist()]
+        assert json6(a.ravel()) == [json6_brute(x) for x in a.ravel().tolist()]
 
 
 def test_rows_split_across_calls_print_the_same(monkeypatch):
     a = edges_at_pass_ends(3, 3)[:700]
-    row = "%.6g,%.6g,%.6g\n"
-    whole = _g6_rows(a, row)
+    whole = csv_rows(a)
     assert whole == "".join(",".join(map(fmt6_brute, r)) + "\n" for r in a.tolist())
-    for pass_size in (1, 7, 500):  # a pass takes one row at least
-        monkeypatch.setattr(cli, "_PASS", pass_size)
-        assert _g6_rows(a, row) == whole
+    for chunk in (1, 7, 500):  # a chunk of fewer than 512 rows goes through %
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert csv_rows(a) == whole
 
 
 def zero_heavy(n: int, share: float, pass_size: int, seed: int) -> np.ndarray:
     """``n`` background floats, about ``share`` of them zeros of either
-    sign, and a zero at both ends of every kernel pass of ``pass_size``
+    sign, and a zero at both ends of every chunk of ``pass_size``
     values."""
     a = background(n, seed)
     rng = np.random.default_rng(seed)
@@ -159,26 +187,28 @@ def zero_heavy(n: int, share: float, pass_size: int, seed: int) -> np.ndarray:
     return a
 
 
-@example(2 * cli._PASS + 3, 0.9, cli._PASS, 5)
+@example(2 * cli._CHUNK + 3, 0.9, cli._CHUNK, 5)
 @given(st.integers(cli._KERNEL_CUT, 3000), st.floats(0.5, 1.0),
        st.integers(64, 1024), st.integers(0, 2**32 - 1))
 def test_zero_heavy_arrays_match_per_value_rules(n, share, pass_size, seed):
     a = zero_heavy(n, share, pass_size, seed)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_PASS", pass_size)
-        g6, json6 = _g6(a), _json6(a)
+        # every chunk, however short, through the number kernel
+        patch.setattr(cli, "_CHUNK", pass_size)
+        patch.setattr(cli, "_KERNEL_CUT", 1)
+        got_g6, got_json6 = g6(a), json6(a)
     xs = a.tolist()
-    assert g6 == [fmt6_brute(x) for x in xs]
-    assert json6 == [json6_brute(x) for x in xs]
+    assert got_g6 == [fmt6_brute(x) for x in xs]
+    assert got_json6 == [json6_brute(x) for x in xs]
 
 
 @pytest.mark.parametrize("x", TEXT_FORM_EDGES + [-x for x in TEXT_FORM_EDGES])
 def test_json_text_forms_at_their_edges(x):
-    assert _json6([x]) == [json6_brute(x)]
-    assert _json6(np.array([x, 0.5, x])) == [json6_brute(x), "0.5", json6_brute(x)]
+    assert json6([x]) == [json6_brute(x)]
+    assert json6([x, 0.5, x]) == [json6_brute(x), "0.5", json6_brute(x)]
 
 
-# The edges of the mask with which ``_json6`` lets a ``%.6g`` text through
+# The edges of the mask with which ``_numbers`` lets a ``%.6g`` text through
 # unchecked: its cut at 99999, the last fixed text (99999.95 prints as
 # 100000 and 999999.5 as 1e+06), its floor at 1e-300, and the 6-digit
 # ties that round up to an integer.
@@ -206,23 +236,23 @@ def test_json_mask_edges_match_per_value_rule(edge):
     # also a rounding step of the 6th digit to either side
     step = 10.0 ** (math.floor(math.log10(edge)) - 5)
     xs += [edge + k * step / 2 for k in (-2, -1, 1, 2)]
-    assert _json6(np.array(xs)) == [json6_brute(x) for x in xs]
+    assert json6(xs) == [json6_brute(x) for x in xs]
 
 
 @given(st.integers(-10**6, 10**6), st.floats(-9.99, 9.99), st.integers(1, 14))
 def test_json_mask_near_integers_matches_per_value_rule(n, m, e):
     xs = [n + m * 10.0 ** -e, n - m * 10.0 ** -e, n * (1 + m * 10.0 ** -e)]
-    assert _json6(np.array(xs)) == [json6_brute(x) for x in xs]
+    assert json6(xs) == [json6_brute(x) for x in xs]
 
 
 def test_non_finite_values_print_as_before():
     a = np.array([math.inf, -math.inf, math.nan])
-    assert _json6(a) == ["Infinity", "-Infinity", "NaN"]
-    assert _g6(a) == ["inf", "-inf", "nan"]
+    assert json6(a) == ["Infinity", "-Infinity", "NaN"]
+    assert g6(a) == ["inf", "-inf", "nan"]
 
 
 def test_json_numbers_are_the_repr_of_the_rounded_value():
-    assert _json6([123456789.0, -0.0, 1.0, 2.5e-7, 4.9e-324, 1e6, 1e16]) == [
+    assert json6([123456789.0, -0.0, 1.0, 2.5e-7, 4.9e-324, 1e6, 1e16]) == [
         "123457000.0", "0.0", "1.0", "2.5e-07", "5e-324", "1000000.0", "1e+16"]
 
 
@@ -233,9 +263,9 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
     block = _Records(
         {"blade_indices": [_SLOT, _SLOT], "va %": _SLOT},
         (
-            (np.array([a for a, _, _ in rows], dtype=np.intp), _ints),
-            (np.array([b for _, b, _ in rows], dtype=np.intp), _ints),
-            (np.array([v for _, _, v in rows]), _json6),
+            np.array([a for a, _, _ in rows], dtype=np.intp),
+            np.array([b for _, b, _ in rows], dtype=np.intp),
+            np.array([v for _, _, v in rows], dtype=np.float64),
         ),
     )
     doc = {"power": {"x": x, "n": 3, "s": "a%sb", "none": None, "terms": block},
@@ -261,12 +291,12 @@ MISFITS = [100.0, -7.0, 0.0, 1.23456789e8, -9.99999e14, 5e-324, -1e-310,
 @pytest.mark.parametrize("step", [1, 3, 4096])
 def test_json_misfits_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
     # 4096 puts every chunk but the last through the number kernel
-    monkeypatch.setattr(cli, "_RECORDS_PER_CHUNK", step)
+    monkeypatch.setattr(cli, "_CHUNK", step)
     boundary = -(-len(MISFITS) // step) * step  # the first at or past len(MISFITS)
     a = background(3 * boundary + 1, 5)
     for k in (boundary, 2 * boundary):
         a[k - len(MISFITS):k + len(MISFITS)] = MISFITS + MISFITS[::-1]
-    block = _Records({"n": _SLOT, "va": _SLOT}, ((np.arange(len(a)), _ints), (a, _json6)))
+    block = _Records({"n": _SLOT, "va": _SLOT}, (np.arange(len(a)), a))
     want = [{"n": n, "va": json.loads(json6_brute(x))} for n, x in enumerate(a.tolist())]
     assert "".join(_json({"terms": block})) == json.dumps({"terms": want}, indent=2)
 
@@ -287,7 +317,9 @@ cells = st.one_of(st.just(""), st.text(alphabet="ab1 -.%,\"", max_size=6))
 def test_table_is_laid_out_like_the_oracle(drawn):
     header, columns = drawn
     want = table_brute("A %s title", header, columns)
-    assert _table("A %s title", header, columns) == want
+    # each row a block of constant cells
+    rows = [[[col[m]] for col in columns] for m in range(len(columns[0]))]
+    assert "".join(_table("A %s title", header, *rows)) == want
 
 
 class _Rows:
@@ -311,3 +343,71 @@ def test_decomposition_csv_is_laid_out_like_the_oracle(rows):
         [[k, *map(fmt6_brute, r)] for k, r in zip(index, rows)],
     )
     assert "".join(_decomposition_csv(_Rows(rows))) == want
+
+
+def whole_text(x: float, json: bool) -> str:
+    """An order's text: an integral one as an integer, else its number."""
+    if float(x).is_integer():
+        return str(int(x))
+    return json6_brute(x) if json else fmt6_brute(x)
+
+
+# Integers on both sides of 10**6, where ``%.6g`` switches to an exponent,
+# up to the largest blade index (2 * 2**20 + 1), and fractional orders
+# near the largest order (2**20)
+WHOLES = [0.0, 7.0, 999999.0, 1e6, 1000001.0, 2.0**20, 2.0**21 + 1,
+          999999.5, 2.0**20 - 0.5, 0.25, 12.5]
+
+
+@pytest.mark.parametrize("n", [1, cli._KERNEL_CUT])
+def test_whole_columns_print_integers_as_integers(n):
+    xs = (WHOLES * n)[:max(n, len(WHOLES))]
+    column = _Column(np.array(xs), whole=True)
+    for json in (False, True):
+        assert texts(column, json=json) == [whole_text(x, json) for x in xs]
+    ints = np.array([x for x in xs if x.is_integer()], dtype=np.intp)
+    assert texts(ints, json=True) == [str(k) for k in ints.tolist()]
+
+
+@pytest.mark.parametrize("step", [1, 3, 4096])
+def test_table_is_the_same_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
+    # 4096 puts every chunk but the last through the number kernel; the
+    # widest text lies in the last row only, and every third row of the
+    # last column is empty, so those rows lose their trailing spaces
+    monkeypatch.setattr(cli, "_CHUNK", step)
+    boundary = -(-len(MISFITS) // step) * step  # the first at or past len(MISFITS)
+    n = 3 * boundary + 1
+    a = background(n, 7)
+    for k in (boundary, 2 * boundary):
+        a[k - len(MISFITS):k + len(MISFITS)] = MISFITS + MISFITS[::-1]
+    a[-1] = -1.7976931348623157e308
+    shown = np.arange(n) % 3 != 1
+    # integral orders up to 2**21 and halves on both sides of 10**6
+    index = np.arange(n)
+    orders = np.where(index % 2, index * 65537.0 % 2**21, index * 0.5 % 20 + 999990)
+    cells = [[index], [_Column(orders, whole=True)], [a], [_Column(-a, shown=shown)]]
+    want = table_brute(
+        "T", ["k", "order", "a", "b"],
+        [[str(k) for k in range(n)],
+         [whole_text(x, False) for x in orders.tolist()],
+         [fmt6_brute(x) for x in a.tolist()],
+         [fmt6_brute(-x) if s else "" for x, s in zip(a.tolist(), shown)]],
+    )
+    assert "".join(_table("T", ["k", "order", "a", "b"], cells)) == want
+
+
+def test_every_golden_chunk_is_ascii(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    chunks = []
+
+    def spy(out_chunks, out):
+        out_chunks = list(out_chunks)
+        chunks.extend(out_chunks)
+        write_text(out_chunks, out)
+
+    write_text = cli._write_text
+    monkeypatch.setattr(cli, "_write_text", spy)
+    for name, argv in {**CASES, **HASHED}.items():
+        run_case(tmp_path, argv, name)
+    assert chunks
+    assert all(isinstance(c, str) and c.isascii() for c in chunks)
