@@ -231,7 +231,7 @@ def _numbers(x, whole: bool, json: bool):
     a = np.fmin(np.abs(x), 99999.0)
     unsure = ((a < 1e-300) | (abs(a - np.rint(a)) <= 1e-5 * a)) & np.logical_not(ints)
     v = x[unsure].tolist()
-    texts = [_json_number(t) for t in ("%.6g " * len(v) % tuple(v)).split()]
+    texts = [_json_text(t) for t in ("%.6g " * len(v) % tuple(v)).split()]
     width = max(16, max(map(len, texts), default=0))
     if width > 16:  # a spelled-out exponent
         slots = np.pad(slots, ((0, 0), (width - 16, 0)))
@@ -245,7 +245,7 @@ def _ascii(text: str, width: int):
     return np.frombuffer(ascii, np.uint8).reshape(-1, width)
 
 
-def _json_number(text: str) -> str:
+def _json_text(text: str) -> str:
     """The JSON number of a ``%.6g`` text."""
     fits = "." in text and not {text[-4:], text[-5:]} & _REPR_EXPONENTS
     return text if fits else _JSON_NONFINITE.get(text) or repr(float(text))
@@ -321,10 +321,15 @@ def _layout(fields, widths=None) -> str:
     return rows.tobytes().translate(None, b"\0").decode()
 
 
+def _size(cells) -> int:
+    """The number of rows of the block ``cells``: one if it has no column."""
+    columns = [p for cell in cells for p in cell if not isinstance(p, str)]
+    return len(getattr(columns[0], "values", columns[0])) if columns else 1
+
+
 def _chunks(cells, json: bool = False):
     """The cell fields of the block ``cells``, ``_CHUNK`` rows at a time."""
-    columns = [p for cell in cells for p in cell if not isinstance(p, str)]
-    n = len(getattr(columns[0], "values", columns[0])) if columns else 1
+    n = _size(cells)
     for k in range(0, n, _CHUNK):
         yield _fields(cells, json, k, min(k + _CHUNK, n))
 
@@ -332,12 +337,15 @@ def _chunks(cells, json: bool = False):
 def _table(title: str, header: list[str], *blocks):
     """Text chunks of an aligned table: ``title``, a row of the ``header``
     names and the rows of each block of cells.  A column is as wide as
-    its widest text, which a first pass over the chunks finds."""
+    its widest text, which a first pass over the chunks finds.  A block
+    of one chunk keeps the fields of that pass; a longer one is formatted
+    again, so that it is held a chunk at a time."""
     blocks = [[[name] for name in header], *blocks]
-    chunks = (fields for block in blocks for fields in _chunks(block))
-    widths = np.max([[_lengths(f).max() for f in fields] for fields in chunks], axis=0)
+    kept = [[*_chunks(b)] if _size(b) <= _CHUNK else None for b in blocks]
+    chunks = lambda: (f for b, k in zip(blocks, kept) for f in k or _chunks(b))
+    widths = np.max([[_lengths(f).max() for f in fields] for fields in chunks()], axis=0)
     yield title + "\n"
-    yield from (_layout(fields, widths) for block in blocks for fields in _chunks(block))
+    yield from (_layout(fields, widths) for fields in chunks())
 
 
 def _spaced(tables):
@@ -373,7 +381,7 @@ def _record_block(block: _Records, pad: str):
     inner = pad + "  "
     first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
     cell = [inner + first, *chain(*zip(block.columns, [*middle, last + ",\n"]))]
-    n = len(getattr(block.columns[0], "values", block.columns[0]))
+    n = _size([block.columns])
     if not n:
         yield "[]"
         return
@@ -806,4 +814,3 @@ def main(argv=None) -> int:
 
 if __name__ == "__main__":
     sys.exit(main())
-
