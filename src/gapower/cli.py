@@ -211,12 +211,6 @@ def _numbers(x, whole: bool, json: bool):
     ``whole``, and with ``json`` the JSON number of either."""
     x = np.asarray(x, dtype=np.float64) + 0.0
     ints = whole and np.isfinite(x) & (np.rint(x) == x)
-    if len(x) >= _KERNEL_CUT and np.all(ints) and 0 <= x.min() <= x.max() < 1e6:
-        # 6 digits from the kernel's table, less their leading zeros
-        d, digits = x.astype(np.intp), _digit_words()[0]
-        text = digits[0][d // 1000] | digits[1][d % 1000]
-        zeros = 5 - np.searchsorted(10 ** np.arange(1, 6), d, side="right")
-        return (text >> (8 * zeros).astype(_U)).view(np.uint8).reshape(-1, 8)
     slots, odd = _slots(x)
     v = x[odd].tolist()
     slots[odd] = _ascii("%16.6g" * len(v) % tuple(v), 16)
@@ -327,22 +321,22 @@ def _size(cells) -> int:
     return len(getattr(columns[0], "values", columns[0])) if columns else 1
 
 
-def _chunks(cells, json: bool = False):
-    """The cell fields of the block ``cells``, ``_CHUNK`` rows at a time."""
+def _chunks(cells, json: bool = False, start: int = 0):
+    """The cell fields of block ``cells`` from row ``start``, ``_CHUNK`` rows at a time."""
     n = _size(cells)
-    for k in range(0, n, _CHUNK):
+    for k in range(start, n, _CHUNK):
         yield _fields(cells, json, k, min(k + _CHUNK, n))
 
 
 def _table(title: str, header: list[str], *blocks):
     """Text chunks of an aligned table: ``title``, a row of the ``header``
     names and the rows of each block of cells.  A column is as wide as
-    its widest text, which a first pass over the chunks finds.  A block
-    of one chunk keeps the fields of that pass; a longer one is formatted
-    again, so that it is held a chunk at a time."""
+    its widest text, which a first pass over the chunks finds.  Each
+    block keeps the fields of its first chunk from that pass; the rest are
+    formatted again, so that a table is held a chunk a block at a time."""
     blocks = [[[name] for name in header], *blocks]
-    kept = [[*_chunks(b)] if _size(b) <= _CHUNK else None for b in blocks]
-    chunks = lambda: (f for b, k in zip(blocks, kept) for f in k or _chunks(b))
+    firsts = [[*islice(_chunks(b), 1)] for b in blocks]
+    chunks = lambda: chain(*map(chain, firsts, (_chunks(b, False, _CHUNK) for b in blocks)))
     widths = np.max([[_lengths(f).max() for f in fields] for fields in chunks()], axis=0)
     yield title + "\n"
     yield from (_layout(fields, widths) for fields in chunks())

@@ -169,7 +169,8 @@ def test_rows_split_across_calls_print_the_same(monkeypatch):
     a = edges_at_pass_ends(3, 3)[:700]
     whole = csv_rows(a)
     assert whole == "".join(",".join(map(fmt6_brute, r)) + "\n" for r in a.tolist())
-    for chunk in (1, 7, 500):  # a chunk of fewer than 512 rows goes through %
+    monkeypatch.setattr(cli, "_KERNEL_CUT", 1)  # every chunk through the kernel
+    for chunk in (1, 7, 500):
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         assert csv_rows(a) == whole
 
