@@ -211,6 +211,12 @@ def _numbers(x, whole: bool, json: bool):
     ``whole``, and with ``json`` the JSON number of either."""
     x = np.asarray(x, dtype=np.float64) + 0.0
     ints = whole and np.isfinite(x) & (np.rint(x) == x)
+    if len(x) >= _KERNEL_CUT and np.all(ints) and 0 <= x.min() <= x.max() < 1e6:
+        # the kernel's bytes from its digit table alone, at under half its cost
+        d, digits = x.astype(np.intp), _digit_words()[0]
+        zeros = 5 - np.searchsorted(10 ** np.arange(1, 6), d, side="right")
+        text = (digits[0][d // 1000] | digits[1][d % 1000]) >> (8 * zeros).astype(_U)
+        return text.view(np.uint8).reshape(-1, 8)
     slots, odd = _slots(x)
     v = x[odd].tolist()
     slots[odd] = _ascii("%16.6g" * len(v) % tuple(v), 16)
@@ -315,15 +321,11 @@ def _layout(fields, widths=None) -> str:
     return rows.tobytes().translate(None, b"\0").decode()
 
 
-def _size(cells) -> int:
-    """The number of rows of the block ``cells``: one if it has no column."""
-    columns = [p for cell in cells for p in cell if not isinstance(p, str)]
-    return len(getattr(columns[0], "values", columns[0])) if columns else 1
-
-
 def _chunks(cells, json: bool = False, start: int = 0):
-    """The cell fields of block ``cells`` from row ``start``, ``_CHUNK`` rows at a time."""
-    n = _size(cells)
+    """The cell fields of the block ``cells`` from row ``start``, ``_CHUNK``
+    rows at a time; a block without a column has one row."""
+    columns = [p for cell in cells for p in cell if not isinstance(p, str)]
+    n = len(getattr(columns[0], "values", columns[0])) if columns else 1
     for k in range(start, n, _CHUNK):
         yield _fields(cells, json, k, min(k + _CHUNK, n))
 
@@ -375,15 +377,11 @@ def _record_block(block: _Records, pad: str):
     inner = pad + "  "
     first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
     cell = [inner + first, *chain(*zip(block.columns, [*middle, last + ",\n"]))]
-    n = _size([block.columns])
-    if not n:
-        yield "[]"
-        return
-    yield "[\n"
-    chunks = map(_layout, _chunks([cell], json=True))
-    for _ in range(_CHUNK, n, _CHUNK):  # every chunk but the last
-        yield next(chunks)
-    yield f"{next(chunks)[:-2]}\n{pad}]"
+    text = "[\n"
+    for chunk in map(_layout, _chunks([cell], json=True)):
+        yield text  # a chunk behind, so that the last loses its comma
+        text = chunk
+    yield "[]" if text == "[\n" else f"{text[:-2]}\n{pad}]"
 
 
 def _json(obj, pad: str = ""):
