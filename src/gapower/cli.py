@@ -377,11 +377,13 @@ def _record_block(block: _Records, pad: str):
     inner = pad + "  "
     first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
     cell = [inner + first, *chain(*zip(block.columns, [*middle, last + ",\n"]))]
-    n = len(getattr(block.columns[0], "values", block.columns[0]))
-    yield "[\n" if n else "[]"
-    chunks = map(_layout, _chunks([cell], json=True))
-    for k in range(_CHUNK, n + _CHUNK, _CHUNK):  # the last chunk loses its comma
-        yield next(chunks) if k < n else f"{next(chunks)[:-2]}\n{pad}]"
+    text = "[\n"
+    for chunk in map(_layout, _chunks([cell], json=True)):
+        # a chunk behind, so that the last loses its comma; the chunk held
+        # also keeps malloc from returning and re-faulting the heap's top
+        yield text
+        text = chunk
+    yield "[]" if text == "[\n" else f"{text[:-2]}\n{pad}]"
 
 
 def _json(obj, pad: str = ""):
