@@ -52,21 +52,13 @@ class GeometricPower(Frozen):
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
-        object.__setattr__(self, "scalar", float(scalar))
-        object.__setattr__(self, "blade_indices", idx)
-        object.__setattr__(self, "va", va)
-        object.__setattr__(self, "layout", layout)
+        self._set(scalar=float(scalar), blade_indices=idx, va=va, layout=layout)
 
     def __str__(self) -> str:
         a, b = self.blade_indices.T
         by_mask = np.lexsort((a, b))  # sorted by (b, a)
         planes = zip(self.blade_indices[by_mask].tolist(), self.va[by_mask].tolist())
         return format_terms([((), self.scalar), *planes])
-
-    @property
-    def active(self) -> float:
-        """Total active power, the scalar part."""
-        return self.scalar
 
 
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
@@ -103,7 +95,7 @@ def power_factor(mpower: GeometricPower) -> float:
     s = apparent(mpower)
     if s == 0.0:
         raise PowerAnalysisError("power factor undefined at zero apparent power")
-    return mpower.active / s
+    return mpower.scalar / s
 
 
 def harmonic_pq(
@@ -150,9 +142,9 @@ def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:
     cross-frequency terms."""
     m = geometric_power(u, i)
     s = apparent(m)
-    pf = m.active / s if s > 0.0 else None
+    pf = m.scalar / s if s > 0.0 else None
     return PowerReport(
-        p_w=m.active,
+        p_w=m.scalar,
         apparent_va=s,
         pf=pf,
         per_harmonic=harmonic_pq(u, i),

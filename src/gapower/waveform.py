@@ -85,10 +85,10 @@ def load_csv(source) -> tuple[SampledWaveform, SampledWaveform]:
     views.  It takes ``u,i`` rows with surrounding spaces or tabs, CRLF
     endings, comments and empty lines.  A whitespace-only or indented
     comment line, a bad row or a header-only input makes that pass give
-    up; the rows are then read one by one from just after the header,
-    which gives the same values or the line-numbered error.  Every other
-    source (a stream, a pipe, a compressed or ``scheme://`` name) is read
-    row by row.
+    up, and a non-finite sample in its block is refused; the rows are
+    then read one by one from just after the header, which gives the same
+    values or the line-numbered error.  Every other source (a stream, a
+    pipe, a compressed or ``scheme://`` name) is read row by row.
     """
     if isinstance(source, (str, Path)):
         path = os.fspath(source)
@@ -126,7 +126,12 @@ def _numpy_reads_as_text(fh, path: str) -> bool:
 def _read_recording(fh, path: str | None) -> tuple[SampledWaveform, SampledWaveform]:
     rate, lineno = _read_header(fh)
     columns = _load_columns(path, lineno) if path is not None else None
-    u, i = columns if columns is not None else _parse_rows(fh, lineno + 1)
+    if columns is not None:
+        try:
+            return SampledWaveform(columns[0], rate), SampledWaveform(columns[1], rate)
+        except WaveformError:  # a non-finite sample, whose line the row loop names
+            pass
+    u, i = _parse_rows(fh, lineno + 1)
     return SampledWaveform(u, rate), SampledWaveform(i, rate)
 
 
@@ -203,6 +208,8 @@ def _parse_rows(lines, first_lineno: int) -> tuple[list[float], list[float]]:
             raise WaveformError(
                 f"line {lineno}: non-numeric value in {text!r}"
             ) from None
+        if not (math.isfinite(u_vals[-1]) and math.isfinite(i_vals[-1])):
+            raise WaveformError(f"line {lineno}: samples must be finite, got {text!r}")
     if not u_vals:
         raise WaveformError("no data rows found after the header")
     return u_vals, i_vals

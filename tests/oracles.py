@@ -342,10 +342,11 @@ def solve_brute(r: float, l: float, c, f0_hz: float, dc: float,
     the compensator adds -B_k.  Returns ``p_w``, ``apparent_va`` and
     ``pf`` with their ``scale``, ``per_order`` rows ``(order, p, q,
     scale)`` by order, ``norms`` of i_p, i_a, i_s, i_q, i_N and i with
-    their ``norm_scale``, and ``compensation`` rows ``(order, siemens,
-    scale)``, DC first.  A scale is the quantity's size times the largest
-    (R + |X_L| + |X_C|) / |Z_k| it depends on: the factor by which a
-    rounding of the reactance's two terms grows in Y_k."""
+    their ``norm_scale``, ``compensation`` rows ``(order, siemens,
+    scale)`` and ``spectra`` rows ``(order, U_k, I_k, grow_k)``, DC (real
+    levels at order 0) first.  A scale is the quantity's size times the
+    largest growth factor (R + |X_L| + |X_C|) / |Z_k| it depends on: the
+    factor by which a rounding of the reactance's two terms grows in Y_k."""
     omega = 2.0 * math.pi * f0_hz
     U, Y, grow = {}, {}, {}
     if dc:
@@ -383,6 +384,7 @@ def solve_brute(r: float, l: float, c, f0_hz: float, dc: float,
         },
         "norm_scale": norm(I.values()) * worst,
         "compensation": [(k, -Y[k].imag, abs(Y[k]) * grow[k]) for k in U],
+        "spectra": [(k, U[k], I[k], grow[k]) for k in U],
     }
 
 

@@ -184,8 +184,8 @@ def test_criterion_3_benchmark_recording():
     failures: list[str] = []
     check(
         failures,
-        abs(m.active - 359.21) <= 0.01 * 359.21,
-        f"M_a = {m.active:.4f} not within 1% of 359.21",
+        abs(m.scalar - 359.21) <= 0.01 * 359.21,
+        f"M_a = {m.scalar:.4f} not within 1% of 359.21",
     )
     norms = cc.norms()
     for name, want in (
@@ -206,7 +206,7 @@ def test_criterion_3_benchmark_recording():
     report(
         "criterion 3: benchmark recording pipeline",
         failures,
-        f"M_a {m.active:.2f} W, runtime {elapsed * 1e3:.0f} ms",
+        f"M_a {m.scalar:.2f} W, runtime {elapsed * 1e3:.0f} ms",
     )
 
 

@@ -359,8 +359,8 @@ def test_pythagoras_parallel_quadrature_generated(pair):
 def test_power_preserved_by_active_current(pair):
     u, i = pair
     i_a, _ = fryze_split(u, i)
-    assert geometric_power(u, i_a).active == pytest.approx(
-        geometric_power(u, i).active, abs=1e-9, rel=1e-12
+    assert geometric_power(u, i_a).scalar == pytest.approx(
+        geometric_power(u, i).scalar, abs=1e-9, rel=1e-12
     )
 
 

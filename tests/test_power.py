@@ -66,7 +66,7 @@ def test_geometric_power_fixture(two_harmonic_phasor, rlc_equal_conductance):
     assert_power(m, 10000.0, {
         (1, 2): -5000.0, (5, 6): 5000.0, (1, 6): -5000.0, (2, 5): -5000.0,
     })
-    assert m.active == pytest.approx(10000.0)
+    assert m.scalar == pytest.approx(10000.0)
     block = bivector_block(m)
     assert np.any(block) and not np.any(np.tril(block))
 
@@ -293,7 +293,7 @@ def test_decomposition_completeness(pair):
     m = geometric_power(u, i)
     bivector_sq = float(np.sum(bivector_block(m)**2))
     assert apparent(m) ** 2 == pytest.approx(
-        m.active**2 + bivector_sq, abs=1e-9, rel=1e-12
+        m.scalar**2 + bivector_sq, abs=1e-9, rel=1e-12
     )
 
 
@@ -325,7 +325,7 @@ def test_scalar_part_equals_mean_instantaneous_power(pair):
     samples = 256
     t = np.arange(samples) / (samples * f0)
     p_t = reconstruct(from_phasor(u), t) * reconstruct(from_phasor(i), t)
-    assert float(np.mean(p_t)) == pytest.approx(m.active, abs=1e-6)
+    assert float(np.mean(p_t)) == pytest.approx(m.scalar, abs=1e-6)
 
 
 # Prints the bits of the apparent power of five seeded dim-201 powers.

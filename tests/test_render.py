@@ -307,20 +307,44 @@ def test_json_misfits_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
 cells = st.one_of(st.just(""), st.text(alphabet="ab1 -.%,\"", max_size=6))
 
 
-# the Spectra table's dc row ends in empty cells
-@example((["order", "u_rms", "u_phase"], [["dc", "1"], ["12", "230"], ["", "0.3"]]))
-@example((["a", "b"], [[], []]))
+def table_column(n: int):
+    """A table column of ``n`` rows as ``(prefix, values, whole, shown,
+    instead, suffix)``: numbers (an order column's if ``whole``) between
+    two constant texts, like the cross-term blade cell's "s" and " s",
+    each entry where ``shown`` is False printed as ``instead``, like the
+    Spectra table's ``dc`` row and missing phases."""
+    def column(whole: bool):
+        numbers = st.one_of(st.sampled_from(WHOLES), st.integers(0, 2**21 + 1).map(float))
+        return st.tuples(cells, st.lists(numbers if whole else values, min_size=n, max_size=n),
+                         st.just(whole), st.lists(st.booleans(), min_size=n, max_size=n),
+                         cells, cells)
+
+    return st.booleans().flatmap(column)
+
+
+@example((["order", "u_rms", "u_phase"],
+          [("", [0.0, 12.0], True, [False, True], "dc", ""),
+           ("", [1.0, 230.0], False, [True, True], "", ""),
+           ("", [math.nan, 0.3], False, [False, True], "", "")]))
+@example((["a", "b"], [("", [], False, [], "", "")] * 2))
 @given(st.integers(1, 5).flatmap(lambda k: st.tuples(
     st.lists(cells, min_size=k, max_size=k),
-    st.integers(0, 6).flatmap(lambda n: st.lists(
-        st.lists(cells, min_size=n, max_size=n), min_size=k, max_size=k)),
+    st.integers(0, 6).flatmap(lambda n: st.lists(table_column(n), min_size=k, max_size=k)),
 )))
 def test_table_is_laid_out_like_the_oracle(drawn):
     header, columns = drawn
-    want = table_brute("A %s title", header, columns)
-    # each row a block of constant cells
-    rows = [[[col[m]] for col in columns] for m in range(len(columns[0]))]
-    assert "".join(_table("A %s title", header, *rows)) == want
+
+    def entry(x: float, shown: bool, whole: bool, instead: str) -> str:
+        return (whole_text(x, False) if whole else fmt6_brute(x)) if shown else instead
+
+    want = table_brute("A %s title", header, [
+        [prefix + entry(x, s, whole, instead) + suffix for x, s in zip(xs, shown)]
+        for prefix, xs, whole, shown, instead, suffix in columns])
+    # one block: each cell a constant, a column and a constant
+    block = [[prefix, _Column(np.array(xs, dtype=np.float64), whole, np.array(shown, bool),
+                              instead), suffix]
+             for prefix, xs, whole, shown, instead, suffix in columns]
+    assert "".join(_table("A %s title", header, block)) == want
 
 
 class _Rows:

@@ -1,17 +1,20 @@
-"""``solve --format json`` end to end against an independent reference.
+"""``solve --format json`` and ``--format table`` end to end against an
+independent reference.
 
 A drawn series RLC branch (R, L and C log-uniform, C sometimes absent)
 under a drawn 50 Hz source (DC where no capacitor blocks it, a few dense
 low orders and one sparse order up to 10^4, all scaled by a log-uniform
 factor) is written as JSON, so the CLI parses exactly the drawn doubles.
 The reported totals, per-order P/Q, current norms and compensation
-susceptances are compared at the 6 digits they are printed with to
+susceptances, and in the tables the source and current spectra too, are
+compared at the 6 digits they are printed with to
 ``oracles.solve_brute``, a complex-phasor path that shares no code with
 the package.
 """
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import io
 import json
@@ -51,8 +54,8 @@ def circuits(draw):
     return r, l, c, dc, lines
 
 
-def solve_json(r, l, c, dc, lines) -> dict:
-    """The parsed ``solve --format json`` report of the circuit."""
+def solve_text(r, l, c, dc, lines, fmt: str) -> str:
+    """The ``solve --format fmt`` report of the circuit."""
     source = {
         "fundamental_hz": F0_HZ,
         "dc": dc,
@@ -69,15 +72,16 @@ def solve_json(r, l, c, dc, lines) -> dict:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = main(["solve", "--circuit", paths[0], "--source", paths[1],
-                       "--format", "json"])
+                       "--format", fmt])
     assert rc == 0
-    return json.loads(out.getvalue())
+    return out.getvalue()
 
 
 @given(circuits())
 def test_solve_json_matches_the_complex_reference(circuit):
     r, l, c, dc, lines = circuit
-    doc, ref = solve_json(*circuit), solve_brute(r, l, c, F0_HZ, dc, lines)
+    doc = json.loads(solve_text(*circuit, "json"))
+    ref = solve_brute(r, l, c, F0_HZ, dc, lines)
     power, currents = doc["power"], doc["currents"]
     s, total = ref["apparent_va"], ref["scale"]
     assert close6(power["p_w"], ref["p_w"], total, total)
@@ -96,3 +100,58 @@ def test_solve_json_matches_the_complex_reference(circuit):
     assert [row["order"] for row in records] == [row[0] for row in ref["compensation"]]
     for row, (_, siemens, scale) in zip(records, ref["compensation"]):
         assert close6(row["siemens"], siemens, scale, scale), row
+
+
+def cut_tables(text: str) -> dict:
+    """Each table of a ``--format table`` report by title: its rows of
+    cell texts, each row cut at the offsets of the header's names."""
+    tables = {}
+    for block in text.split("\n\n"):
+        title, header, *rows = block.rstrip("\n").split("\n")
+        starts, at = [], 0
+        for name in header.split():
+            at = header.index(name, at)
+            starts.append(at)
+            at += len(name)
+        tables[title] = [[row[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+                         for row in rows]
+    return tables
+
+
+def close_angle(got: float, ref: float, scale: float) -> bool:
+    """``close6`` for an angle, ``got`` taken to the turn of ``ref``."""
+    return close6(got - 2 * math.pi * round((got - ref) / (2 * math.pi)), ref, scale, scale)
+
+
+@given(circuits())
+def test_solve_tables_match_the_complex_reference(circuit):
+    r, l, c, dc, lines = circuit
+    tables = cut_tables(solve_text(*circuit, "table"))
+    ref = solve_brute(r, l, c, F0_HZ, dc, lines)
+    s, total, norm_total = ref["apparent_va"], ref["scale"], ref["norm_scale"]
+    spectra = tables["Spectra"]
+    assert len(spectra) == len(ref["spectra"])
+    for row, (k, u, i, grow) in zip(spectra, ref["spectra"]):
+        if k == 0:  # the row of DC levels
+            assert row[0] == "dc" and row[2] == row[4] == "", row
+            assert close6(float(row[1]), u.real, 0.0, 0.0), row
+            assert close6(float(row[3]), i.real, abs(i), norm_total), row
+            continue
+        assert float(row[0]) == k, row
+        assert close6(float(row[1]), abs(u), abs(u), abs(u)), row
+        assert close_angle(float(row[2]), cmath.phase(u), math.pi), row
+        assert close6(float(row[3]), abs(i), abs(i) * grow, norm_total), row
+        assert close_angle(float(row[4]), cmath.phase(i), math.pi * grow), row
+    [summary] = tables["Power summary"]
+    assert close6(float(summary[0]), ref["p_w"], total, total)
+    assert close6(float(summary[1]), s, total, total)
+    assert close6(float(summary[2]), ref["pf"], total / s, total / s)
+    rows = tables["Per-harmonic P/Q"]
+    assert [float(row[0]) for row in rows] == [row[0] for row in ref["per_order"]]
+    for row, (_, p, q, scale) in zip(rows, ref["per_order"]):
+        assert close6(float(row[1]), p, scale, total), row
+        assert close6(float(row[2]), q, scale, total), row
+    rows = tables["Compensation susceptances (S)"]
+    assert [float(row[0]) for row in rows] == [row[0] for row in ref["compensation"]]
+    for row, (_, siemens, scale) in zip(rows, ref["compensation"]):
+        assert close6(float(row[1]), siemens, scale, scale), row

@@ -370,6 +370,23 @@ def test_load_csv_errors(tmp_path, text, fragment):
 
 
 @pytest.mark.parametrize(
+    "text,line",
+    [
+        # numpy reads the file; its block is refused and the row loop,
+        # reading again from just after the header, finds the line
+        pytest.param("# fs_hz = 100\n1,2\n3,4\n5,6\ninf,7\n", 5, id="inf-numpy"),
+        # the indented comment makes numpy's pass give up first
+        pytest.param("# fs_hz = 100\n1,2\n  # note\n1e400,3\n", 4, id="1e400-rows"),
+    ],
+)
+def test_load_csv_names_the_line_of_a_non_finite_sample(tmp_path, text, line):
+    for kind, source in csv_sources(text, tmp_path).items():
+        with pytest.raises(WaveformError) as err:
+            load_csv(source)
+        assert str(err.value).startswith(f"line {line}: samples must be finite"), kind
+
+
+@pytest.mark.parametrize(
     "data",
     [
         pytest.param(b"# fs_hz = 100\xff\n1,2\n", id="header"),
@@ -820,7 +837,7 @@ def test_sample_power_equals_geometric_scalar(su, si):
     wu, wi = coherent_window(su), coherent_window(si)
     layout = BasisLayout.for_signals(su, si)
     m = geometric_power(to_phasor(su, layout), to_phasor(si, layout))
-    assert active_power(wu, wi) == pytest.approx(m.active, rel=1e-9, abs=1e-9)
+    assert active_power(wu, wi) == pytest.approx(m.scalar, rel=1e-9, abs=1e-9)
 
 
 @given(st.integers(1, 63))
