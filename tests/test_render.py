@@ -322,6 +322,7 @@ def table_column(n: int):
     return st.booleans().flatmap(column)
 
 
+# the Spectra table's dc row: its order a masked entry, its last cell empty
 @example((["order", "u_rms", "u_phase"],
           [("", [0.0, 12.0], True, [False, True], "dc", ""),
            ("", [1.0, 230.0], False, [True, True], "", ""),
