@@ -14,8 +14,11 @@ routine (``_layout``) from constant texts and columns of numbers (see
 the comments on number formatting and layout); ``json.dumps`` only
 writes keys, strings and the few irregular values.  A command returns
 its outputs as ``(path, chunks)`` pairs (None is stdout), the chunks a
-lazy iterator for ``writelines`` that formats as it is written, so no
-output is ever held whole, as text or encoded.  Everything but the
+lazy iterator of ASCII ``bytes`` that formats as it is written, so no
+output is ever held whole.  A file is opened in binary mode and takes
+the iterator as it is (``writelines``); stdout takes text, so each chunk
+is decoded as it is written there, and a caller may put any text stream
+in its place.  Everything but the
 formatting, opening every output file too, runs before the first write;
 if a write fails, the files this call created are removed.
 
@@ -44,7 +47,7 @@ import math
 import os
 import sys
 from functools import cache
-from itertools import chain, islice
+from itertools import accumulate, chain, islice, repeat
 
 import numpy as np
 
@@ -110,7 +113,9 @@ FORMATS = ("table", "json", "csv")
 
 # A block of rows is laid out ``_CHUNK`` rows at a time: each part of a
 # row, a constant or a column's slots, fills a fixed run of bytes of one
-# ``(rows, width)`` uint8 array, whose NUL holes one pass drops.  On a
+# ``(rows, width)`` uint8 array, whose NUL holes one pass drops.  The
+# constants fill every row at once, as one template row; only the
+# columns are copied in one by one.  On a
 # 2-vCPU guest (Python 3.11, numpy 2.4), 2**11 rows per chunk cost a
 # 10**6-row --timeseries 13 % and the analyze --orders 100 table 1.5 ms;
 # 2**13 peaked 1.4 MB higher on its JSON, 2**12 0.7 MB above 2**11.
@@ -207,17 +212,17 @@ def _slots(x):
 
 
 def _numbers(x, whole: bool, json: bool):
-    """The texts of the float array ``x`` as ``(len(x), width)`` uint8
-    rows, NUL bytes as holes: ``%.6g``, ``%d`` for an integral entry if
-    ``whole``, and with ``json`` the JSON number of either."""
+    """The texts of the array ``x`` as ``(len(x), width)`` uint8 rows, NUL
+    bytes as holes: of an integer array ``%d``; of a float array
+    ``%.6g``, ``%d`` for an integral entry if ``whole``, and with ``json``
+    the JSON number of either."""
+    x = np.asarray(x)
+    if x.dtype.kind in "iu":
+        return _integers(x)
     x = np.asarray(x, dtype=np.float64) + 0.0
     ints = whole and np.isfinite(x) & (np.rint(x) == x)
-    if len(x) >= _KERNEL_CUT and np.all(ints) and 0 <= x.min() <= x.max() < 1e6:
-        # the kernel's bytes from its digit table alone, at under half its cost
-        d, digits = x.astype(np.intp), _digit_words()[0]
-        zeros = 5 - np.searchsorted(10 ** np.arange(1, 6), d, side="right")
-        text = (digits[0][d // 1000] | digits[1][d % 1000]) >> (8 * zeros).astype(_U)
-        return text.view(np.uint8).reshape(-1, 8)
+    if whole and ints.all():
+        return _integers(x.astype(np.intp))
     slots, odd = _slots(x)
     v = x[odd].tolist()
     slots[odd] = _ascii("%16.6g" * len(v) % tuple(v), 16)
@@ -240,6 +245,19 @@ def _numbers(x, whole: bool, json: bool):
     return slots
 
 
+def _integers(d):
+    """The ``%d`` texts of the integer array ``d``, as ``_numbers`` gives
+    them."""
+    if len(d) >= _KERNEL_CUT and 0 <= d.min() and d.max() < 10**6:
+        # the kernel's bytes from its digit table alone, at under half its cost
+        digits = _digit_words()[0]
+        zeros = 5 - np.searchsorted(10 ** np.arange(1, 6), d, side="right")
+        text = (digits[0][d // 1000] | digits[1][d % 1000]) >> (8 * zeros).astype(_U)
+        return text.view(np.uint8).reshape(-1, 8)
+    v = d.tolist()
+    return _ascii("%16d" * len(v) % tuple(v), 16)
+
+
 def _ascii(text: str, width: int):
     """``text`` as rows of ``width`` bytes, its spaces as NUL bytes."""
     ascii = bytearray(text.replace(" ", "\0"), "ascii")
@@ -254,26 +272,27 @@ def _json_text(text: str) -> str:
 
 class _Column(Frozen):
     """A column of numbers, one per row of a block: ``values``, whose
-    integral entries print as integers if ``whole`` (all below 10**15);
-    where ``shown`` is False an entry prints ``instead``."""
+    integral entries print as integers if ``whole`` or ``values`` is an
+    integer array (all below 10**15); where ``shown`` is False an entry
+    prints the bytes ``instead``."""
 
     __slots__ = ("values", "whole", "shown", "instead")
 
-    def __init__(self, values, whole: bool = False, shown=None, instead: str = ""):
+    def __init__(self, values, whole: bool = False, shown=None, instead: bytes = b""):
         self._set(values=values, whole=whole, shown=shown, instead=instead)
 
 
 def _fields(cells, json: bool, start: int, stop: int) -> list:
     """Rows ``start:stop`` of each cell of a block as ``(rows, width)`` uint8
-    arrays, NUL bytes as holes.  A cell is a list of parts: a str, the same
+    arrays, NUL bytes as holes.  A cell is a list of parts: bytes, the same
     in every row, or a column of numbers (floats, integers or a ``_Column``)."""
     def text(part):
-        if isinstance(part, str):
+        if isinstance(part, bytes):
             return part
-        c = part if isinstance(part, _Column) else _Column(part, part.dtype.kind in "iu")
+        c = part if isinstance(part, _Column) else _Column(part)
         slots = _numbers(c.values[start:stop], c.whole, json)
         if c.shown is not None:
-            instead = c.instead.rjust(slots.shape[1], "\0").encode()
+            instead = c.instead.rjust(slots.shape[1], b"\0")
             slots[~c.shown[start:stop]] = np.frombuffer(instead, np.uint8)
         return slots
 
@@ -286,53 +305,56 @@ def _lengths(field):
 
 
 def _join(parts, m: int):
-    """The ``(m, width)`` uint8 array of ``parts`` side by side, each a str,
-    the same in every row, or an ``(m, w)`` uint8 array."""
-    if len(parts) == 1 and not isinstance(parts[0], str):
+    """The ``(m, width)`` uint8 array of ``parts`` side by side, each bytes,
+    the same in every row, or an ``(m, w)`` uint8 array: every row is set
+    to the row of the constant bytes at once, then each array is copied
+    into its place."""
+    if len(parts) == 1 and not isinstance(parts[0], bytes):
         return parts[0]
-    parts = [np.frombuffer(p.encode(), np.uint8) if isinstance(p, str) else p
-             for p in parts]
-    ends = np.cumsum([p.shape[-1] for p in parts])
-    rows = np.empty((m, ends[-1]), np.uint8)
-    for part, end in zip(parts, ends.tolist()):
-        rows[:, end - part.shape[-1]:end] = part
+    widths = [len(p) if isinstance(p, bytes) else p.shape[1] for p in parts]
+    template = b"".join(p if isinstance(p, bytes) else bytes(w) for p, w in zip(parts, widths))
+    rows = np.empty((m, len(template)), np.uint8)
+    rows[:] = np.frombuffer(template, np.uint8)
+    for part, end in zip(parts, accumulate(widths)):
+        if not isinstance(part, bytes):
+            rows[:, end - part.shape[1]:end] = part
     return rows
 
 
-def _layout(fields, widths=None) -> str:
-    """The text of the rows of a chunk's cell ``fields``: each row its
+def _layout(fields, widths=None) -> bytes:
+    """The bytes of the rows of a chunk's cell ``fields``: each row its
     cells' texts side by side.  With ``widths`` (a table) two spaces lead
     each row and part its cells, every cell but the last is padded with
     spaces to its width, and a row loses its trailing spaces."""
     if widths is None:
         rows = _join(fields, len(fields[0]))
     else:
-        parts = ["  "]
+        parts = [b"  "]
         for field, width in zip(fields[:-1], widths):
             fill = width - _lengths(field)
-            parts += [field, (np.arange(width) < fill[:, None]) * np.uint8(32), "  "]
+            parts += [field, (np.arange(width) < fill[:, None]) * np.uint8(32), b"  "]
         last = fields[-1]
-        rows = _join([*parts, last, "\n"], len(last))
+        rows = _join([*parts, last, b"\n"], len(last))
         # a row whose last cell is empty or ends in a space loses every
         # byte after its last one that is neither a space nor a hole
         tail = rows[:, -3 - last.shape[1]:-1]
         bare = tail[np.arange(len(tail)), -1 - np.argmax(tail[:, ::-1] != 0, 1)] == 32
         body = rows[bare, :-1]
         rows[bare, :-1] = body * np.logical_or.accumulate(body[:, ::-1] > 32, 1)[:, ::-1]
-    return rows.tobytes().translate(None, b"\0").decode()
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _chunks(cells, json: bool = False, start: int = 0):
     """The cell fields of the block ``cells`` from row ``start``, ``_CHUNK``
     rows at a time; the first column gives the number of rows."""
-    column = next(p for cell in cells for p in cell if not isinstance(p, str))
+    column = next(p for cell in cells for p in cell if not isinstance(p, bytes))
     n = len(getattr(column, "values", column))
     for k in range(start, n, _CHUNK):
         yield _fields(cells, json, k, min(k + _CHUNK, n))
 
 
 def _table(title: str, header: list[str], cells):
-    """Text chunks of an aligned table: ``title``, a plain-text row of the
+    """Byte chunks of an aligned table: ``title``, a plain-text row of the
     ``header`` names and the rows of the block ``cells``.  A column is as
     wide as its widest text, which a first pass over the chunks finds; it
     keeps the first chunk, so a table is held a chunk at a time."""
@@ -340,23 +362,24 @@ def _table(title: str, header: list[str], cells):
     chunks = lambda: chain(first, _chunks(cells, False, _CHUNK))
     widths = np.max([[*map(len, header)],
                      *([_lengths(f).max() for f in fields] for fields in chunks())], axis=0)
-    yield title + "\n" + "  ".join(["", *map(str.ljust, header, widths)]).rstrip() + "\n"
-    yield from (_layout(fields, widths) for fields in chunks())
+    head = "  ".join(["", *map(str.ljust, header, widths)]).rstrip()
+    yield f"{title}\n{head}\n".encode()
+    yield from map(_layout, chunks(), repeat(widths))
 
 
 def _spaced(tables):
-    """Text chunks of ``tables`` with a blank line between each two."""
-    return islice(chain.from_iterable(chain("\n", table) for table in tables), 1, None)
+    """Byte chunks of ``tables`` with a blank line between each two."""
+    return islice(chain.from_iterable(chain([b"\n"], table) for table in tables), 1, None)
 
 
 def _csv(columns) -> list:
     """A CSV row's cell: ``columns`` with commas between, a newline after."""
-    return [p for column in columns for p in (column, ",")][:-1] + ["\n"]
+    return [p for column in columns for p in (column, b",")][:-1] + [b"\n"]
 
 
 # A value slot of a JSON record template.
 _SLOT = "\0"
-_SLOT_TEXT = json.dumps(_SLOT)
+_SLOT_TEXT = json.dumps(_SLOT).encode()
 
 
 class _Records(Frozen):
@@ -370,24 +393,24 @@ class _Records(Frozen):
         self._set(proto=proto, columns=columns)
 
 
-def _record_block(block: _Records, pad: str):
-    """Text chunks of the JSON text of ``block``: its rows, whose k+1
+def _record_block(block: _Records, pad: bytes):
+    """Byte chunks of the JSON text of ``block``: its rows, whose k+1
     pieces are the proto's text cut at its k slots, indented and closed
     by a comma but for the last."""
-    inner = pad + "  "
-    first, *middle, last = "".join(_json(block.proto, inner)).split(_SLOT_TEXT)
-    cell = [inner + first, *chain(*zip(block.columns, [*middle, last + ",\n"]))]
-    text = "[\n"
+    inner = pad + b"  "
+    first, *middle, last = b"".join(_json(block.proto, inner)).split(_SLOT_TEXT)
+    cell = [inner + first, *chain(*zip(block.columns, [*middle, last + b",\n"]))]
+    text = b"[\n"
     for chunk in map(_layout, _chunks([cell], json=True)):
         # a chunk behind, so that the last loses its comma; the chunk held
         # also keeps malloc from returning and re-faulting the heap's top
         yield text
         text = chunk
-    yield "[]" if text == "[\n" else f"{text[:-2]}\n{pad}]"
+    yield from [b"[]"] if text == b"[\n" else [text[:-2], b"\n" + pad + b"]"]
 
 
-def _json(obj, pad: str = ""):
-    """Text chunks of ``obj`` laid out as ``json.dumps(obj, indent=2)``
+def _json(obj, pad: bytes = b""):
+    """Byte chunks of ``obj`` laid out as ``json.dumps(obj, indent=2)``
     lays it out, with every float at 6 significant digits, as a lazy
     iterator: a ``_Records`` block is formatted a chunk at a time."""
     if isinstance(obj, _Records):
@@ -395,20 +418,21 @@ def _json(obj, pad: str = ""):
     elif isinstance(obj, float):
         yield _layout([_numbers([obj], False, True)])
     elif not obj or not isinstance(obj, (dict, list)):
-        yield json.dumps(obj)
+        yield json.dumps(obj).encode()
     else:
-        inner, ends = pad + "  ", "{}" if isinstance(obj, dict) else "[]"
+        inner = pad + b"  "
+        start, end = (b"{", b"}") if isinstance(obj, dict) else (b"[", b"]")
         items = (
-            [(f"{json.dumps(k)}: ", v) for k, v in obj.items()]
-            if isinstance(obj, dict) else [("", v) for v in obj]
+            [(f"{json.dumps(k)}: ".encode(), v) for k, v in obj.items()]
+            if isinstance(obj, dict) else [(b"", v) for v in obj]
         )
-        yield ends[0]
-        sep = "\n"
+        yield start
+        sep = b"\n"
         for key, value in items:
             yield sep + inner + key
             yield from _json(value, inner)
-            sep = ",\n"
-        yield f"\n{pad}{ends[1]}"
+            sep = b",\n"
+        yield b"\n" + pad + end
 
 
 # -- input documents ---------------------------------------------------
@@ -501,13 +525,13 @@ def _decomposition_cells(cc: CurrentComponents) -> list:
     the last row holds the norms, indexed "norm"."""
     table = cc.table_rows()
     index = np.arange(len(table))
-    norm = _Column(index, whole=True, shown=index < len(table) - 1, instead="norm")
+    norm = _Column(index, shown=index < len(table) - 1, instead=b"norm")
     return [[norm], *([c] for c in table.T)]
 
 
 def _decomposition_csv(cc: CurrentComponents):
-    """The decomposition CSV as a lazy iterator of text chunks."""
-    yield ",".join(["index", *CSV_COLUMNS]) + "\n"
+    """The decomposition CSV as a lazy iterator of byte chunks."""
+    yield (",".join(["index", *CSV_COLUMNS]) + "\n").encode()
     yield from map(_layout, _chunks([_csv([c for c, in _decomposition_cells(cc)])]))
 
 
@@ -527,7 +551,7 @@ def _currents_tables(cc: CurrentComponents, ys) -> list:
 
 def _power_tables(report: PowerReport) -> list:
     orders, p, q = report.per_harmonic
-    pf = "n/a" if report.pf is None else np.array([report.pf])
+    pf = b"n/a" if report.pf is None else np.array([report.pf])
     parts = [
         _table(
             "Power summary",
@@ -543,7 +567,7 @@ def _power_tables(report: PowerReport) -> list:
     m, cross = report.m, report.cross
     if cross.any():
         a, b = m.blade_indices[cross].T
-        blade, va = ["s", a, " s", b], [m.va[cross]]
+        blade, va = [b"s", a, b" s", b], [m.va[cross]]
         parts.append(_table("Cross-frequency terms", ["blade", "va"], [blade, va]))
     return parts
 
@@ -561,7 +585,7 @@ def _spectrum_table(u_sig: SpectralSignal, i_sig: SpectralSignal):
         rms[rows], phase[rows] = sig.rms, sig.phase_rad
         return [[rms], [_Column(phase, shown=~np.isnan(phase))]]
 
-    cells = [[_Column(orders, whole=True, shown=orders > 0, instead="dc")],
+    cells = [[_Column(orders, whole=True, shown=orders > 0, instead=b"dc")],
              *side(u_sig), *side(i_sig)]
     return _table("Spectra", ["order", "u_rms", "u_phase", "i_rms", "i_phase"], cells)
 
@@ -588,7 +612,7 @@ def cmd_solve(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, chain(_json(doc), "\n"))]
+        return [(args.out, chain(_json(doc), [b"\n"]))]
     tables = [
         _spectrum_table(source, i_sig),
         *_power_tables(report),
@@ -632,7 +656,7 @@ def cmd_analyze(args) -> list[tuple]:
             "power": _power_json(report),
             "currents": _currents_json(cc, ys),
         }
-        return ts + [(args.out, chain(_json(doc), "\n"))]
+        return ts + [(args.out, chain(_json(doc), [b"\n"]))]
     tables = [
         _table("Waveform", list(waveform), [[np.array([v])] for v in waveform.values()]),
         _spectrum_table(u_sig, i_sig),
@@ -665,18 +689,18 @@ def cmd_decompose(args) -> list[tuple]:
             "current_spectrum": _spectrum_json(i_sig),
             "currents": _currents_json(cc, ys),
         }
-        return [(args.out, chain(_json(doc), "\n"))]
+        return [(args.out, chain(_json(doc), [b"\n"]))]
     return [(args.out, _spaced(_currents_tables(cc, ys)))]
 
 
 def _timeseries_csv(u_w, i_w, cc: CurrentComponents):
-    """The t,u,i,p,i_a,i_N CSV as a lazy iterator of text chunks of
+    """The t,u,i,p,i_a,i_N CSV as a lazy iterator of byte chunks of
     ``_CHUNK`` rows; only formatting is left to the iteration.
     Every step is elementwise, so a chunk has the bits of the whole."""
     i_a, i_n = from_phasor(cc.i_a), from_phasor(cc.i_N)
 
     def chunks():
-        yield "t_s,u,i,p,i_a,i_N\n"
+        yield b"t_s,u,i,p,i_a,i_N\n"
         for k in range(0, u_w.n, _CHUNK):
             t = np.arange(k, min(k + _CHUNK, u_w.n)) / u_w.sample_rate_hz
             u, i = u_w.samples[k:k + len(t)], i_w.samples[k:k + len(t)]
@@ -695,7 +719,7 @@ def _write_all(outputs) -> None:
         for path, _ in outputs:
             if path:
                 new = not os.path.exists(path)
-                open(path, "a").close()
+                open(path, "ab").close()
                 created += [path] * new
         for path, chunks in outputs:
             _write_text(chunks, path)
@@ -706,11 +730,14 @@ def _write_all(outputs) -> None:
 
 
 def _write_text(chunks, out: str | None) -> None:
+    """Write the byte ``chunks`` to the file ``out`` as they come, or to
+    stdout, which takes text."""
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
+        with open(out, "wb") as fh:
             fh.writelines(chunks)
     else:
-        sys.stdout.writelines(chunks)
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
 
 
 # -- argument parsing --------------------------------------------------

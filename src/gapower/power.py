@@ -48,7 +48,8 @@ class GeometricPower(Frozen):
             raise LayoutError(f"{idx.shape} blade indices for {va.shape} "
                               f"values do not fit layout dimension {dim}")
         a, b = idx.T
-        if (a >= b).any() or (np.diff(a * dim + b) <= 0).any():
+        key = a * dim + b
+        if (a >= b).any() or (key[1:] <= key[:-1]).any():
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
@@ -61,20 +62,40 @@ class GeometricPower(Frozen):
         return format_terms([((), self.scalar), *planes])
 
 
+# The slot pairs formed at once: a block of rows of the upper triangle
+# takes about ``_BLOCK`` products (a row at least), so what
+# ``geometric_power`` holds besides its result does not grow with the
+# number of planes.
+_BLOCK = 1 << 13
+
+
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:
     """Apparent power multivector M = u i of two phasors on one layout."""
     u._check_compatible(i)
     # u ^ i has planes only among the slots where u or i is non-zero, so
-    # its planes are formed there, over the upper triangle of slot pairs
-    # at once; the slots are sorted and the pairs come in row-major order,
-    # so the planes ascend
+    # its planes are formed there: rows r..r+s of the upper triangle of
+    # slot pairs at once, over the columns past r, and written into the
+    # result, the non-zero ones in row-major order, so the planes ascend
     support = np.flatnonzero((u.coeffs != 0) | (i.coeffs != 0))
     a, b = u.coeffs[support], i.coeffs[support]
-    lo, hi = np.triu_indices(len(support), 1)
-    va = a[lo] * b[hi] - b[lo] * a[hi]
-    kept = va != 0
-    lo, hi, va = lo[kept], hi[kept], va[kept]
-    planes = np.column_stack([support[lo], support[hi]])
+    n = len(support)
+    planes = np.empty((n * (n - 1) // 2, 2), np.intp)
+    va = np.empty(len(planes))
+    k = np.arange(n)
+    end = r = 0
+    while r < n - 1:
+        s = min(max(1, _BLOCK // (n - r)), n - 1 - r)
+        block = np.multiply.outer(a[r:r + s], b[r + 1:])
+        block -= np.multiply.outer(b[r:r + s], a[r + 1:])
+        kept = (k[:s, None] <= k[:n - 1 - r]) & (block != 0)
+        lo, hi = np.nonzero(kept)
+        stop = end + len(lo)
+        va[end:stop] = block[kept]
+        planes[end:stop, 0] = support[r:][lo]
+        planes[end:stop, 1] = support[r + 1:][hi]
+        end, r = stop, r + s
+    if end < len(va):
+        planes, va = planes[:end].copy(), va[:end].copy()
     # frozen, these fresh arrays go into the power uncopied
     planes.flags.writeable = va.flags.writeable = False
     return GeometricPower(u.dot(i), planes, va, u.layout)
@@ -142,11 +163,10 @@ def power_report(u: GeometricPhasor, i: GeometricPhasor) -> PowerReport:
     cross-frequency terms."""
     m = geometric_power(u, i)
     s = apparent(m)
-    pf = m.scalar / s if s > 0.0 else None
     return PowerReport(
         p_w=m.scalar,
         apparent_va=s,
-        pf=pf,
+        pf=power_factor(m) if s > 0.0 else None,
         per_harmonic=harmonic_pq(u, i),
         m=m,
         cross=~order_planes(m.blade_indices),

@@ -47,6 +47,11 @@ BENCH_CURRENT_ROWS = (
 )
 
 
+def text_of(chunks) -> str:
+    """The text of the CLI's byte chunks, all of them ASCII."""
+    return b"".join(chunks).decode("ascii")
+
+
 def dense(dim: int, terms: dict[int, float]) -> np.ndarray:
     """Coefficient vector of length ``dim`` with ``terms`` (basis index ->
     coefficient) filled in and zeros elsewhere."""

@@ -118,11 +118,14 @@ def wedge_pairs(draw):
     return GeometricPhasor(u, layout, 50.0), GeometricPhasor(i, layout, 50.0)
 
 
-@given(wedge_pairs())
-def test_wedge_planes_match_the_oracle_bit_for_bit(pair):
+@given(wedge_pairs(), st.one_of(st.just(gapower.power._BLOCK), st.integers(1, 64)))
+def test_wedge_planes_match_the_oracle_bit_for_bit(pair, block):
     u, i = pair
     planes, va = wedge_planes_brute(u.coeffs.tolist(), i.coeffs.tolist())
-    m = geometric_power(u, i)
+    with pytest.MonkeyPatch.context() as patch:
+        # a small block puts row-block edges among the planes
+        patch.setattr(gapower.power, "_BLOCK", block)
+        m = geometric_power(u, i)
     assert [tuple(p) for p in m.blade_indices.tolist()] == planes
     assert m.va.tobytes() == np.array(va, dtype=np.float64).tobytes()
 

@@ -17,7 +17,9 @@ To re-record after an intended change of the output contract, run
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -178,6 +180,22 @@ def test_golden_output(inputs, name):
     got = run_case(inputs, CASES[name], name)
     want = (GOLDEN / name).read_bytes()
     assert got == want, f"{name} differs from tests/golden/{name}"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output_on_stdout(inputs, name):
+    """Without ``--out`` the same bytes go to ``sys.stdout``, here a text
+    stream that a caller put in its place."""
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(inputs)
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = main(CASES[name])
+    finally:
+        os.chdir(cwd)
+    assert rc == 0
+    assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(HASHED))

@@ -37,7 +37,7 @@ from gapower.power import (
 )
 from gapower.circuit import SeriesRLC, admittances_for, solve_current
 
-from conftest import bivector_block, dense, vector
+from conftest import bivector_block, dense, text_of, vector
 from oracles import pq_complex
 from report_schema import POWER_REPORT_SCHEMA
 
@@ -221,7 +221,7 @@ def test_power_report_shape_and_schema(two_harmonic_phasor, rlc_equal_conductanc
     assert report.apparent_va == pytest.approx(10000.0 * math.sqrt(2))
     assert report.per_harmonic[0].tolist() == [1.0, 3.0]
     # the block as the CLI prints it
-    doc = json.loads("".join(_json(_power_json(report))))
+    doc = json.loads(text_of(_json(_power_json(report))))
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
     assert [h["order"] for h in doc["per_harmonic"]] == [1.0, 3.0]
     assert {tuple(t["blade_indices"]) for t in doc["cross_terms"]} == {
@@ -234,7 +234,7 @@ def test_power_report_zero_pair_has_null_pf():
     zero = phasor_of({}, 3)
     report = power_report(zero, zero)
     assert report.pf is None
-    doc = json.loads("".join(_json(_power_json(report))))
+    doc = json.loads(text_of(_json(_power_json(report))))
     assert doc["pf"] is None
     jsonschema.validate(doc, POWER_REPORT_SCHEMA)
 
@@ -257,6 +257,24 @@ def test_power_report_memory_follows_the_support():
     assert report.m.blade_indices[report.cross].tolist() == [
         [1, 1999], [1, 2000], [2, 1999], [2, 2000]
     ]
+
+
+def test_geometric_power_holds_little_besides_its_planes():
+    # every slot of a dim-301 layout occupied, as --orders 150 on a noisy
+    # recording: 45,150 planes stored in 1.08 MB; formed all at once they
+    # peaked at 2.58 MB, 1.4 times the stored bytes above them
+    layout = BasisLayout(150)
+    rng = np.random.default_rng(3)
+    u, i = (GeometricPhasor(rng.normal(size=layout.dimension), layout, 50.0)
+            for _ in range(2))
+    tracemalloc.start()
+    try:
+        m = geometric_power(u, i)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(m.va) == 301 * 300 // 2
+    assert peak < 1.5 * (m.blade_indices.nbytes + m.va.nbytes)
 
 
 # -- random-instance properties ----------------------------------------------------

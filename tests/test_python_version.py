@@ -278,3 +278,76 @@ def test_gc_check_fails_on_a_planted_call():
     source = CLI.read_text(encoding="utf-8")
     planted = source + "\n\ndef _planted():\n    return gc.get_freeze_count()\n"
     assert (source.count("\n") + 4, "get_freeze_count") in gc_uses(ast.parse(planted))
+
+
+WRITE_MODES = set("wax+")
+
+
+def _is_stdout_write(node: ast.AST) -> bool:
+    """Whether ``node`` is a call of ``sys.stdout.write``."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "write"
+        and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "stdout"
+        and isinstance(node.func.value.value, ast.Name)
+        and node.func.value.value.id == "sys"
+    )
+
+
+def text_writes(tree: ast.AST) -> list[int]:
+    """Sorted line numbers of text output in ``tree``: an ``open`` call
+    whose mode writes but is not binary, or is not a literal, and a
+    ``.decode(...)`` call outside the argument of ``sys.stdout.write``."""
+    lines = []
+
+    def visit(node: ast.AST, inside: bool) -> None:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else ast.Constant("r")
+            mode = mode.value if isinstance(mode, ast.Constant) else None
+            if not isinstance(mode, str) or (WRITE_MODES & set(mode) and "b" not in mode):
+                lines.append(node.lineno)
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "decode"
+            and not inside
+        ):
+            lines.append(node.lineno)
+        inside = inside or _is_stdout_write(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, False)
+    return sorted(lines)
+
+
+def test_text_check_finds_text_writes_only():
+    source = (
+        'open(p).close() + open(p, "rb") + open(p, "r", encoding="utf-8")\n'
+        'open(p, "w") + open(p, mode="a") + open(p, "x", encoding="ascii")\n'
+        'open(p, "r+") + open(p, "wb") + open(p, mode="ab") + open(p, "r+b")\n'
+        'open(p, mode) + fh.open(p, "w") + os.open(p, flags)\n'
+        'sys.stdout.write(chunk.decode()) + sys.stderr.write(chunk.decode())\n'
+        'text = chunk.decode("ascii") + codecs.decode(chunk) + chunk.encode()\n'
+    )
+    assert text_writes(ast.parse(source)) == [2, 2, 2, 3, 4, 5, 6, 6]
+
+
+def test_cli_writes_bytes_and_decodes_only_for_stdout():
+    tree = ast.parse(CLI.read_text(encoding="utf-8"), str(CLI))
+    assert text_writes(tree) == []
+
+
+def test_text_check_fails_on_a_planted_text_write():
+    source = CLI.read_text(encoding="utf-8")
+    planted = source + (
+        '\n\ndef _planted(chunks, out):\n'
+        '    with open(out, "w", encoding="utf-8") as fh:\n'
+        '        fh.writelines(chunk.decode() for chunk in chunks)\n'
+    )
+    end = source.count("\n")
+    assert text_writes(ast.parse(planted)) == [end + 4, end + 5]

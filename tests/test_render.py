@@ -29,6 +29,7 @@ from gapower.cli import (
 )
 from gapower.decompose import CSV_COLUMNS
 
+from conftest import text_of
 from oracles import csv_brute, fmt6_brute, json6_brute, table_brute
 from test_golden import CASES, HASHED, run_case, write_inputs
 
@@ -36,13 +37,13 @@ from test_golden import CASES, HASHED, run_case, write_inputs
 def rows(cells, json: bool = False) -> str:
     """The text of the block of rows ``cells``, laid out a chunk at a
     time."""
-    return "".join(map(_layout, _chunks(cells, json)))
+    return text_of(map(_layout, _chunks(cells, json)))
 
 
 def texts(column, json: bool = False) -> list[str]:
     """The text of every entry of ``column`` as the renderer lays out a
     block of one column per row."""
-    return rows([[column, "\n"]], json=json).split("\n")[:-1]
+    return rows([[column, b"\n"]], json=json).split("\n")[:-1]
 
 
 def g6(values) -> list[str]:
@@ -280,7 +281,7 @@ def test_record_block_is_laid_out_like_json_dumps(rows, x):
         },
         "empty": {},
     }
-    assert "".join(_json(doc)) == json.dumps(want, indent=2)
+    assert text_of(_json(doc)) == json.dumps(want, indent=2)
 
 
 # One value of each form JSON spells differently from ``%.6g``: integral,
@@ -299,7 +300,7 @@ def test_json_misfits_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
         a[k - len(MISFITS):k + len(MISFITS)] = MISFITS + MISFITS[::-1]
     block = _Records({"n": _SLOT, "va": _SLOT}, (np.arange(len(a)), a))
     want = [{"n": n, "va": json.loads(json6_brute(x))} for n, x in enumerate(a.tolist())]
-    assert "".join(_json({"terms": block})) == json.dumps({"terms": want}, indent=2)
+    assert text_of(_json({"terms": block})) == json.dumps({"terms": want}, indent=2)
 
 
 # Table cells: empty, or short texts that hold what a ``%`` template or a
@@ -342,10 +343,11 @@ def test_table_is_laid_out_like_the_oracle(drawn):
         [prefix + entry(x, s, whole, instead) + suffix for x, s in zip(xs, shown)]
         for prefix, xs, whole, shown, instead, suffix in columns])
     # one block: each cell a constant, a column and a constant
-    block = [[prefix, _Column(np.array(xs, dtype=np.float64), whole, np.array(shown, bool),
-                              instead), suffix]
+    block = [[prefix.encode(), _Column(np.array(xs, dtype=np.float64), whole,
+                                       np.array(shown, bool), instead.encode()),
+              suffix.encode()]
              for prefix, xs, whole, shown, instead, suffix in columns]
-    assert "".join(_table("A %s title", header, block)) == want
+    assert text_of(_table("A %s title", header, block)) == want
 
 
 class _Rows:
@@ -368,7 +370,7 @@ def test_decomposition_csv_is_laid_out_like_the_oracle(rows):
         ["index", *CSV_COLUMNS],
         [[k, *map(fmt6_brute, r)] for k, r in zip(index, rows)],
     )
-    assert "".join(_decomposition_csv(_Rows(rows))) == want
+    assert text_of(_decomposition_csv(_Rows(rows))) == want
 
 
 def whole_text(x: float, json: bool) -> str:
@@ -419,7 +421,7 @@ def test_table_is_the_same_on_both_sides_of_a_chunk_boundary(monkeypatch, step):
          [fmt6_brute(x) for x in a.tolist()],
          [fmt6_brute(-x) if s else "" for x, s in zip(a.tolist(), shown)]],
     )
-    assert "".join(_table("T", ["k", "order", "a", "b"], cells)) == want
+    assert text_of(_table("T", ["k", "order", "a", "b"], cells)) == want
 
 
 def test_every_golden_chunk_is_ascii(tmp_path, monkeypatch):
@@ -436,4 +438,4 @@ def test_every_golden_chunk_is_ascii(tmp_path, monkeypatch):
     for name, argv in {**CASES, **HASHED}.items():
         run_case(tmp_path, argv, name)
     assert chunks
-    assert all(isinstance(c, str) and c.isascii() for c in chunks)
+    assert all(isinstance(c, bytes) and c.isascii() for c in chunks)
