@@ -43,13 +43,14 @@ class GeometricPower(Frozen):
         dim = layout.dimension
         idx = read_only(blade_indices, np.intp)
         va = read_only(va, np.float64)
-        inside = ((idx >= 0) & (idx < dim)).all()
+        inside = idx.size == 0 or 0 <= idx.min() <= idx.max() < dim
         if va.ndim != 1 or idx.shape != (len(va), 2) or not inside:
             raise LayoutError(f"{idx.shape} blade indices for {va.shape} "
                               f"values do not fit layout dimension {dim}")
         a, b = idx.T
-        key = a * dim + b
-        if (a >= b).any() or (key[1:] <= key[:-1]).any():
+        # row-by-row comparisons, which hold a bool per plane at a time
+        rising = (a[1:] > a[:-1]) | (a[1:] == a[:-1]) & (b[1:] > b[:-1])
+        if (a >= b).any() or not rising.all():
             raise PowerAnalysisError(
                 "planes must be (a, b) with a < b, strictly ascending"
             )
@@ -65,8 +66,10 @@ class GeometricPower(Frozen):
 # The slot pairs formed at once: a block of rows of the upper triangle
 # takes about ``_BLOCK`` products (a row at least), so what
 # ``geometric_power`` holds besides its result does not grow with the
-# number of planes.
-_BLOCK = 1 << 13
+# number of planes.  On a 2-vCPU guest (Python 3.11, numpy 2.4), 2**12
+# was the fastest of 2**11..2**14 at dim 201 (0.40 ms against 0.55 ms
+# for 2**13) and holds about 0.2 MB beside the planes at dim 301.
+_BLOCK = 1 << 12
 
 
 def geometric_power(u: GeometricPhasor, i: GeometricPhasor) -> GeometricPower:

@@ -237,6 +237,8 @@ def test_dense_constructors_check_shapes():
         ([[0, 1]], [1.0, 2.0], LayoutError),
         ([[2, 1]], [1.0], PowerAnalysisError),
         ([[1, 2], [0, 2]], [1.0, 1.0], PowerAnalysisError),
+        ([[0, 2], [0, 1]], [1.0, 1.0], PowerAnalysisError),
+        ([[0, 1], [0, 1]], [1.0, 1.0], PowerAnalysisError),
     ]:
         raised = []
         for args in ((planes, va), (frozen(planes, np.intp), frozen(va, np.float64))):
