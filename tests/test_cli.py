@@ -471,15 +471,20 @@ def test_analyze_interharmonics_flag(tmp_path):
         + "\n"
     )
     out = tmp_path / "ih.json"
-    rc = main(
-        ["analyze", "--input", str(path), "--fundamental", "50", "--orders", "2",
-         "--interharmonics", "2.5", "--format", "json", "--out", str(out)]
-    )
+    argv = ["analyze", "--input", str(path), "--fundamental", "50", "--orders", "2",
+            "--format", "json"]
+    rc = main([*argv, "--interharmonics", "2.5", "--out", str(out)])
     assert rc == 0
     doc = json.loads(out.read_text())
     inter = doc["voltage_spectrum"]["interharmonics"]
     assert len(inter) == 1 and inter[0]["order"] == 2.5
     assert inter[0]["rms"] == pytest.approx(2.0, abs=1e-6)
+    # the parser this process reuses keeps no order from the call before
+    assert main([*argv, "--out", str(out)]) == 0
+    fresh = subprocess.run([sys.executable, "-m", "gapower.cli", *argv],
+                           capture_output=True, env=fresh_env(), check=True)
+    assert out.read_bytes() == fresh.stdout
+    assert json.loads(fresh.stdout)["voltage_spectrum"]["interharmonics"] == []
 
 
 @pytest.mark.parametrize("raw", ["nan", "inf", "2", "3.5,2.5", "2.5,2.5", "-0.5"])
@@ -748,40 +753,10 @@ def noisy_recording(path) -> str:
     return str(path)
 
 
-def test_report_is_written_in_bounded_memory(tmp_path):
-    # --orders 100 writes 20,100 cross terms (2.3 MB of JSON): a traced
-    # peak of 5.9 MB when the whole report is built before the write,
-    # about 2.1 MB in chunks of _CHUNK records
-    rec = noisy_recording(tmp_path / "rec.csv")
-    out = tmp_path / "out.json"
-
-    def traced(orders: int) -> tuple[int, int]:
-        """The traced peak of a warm call at ``orders``, and its output size."""
-        argv = ["analyze", "--input", rec, "--fundamental", "50",
-                "--orders", str(orders), "--format", "json", "--out", str(out)]
-        assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return peak, out.stat().st_size
-
-    peak, _ = traced(100)
-    assert peak < 3e6
-    (low, low_size), (high, high_size) = traced(50), traced(150)
-    # the output grows by 4.4 MB; the peak only by what the larger power
-    # itself holds
-    assert high - low < (high_size - low_size) / 3
-
-
-def test_table_is_written_in_bounded_memory(tmp_path):
-    # --orders 100 prints 20,100 cross terms (0.54 MB of table): a traced
-    # peak of 7.7 MB when every table is built whole before the write,
-    # about 1.4 MB in chunks of _CHUNK rows
-    rec = noisy_recording(tmp_path / "rec.csv")
-    out = tmp_path / "out.table"
+def traced_peaks(rec: str, out, orders: int, fmt: str) -> tuple[int, int, int]:
+    """The traced peaks of a warm ``analyze`` call of the recording ``rec``
+    at ``orders`` and of its computation alone (the command, whose outputs
+    are lazy), and the size of its output."""
 
     def peak(call) -> int:
         tracemalloc.start()
@@ -791,23 +766,40 @@ def test_table_is_written_in_bounded_memory(tmp_path):
         finally:
             tracemalloc.stop()
 
-    def traced(orders: int) -> tuple[int, int, int]:
-        """The traced peaks of a warm call at ``orders`` and of its
-        computation alone (the command, whose outputs are lazy), and the
-        size of its output."""
-        argv = ["analyze", "--input", rec, "--fundamental", "50",
-                "--orders", str(orders), "--format", "table", "--out", str(out)]
-        assert main(argv) == 0
-        args = build_parser().parse_args(argv)
-        compute, whole = peak(lambda: args.run(args)), peak(lambda: main(argv))
-        return whole, compute, out.stat().st_size
+    argv = ["analyze", "--input", rec, "--fundamental", "50",
+            "--orders", str(orders), "--format", fmt, "--out", str(out)]
+    assert main(argv) == 0
+    args = build_parser().parse_args(argv)
+    compute, whole = peak(lambda: args.run(args)), peak(lambda: main(argv))
+    return whole, compute, out.stat().st_size
 
-    assert traced(100)[0] < 3e6
+
+def test_report_is_written_in_bounded_memory(tmp_path):
+    # --orders 100 writes 20,100 cross terms (2.3 MB of JSON): a traced
+    # peak of 5.9 MB when the whole report is built before the write,
+    # about 2.5 MB in chunks of _CHUNK records
+    rec = noisy_recording(tmp_path / "rec.csv")
+    out = tmp_path / "out.json"
+    assert traced_peaks(rec, out, 100, "json")[0] < 3e6
+    # at --orders 150 the report is 5.0 MB; what writing it adds above the
+    # computation's own peak stays below a third of it, where joining the
+    # whole report first adds more than all of it
+    high, high_compute, high_size = traced_peaks(rec, out, 150, "json")
+    assert high - high_compute < high_size / 3
+
+
+def test_table_is_written_in_bounded_memory(tmp_path):
+    # --orders 100 prints 20,100 cross terms (0.54 MB of table): a traced
+    # peak of 7.7 MB when every table is built whole before the write,
+    # about 1.4 MB in chunks of _CHUNK rows
+    rec = noisy_recording(tmp_path / "rec.csv")
+    out = tmp_path / "out.table"
+    assert traced_peaks(rec, out, 100, "table")[0] < 3e6
     # from --orders 50 to 150 the computation's own peak grows by 2.3 MB,
     # the power's 45,150 planes and their products, more than the table
     # does (1 MB); what printing the table adds above it stays below a
     # third of the table, 0.8 MB when each table is joined whole
-    high, high_compute, high_size = traced(150)
+    high, high_compute, high_size = traced_peaks(rec, out, 150, "table")
     assert high - high_compute < high_size / 3
 
 
@@ -852,23 +844,42 @@ def test_analyze_deterministic(tmp_path, bench_csv):
 
 # -- cold start ------------------------------------------------------------
 
+def fresh_env() -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's
+    ``gapower``."""
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    return env
+
+
 # A fresh interpreter runs one command six times and reports what it
-# imported, whether it built the number kernel's tables, how many objects
-# the collector holds frozen after each call, what a full collection finds
-# after the last one, and whether every call wrote the same bytes.
+# imported, whether it built the number kernel's tables, how many parsers
+# it built, how many objects the collector holds frozen after each call,
+# whether a full collection after the last call frees a reference cycle
+# made after the first, and whether every call wrote the same bytes.
 _FRESH_MAIN = """
-import gc, json, sys
+import gc, json, sys, weakref
 from pathlib import Path
 from gapower import cli
+class Node: pass
 out = Path(sys.argv[sys.argv.index("--out") + 1])
+build, builds = cli.build_parser, []
+cli.build_parser = lambda: builds.append(1) or build()
 rcs, frozen, outputs = [], [], set()
-for _ in range(6):
+for k in range(6):
     rcs.append(cli.main(sys.argv[1:]))
     frozen.append(gc.get_freeze_count())
     outputs.add(out.read_bytes())
+    if k == 0:
+        cycle = Node()
+        cycle.self = cycle
+        cycle_alive = weakref.ref(cycle)
+        del cycle
+gc.collect()
 tables = cli._digit_words.cache_info().currsize + cli._exponent_words.cache_info().currsize
-print(json.dumps({"rcs": rcs, "tables": tables, "frozen": frozen,
-                  "collected": gc.collect(), "outputs": len(outputs),
+print(json.dumps({"rcs": rcs, "tables": tables, "frozen": frozen, "parsers": len(builds),
+                  "cycle_freed": cycle_alive() is None, "outputs": len(outputs),
                   "modules": sorted({"dataclasses", "numpy.ma"} & set(sys.modules))}))
 """
 
@@ -883,27 +894,26 @@ def test_commands_import_no_dataclasses_or_numpy_ma(
     """``dataclasses`` would cost every process its generated methods at
     import, and numpy's set routines import ``numpy.ma`` (about 20 ms) on
     first use; a short table never needs the kernel's tables.  The
-    import-time heap is frozen once per process, so repeated calls give
-    the same bytes and freeze nothing more."""
+    import-time heap is frozen and the parser built once per process, so
+    repeated calls give the same bytes and freeze nothing more."""
     inputs = {
         "solve": ["--circuit", circuit_equal, "--source", source_file],
         "analyze": ["--input", bench_csv, "--fundamental", "50", "--orders", "9"],
         "decompose": ["--voltage", example_spectra[0], "--current", example_spectra[1]],
     }[command]
     argv = [command, *inputs, "--format", fmt, "--out", str(tmp_path / "out")]
-    env = dict(os.environ)
-    paths = [str(Path(__file__).resolve().parent.parent / "src"), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     proc = subprocess.run([sys.executable, "-c", _FRESH_MAIN, *argv],
-                          capture_output=True, text=True, env=env, check=True)
+                          capture_output=True, text=True, env=fresh_env(), check=True)
     report = json.loads(proc.stdout)
     assert report["rcs"] == [0] * 6
     assert report["outputs"] == 1
     assert report["modules"] == []
     if command == "analyze" and fmt == "table":
         assert report["tables"] == 0
-    # the first call froze the import-time heap, and no later call froze
-    # more: each call's own garbage (the parser's cycles) stays collectable
+    # the first call froze the import-time heap and built the parser; no
+    # later call froze or built more, so what a caller makes between calls
+    # stays collectable
+    assert report["parsers"] == 1
     assert report["frozen"][0] > 0
     assert report["frozen"] == report["frozen"][:1] * 6
-    assert report["collected"] > 0
+    assert report["cycle_freed"]

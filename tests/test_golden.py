@@ -185,15 +185,19 @@ def test_golden_output(inputs, name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output_on_stdout(inputs, name):
     """Without ``--out`` the same bytes go to ``sys.stdout``, here a text
-    stream that a caller put in its place."""
-    out = io.StringIO()
+    stream that a caller put in its place, also right after a usage error
+    in the same process."""
+    out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(inputs)
     try:
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(CASES[name] + ["--format", "yaml"]) == 2
+            assert out.getvalue() == ""
             rc = main(CASES[name])
     finally:
         os.chdir(cwd)
+    assert "error: argument --format: invalid choice" in err.getvalue()
     assert rc == 0
     assert out.getvalue().encode() == (GOLDEN / name).read_bytes()
 
